@@ -28,6 +28,7 @@ from .cultures import MODELS, REGIMES, CultureSpec
 from .extend import ExtensionConfig, extend_profile
 from .harness import (
     FRACTION_COLUMNS,
+    CorpusResult,
     clone_rows,
     method_rows,
     run_corpus_audit,
@@ -65,6 +66,11 @@ def _load_elections(path: Path) -> Iterator[tuple[str, Profile]]:
             print(f"warning: {file}: {exc}", file=sys.stderr)
             continue
         yield str(file.relative_to(base)), profile
+
+
+def _warn_failures(result: CorpusResult) -> None:
+    for election, mid, message in result.failures:
+        print(f"warning: {election}: {mid}: {message}", file=sys.stderr)
 
 
 def _write(data: bytes, out: str | None) -> None:
@@ -150,6 +156,7 @@ def _cmd_spoilers(args: argparse.Namespace) -> int:
         k_override=args.k,
         tie=TiePolicy(args.tie),
     )
+    _warn_failures(result)
     _write(
         blt_io.emit_results_csv(method_rows(result.methods), FRACTION_COLUMNS),
         args.out,
@@ -215,6 +222,7 @@ def _cmd_subelections(args: argparse.Namespace) -> int:
     result = run_corpus_audit(
         stream(), _resolve_methods(args.methods), tie=TiePolicy(args.tie)
     )
+    _warn_failures(result)
     _write(
         blt_io.emit_results_csv(method_rows(result.methods), FRACTION_COLUMNS),
         args.out,
@@ -234,6 +242,7 @@ def _cmd_clones(args: argparse.Namespace) -> int:
         k_override=args.k,
         tie=TiePolicy(args.tie),
     )
+    _warn_failures(result)
     _write(blt_io.emit_results_csv(clone_rows(result), ()), args.out)
     return 0
 

@@ -10,6 +10,14 @@ freely across threads.
 Candidates are dense integer indices ``0..m-1``; display names live in the
 profile roster.  Removing or restricting candidates recompacts indices but
 keeps the surviving names, so reports always print original names.
+
+Ballots are validated once, where they enter the program: the plain
+constructor and :meth:`Profile.build` (used by the ballot-file parser, ballot
+extension and the samplers) check every ballot.  Profiles derived from a
+valid profile (:func:`remove_candidate`, :func:`restrict_to_subset`,
+:meth:`Profile.with_seats`) cannot break a ballot invariant, so they are made
+by :meth:`Profile._derived`, which keeps only the O(1) shape checks.  This
+matters on the audit hot path, which derives a profile per removed candidate.
 """
 
 from __future__ import annotations
@@ -67,14 +75,7 @@ class Profile:
     k: int
 
     def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ProfileError(f"need at least 2 candidates, got m={self.m}")
-        if len(self.names) != self.m:
-            raise ProfileError(f"expected {self.m} names, got {len(self.names)}")
-        if not 1 <= self.k < self.m:
-            raise ProfileError(f"seat count k={self.k} must satisfy 1 <= k < m={self.m}")
-        if not self.ballots:
-            raise ProfileError("profile has no ballots")
+        self._check_shape()
         prev: tuple[int, ...] | None = None
         for ballot in self.ballots:
             ranking, weight = ballot
@@ -90,6 +91,16 @@ class Profile:
                 raise ProfileError("ballots must be sorted by ranking and deduplicated")
             prev = ranking
 
+    def _check_shape(self) -> None:
+        if self.m < 2:
+            raise ProfileError(f"need at least 2 candidates, got m={self.m}")
+        if len(self.names) != self.m:
+            raise ProfileError(f"expected {self.m} names, got {len(self.names)}")
+        if not 1 <= self.k < self.m:
+            raise ProfileError(f"seat count k={self.k} must satisfy 1 <= k < m={self.m}")
+        if not self.ballots:
+            raise ProfileError("profile has no ballots")
+
     @classmethod
     def build(
         cls,
@@ -99,35 +110,49 @@ class Profile:
         k: int,
     ) -> "Profile":
         """Merge duplicate ballot types, sort, and validate."""
-        merged: dict[tuple[int, ...], int] = {}
-        for ranking, weight in weighted_rankings:
-            key = tuple(ranking)
-            merged[key] = merged.get(key, 0) + weight
-        ballots = tuple(Ballot(r, w) for r, w in sorted(merged.items()))
-        return cls(m=m, names=tuple(names), ballots=ballots, k=k)
+        return cls(m=m, names=tuple(names), ballots=_canonical(weighted_rankings), k=k)
+
+    @classmethod
+    def _derived(
+        cls, m: int, names: tuple[str, ...], ballots: tuple[Ballot, ...], k: int
+    ) -> "Profile":
+        """A profile whose canonical ballots come from a valid profile.
+
+        Checks only the shape (m, names, k, at least one ballot); the caller
+        guarantees every ballot is a valid, sorted, deduplicated ranking.
+        """
+        profile = object.__new__(cls)
+        for attr, value in (("m", m), ("names", names), ("ballots", ballots), ("k", k)):
+            object.__setattr__(profile, attr, value)
+        profile._check_shape()
+        return profile
 
     @cached_property
     def n(self) -> int:
         """Total ballot weight (number of voters)."""
         return sum(b.weight for b in self.ballots)
 
-    def name_of(self, c: int) -> str:
-        return self.names[c]
-
-    def indices_by_name(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.names)}
-
     def with_seats(self, k: int) -> "Profile":
         """Same ballots, different seat count."""
-        return Profile(m=self.m, names=self.names, ballots=self.ballots, k=k)
+        return Profile._derived(self.m, self.names, self.ballots, k)
+
+
+def _canonical(
+    weighted_rankings: Iterable[tuple[Sequence[int], int]],
+) -> tuple[Ballot, ...]:
+    """Merge duplicate ballot types and sort by ranking."""
+    merged: dict[tuple[int, ...], int] = {}
+    for ranking, weight in weighted_rankings:
+        key = tuple(ranking)
+        merged[key] = merged.get(key, 0) + weight
+    return tuple(Ballot(r, w) for r, w in sorted(merged.items()))
 
 
 @dataclass(frozen=True)
 class ScoreVector:
-    """Per-candidate scores plus a tag naming their semantics."""
+    """Per-candidate scores."""
 
     values: tuple[int, ...]
-    kind: str
 
     def __getitem__(self, c: int) -> int:
         return self.values[c]
@@ -212,7 +237,7 @@ def remove_candidate(profile: Profile, c: int) -> Profile:
             remaining.append((reduced, weight))
     if not remaining:
         raise ProfileError(f"removing {profile.names[c]!r} leaves no ballots")
-    return Profile.build(profile.m - 1, names, remaining, profile.k)
+    return Profile._derived(profile.m - 1, names, _canonical(remaining), profile.k)
 
 
 def restrict_to_subset(profile: Profile, subset: Iterable[int], k_new: int) -> Profile:
@@ -237,7 +262,7 @@ def restrict_to_subset(profile: Profile, subset: Iterable[int], k_new: int) -> P
             remaining.append((reduced, weight))
     if not remaining:
         raise ProfileError("restriction leaves no ballots")
-    return Profile.build(len(keep), names, remaining, k_new)
+    return Profile._derived(len(keep), names, _canonical(remaining), k_new)
 
 
 def first_place_counts(profile: Profile) -> ScoreVector:
@@ -245,7 +270,7 @@ def first_place_counts(profile: Profile) -> ScoreVector:
     values = [0] * profile.m
     for ranking, weight in profile.ballots:
         values[ranking[0]] += weight
-    return ScoreVector(tuple(values), "first_place")
+    return ScoreVector(tuple(values))
 
 
 def top_k_counts(profile: Profile, k: int | None = None) -> ScoreVector:
@@ -262,7 +287,7 @@ def top_k_counts(profile: Profile, k: int | None = None) -> ScoreVector:
     for ranking, weight in profile.ballots:
         for c in ranking[:k]:
             values[c] += weight
-    return ScoreVector(tuple(values), "k_approval")
+    return ScoreVector(tuple(values))
 
 
 def borda_scores(profile: Profile, model: UnrankedModel) -> ScoreVector:
@@ -283,8 +308,7 @@ def borda_scores(profile: Profile, model: UnrankedModel) -> ScoreVector:
                 for c in range(m):
                     if c not in ranked:
                         values[c] += missing_points
-    kind = "borda_om" if model is UnrankedModel.OPTIMISTIC else "borda_pm"
-    return ScoreVector(tuple(values), kind)
+    return ScoreVector(tuple(values))
 
 
 def pairwise_matrix(profile: Profile) -> tuple[tuple[int, ...], ...]:

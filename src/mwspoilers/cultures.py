@@ -134,6 +134,11 @@ def sample_spatial1d(spec: CultureSpec, trial: int = 0) -> Profile:
     while any coincide), voter positions (colliding voters redrawn while any
     voter sits exactly on a candidate-pair midpoint, where distances would
     tie), then per-voter ballot lengths in the partial regime.
+
+    A voter's ranking depends only on which gap between consecutive sorted
+    midpoints they fall in, so voters are counted per (gap, ballot length)
+    bin and one voter per occupied bin is ranked: at most C(m, 2) + 1
+    rankings instead of n.
     """
     rng = trial_rng(spec, trial)
     m, n = spec.m, spec.n
@@ -149,19 +154,23 @@ def sample_spatial1d(spec: CultureSpec, trial: int = 0) -> Profile:
         voters[collides] = rng.standard_normal(int(collides.sum()))
         collides = np.isin(voters, midpoints)
 
-    order = np.argsort(np.abs(voters[:, None] - cands[None, :]), axis=1)
+    gaps = np.searchsorted(np.sort(midpoints), voters)
     if spec.regime == "complete":
-        rows, counts = np.unique(order[:, : m - 1], axis=0, return_counts=True)
-        ballots = [
-            (tuple(int(c) for c in row), int(cnt)) for row, cnt in zip(rows, counts)
-        ]
+        lengths = m - 1
     else:
         lengths = rng.integers(1, m, size=n)
-        merged: dict[tuple[int, ...], int] = {}
-        for row, length in zip(order, lengths):
-            key = tuple(int(c) for c in row[:length])
-            merged[key] = merged.get(key, 0) + 1
-        ballots = list(merged.items())
+    counts = np.bincount(gaps * m + lengths)
+    occupied = np.flatnonzero(counts)
+    representative = np.empty(len(midpoints) + 1)
+    representative[gaps] = voters
+    gap_of, length_of = np.divmod(occupied, m)
+    order = np.argsort(np.abs(representative[gap_of, None] - cands[None, :]), axis=1)
+    ballots = [
+        (tuple(row[:length]), count)
+        for row, length, count in zip(
+            order.tolist(), length_of.tolist(), counts[occupied].tolist()
+        )
+    ]
     return Profile.build(m, default_names(m), ballots, spec.k)
 
 

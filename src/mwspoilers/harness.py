@@ -14,6 +14,10 @@ estimated fraction carries a 95% Wilson interval.
 Trials are deterministic functions of (culture spec, trial index), and the
 aggregation is a sum of counters, so splitting trials across worker
 processes cannot change any result.
+
+An audit that raises one of :data:`AUDIT_ERRORS` (a removal that leaves no
+ballots, a committee search over budget) is counted as an error for its
+method; any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Sequence
 
-from .core import Profile
+from .core import Profile, ProfileError
 from .cultures import CultureSpec, sample_profile
-from .methods import METHODS, TiePolicy
+from .methods import METHODS, SearchBudgetError, TiePolicy
 from .spoilers import (
     CloneStats,
     SpoilerReport,
@@ -34,6 +38,9 @@ from .spoilers import (
     stability_summary,
     weakness_flags,
 )
+
+
+AUDIT_ERRORS = (ProfileError, SearchBudgetError)
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -129,11 +136,12 @@ def _simulate_block(args: tuple) -> dict[str, MethodTally]:
     for trial in range(start, stop):
         profile = sample_profile(spec, trial)
         weak = weakness_flags(profile)
+        removals: dict[int, Profile] = {}
         for mid in method_ids:
             tally = tallies[mid]
             try:
-                report = analyze_spoilers(profile, mid, tie)
-            except Exception:
+                report = analyze_spoilers(profile, mid, tie, removals)
+            except AUDIT_ERRORS:
                 tally.requested += 1
                 tally.errors += 1
                 continue
@@ -162,7 +170,7 @@ def run_simulation(
     found, toward the multiple fraction at two or more, and toward a weak-
     spoiler fraction when some spoiler belongs to the respective argmin set.
     Under the ``error`` policy, trials with ties are discarded per method and
-    reported; per-trial errors are recorded, never fatal.
+    reported; audit errors (:data:`AUDIT_ERRORS`) are counted, never fatal.
     """
     for mid in method_ids:
         if mid not in METHODS:
@@ -199,6 +207,11 @@ class StabilityAggregate:
     greatest_alt_sets: int = 0
 
 
+# Detail-table statistics after the election's identity columns; a failed
+# audit's row leaves them empty.
+_DETAIL_STATS = ("tie", "num_spoilers", "spoilers", "num_alt_sets", "max_changed")
+
+
 @dataclass(frozen=True)
 class CorpusResult:
     tie: TiePolicy
@@ -209,6 +222,8 @@ class CorpusResult:
     stability: dict[str, StabilityAggregate]
     clones: dict[str, CloneStats]
     details: list[dict] = field(default_factory=list)
+    # (election, method, "ErrorType: message") for each audit that raised
+    failures: list[tuple[str, str, str]] = field(default_factory=list)
 
 
 def run_corpus_audit(
@@ -222,7 +237,8 @@ def run_corpus_audit(
     Elections are kept when ``m > k + 1`` and ``k > 1`` (a seat override, if
     given, is applied before the filter).  Besides the simulation-style
     fractions this collects stability summaries, clone-similarity statistics,
-    and one detail row per election and method.
+    and one detail row per election and method.  A failed audit gets a detail
+    row with empty statistics and an entry in ``failures``.
     """
     for mid in method_ids:
         if mid not in METHODS:
@@ -242,6 +258,7 @@ def run_corpus_audit(
         mid: ([], []) for mid in method_ids
     }
     details: list[dict] = []
+    failures: list[tuple[str, str, str]] = []
     used = skipped = 0
 
     for name, profile in elections:
@@ -253,23 +270,23 @@ def run_corpus_audit(
             profile = profile.with_seats(k_eff)
         used += 1
         weak = weakness_flags(profile)
+        removals: dict[int, Profile] = {}
         for mid in method_ids:
             tally = tallies[mid]
+            row = {
+                "election": name,
+                "method": mid,
+                "m": profile.m,
+                "k": profile.k,
+                "n": profile.n,
+            }
             try:
-                report = analyze_spoilers(profile, mid, tie)
-            except Exception as exc:
+                report = analyze_spoilers(profile, mid, tie, removals)
+            except AUDIT_ERRORS as exc:
                 tally.requested += 1
                 tally.errors += 1
-                details.append(
-                    {
-                        "election": name,
-                        "method": mid,
-                        "m": profile.m,
-                        "k": profile.k,
-                        "n": profile.n,
-                        "error": str(exc),
-                    }
-                )
+                failures.append((name, mid, f"{type(exc).__name__}: {exc}"))
+                details.append(dict(row, **dict.fromkeys(_DETAIL_STATS)))
                 continue
             counted = _tally_report(tally, report, weak, tie)
             summary = stability_summary(report)
@@ -286,20 +303,14 @@ def run_corpus_audit(
                 clone_inputs[mid][0].append(report)
                 clone_inputs[mid][1].append(profile)
             details.append(
-                {
-                    "election": name,
-                    "method": mid,
-                    "m": profile.m,
-                    "k": profile.k,
-                    "n": profile.n,
-                    "tie": report.has_tie,
-                    "num_spoilers": summary.num_spoilers,
-                    "spoilers": ";".join(
-                        profile.names[c] for c in report.spoilers
-                    ),
-                    "num_alt_sets": summary.num_alternate_sets,
-                    "max_changed": summary.max_changed_candidates,
-                }
+                dict(
+                    row,
+                    tie=report.has_tie,
+                    num_spoilers=summary.num_spoilers,
+                    spoilers=";".join(profile.names[c] for c in report.spoilers),
+                    num_alt_sets=summary.num_alternate_sets,
+                    max_changed=summary.max_changed_candidates,
+                )
             )
 
     methods = {
@@ -328,6 +339,7 @@ def run_corpus_audit(
         stability=stability,
         clones=clones,
         details=details,
+        failures=failures,
     )
 
 

@@ -110,14 +110,24 @@ def _to_original_ids(outcome: OutcomeSet, removed: int) -> OutcomeSet:
 
 
 def analyze_spoilers(
-    profile: Profile, method_id: str, tie: TiePolicy = TiePolicy.ERROR
+    profile: Profile,
+    method_id: str,
+    tie: TiePolicy = TiePolicy.ERROR,
+    removals: dict[int, Profile] | None = None,
 ) -> SpoilerReport:
     """Run a rule, then re-run it with each non-winner removed.
 
     Requires ``m > k``.  When ``m == k + 1`` the lone non-winner cannot be a
     spoiler (the remaining candidates form the only possible committee), so
     the verdict is computed without a re-run.
+
+    ``removals`` maps a candidate to ``profile`` with that candidate removed.
+    Missing entries are filled in, so audits of several rules on the same
+    profile that pass the same dict remove each candidate only once.  The
+    dict must only ever be used with this one profile.
     """
+    if removals is None:
+        removals = {}
     try:
         outcome = run_method(method_id, profile, tie)
     except TieError:
@@ -139,7 +149,9 @@ def analyze_spoilers(
                 )
             )
             continue
-        reduced = remove_candidate(profile, c)
+        reduced = removals.get(c)
+        if reduced is None:
+            reduced = removals[c] = remove_candidate(profile, c)
         try:
             alternate = _to_original_ids(run_method(method_id, reduced, tie), c)
         except TieError:

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import itertools
 
-from mwspoilers.core import OutcomeSet, Profile, UnrankedModel
+import numpy as np
+
+from mwspoilers.core import OutcomeSet, Profile, UnrankedModel, default_names
+from mwspoilers.cultures import CultureSpec, trial_rng
 from mwspoilers.methods import TieError, TiePolicy, run_method
 
 
@@ -219,3 +222,40 @@ def spoiler_verdicts_by_definition(
             return None
         verdicts[c] = _committees_by_name(reduced, after) != base_names
     return verdicts
+
+
+def spatial1d_by_sorting(spec: CultureSpec, trial: int = 0) -> Profile:
+    """The 1D spatial sampler ranking every voter on their own.
+
+    Same draws as :func:`mwspoilers.cultures.sample_spatial1d`, but each
+    voter's distance ranking is sorted individually and identical ballots
+    are merged with ``np.unique`` or a dict.
+    """
+    rng = trial_rng(spec, trial)
+    m, n = spec.m, spec.n
+    cands = rng.standard_normal(m)
+    while len(np.unique(cands)) != m:
+        cands = rng.standard_normal(m)
+    midpoints = np.array(
+        [(cands[i] + cands[j]) / 2.0 for i in range(m) for j in range(i + 1, m)]
+    )
+    voters = rng.standard_normal(n)
+    collides = np.isin(voters, midpoints)
+    while collides.any():
+        voters[collides] = rng.standard_normal(int(collides.sum()))
+        collides = np.isin(voters, midpoints)
+
+    order = np.argsort(np.abs(voters[:, None] - cands[None, :]), axis=1)
+    if spec.regime == "complete":
+        rows, counts = np.unique(order[:, : m - 1], axis=0, return_counts=True)
+        ballots = [
+            (tuple(int(c) for c in row), int(cnt)) for row, cnt in zip(rows, counts)
+        ]
+    else:
+        lengths = rng.integers(1, m, size=n)
+        merged: dict[tuple[int, ...], int] = {}
+        for row, length in zip(order, lengths):
+            key = tuple(int(c) for c in row[:length])
+            merged[key] = merged.get(key, 0) + 1
+        ballots = list(merged.items())
+    return Profile.build(m, default_names(m), ballots, spec.k)

@@ -146,3 +146,38 @@ def test_clones_command(corpus_dir, capsys):
     header, row = out.splitlines()[:2]
     assert header.startswith("method,closer_to_retained")
     assert row.startswith("SNTV,")
+
+
+def test_spoilers_detail_table_keeps_failed_audits(tmp_path, capsys):
+    # Exact CC cannot search the C(24, 12) committees of the large election.
+    d = tmp_path / "corpus"
+    d.mkdir()
+    large = Profile.build(
+        24,
+        default_names(24),
+        [(tuple(range(i, 24)) + tuple(range(i)), 24 - i) for i in range(24)],
+        12,
+    )
+    (d / "large.blt").write_bytes(emit_blt(large, title="large"))
+    (d / "normal.blt").write_bytes(
+        emit_blt(
+            Profile.build(4, default_names(4), [((0, 1, 2, 3), 5), ((3, 2, 1, 0), 4)], 2),
+            title="normal",
+        )
+    )
+    out_csv = tmp_path / "rates.csv"
+    detail_csv = tmp_path / "detail.csv"
+    code, _, err = run_cli(
+        capsys, "spoilers", str(d), "--methods", "sntv", "cc_om",
+        "--out", str(out_csv), "--detail-out", str(detail_csv),
+    )  # fmt: skip
+    assert code == 0
+    assert "large.blt: cc_om: SearchBudgetError" in err
+    header, *rows = detail_csv.read_text().splitlines()
+    assert header == (
+        "election,method,m,k,n,tie,num_spoilers,spoilers,num_alt_sets,max_changed"
+    )
+    assert len(rows) == 4
+    assert "large.blt,cc_om,24,12,300,,,,," in rows
+    rates = {line.split(",")[0]: line for line in out_csv.read_text().splitlines()}
+    assert rates["Cham-Cour (OM)"].endswith(",1,0,0,1")

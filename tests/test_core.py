@@ -231,3 +231,44 @@ def test_removals_commute(p, data):
     except ProfileError:
         return  # all ballots vanished along one order; vacuous
     assert one == two
+
+
+# ---------------------------------------------------------------------------
+# Derived profiles skip ballot validation; they must still pass it.
+
+
+def revalidated(p: Profile) -> Profile:
+    """``p`` rebuilt through the fully validating constructor."""
+    return Profile(m=p.m, names=p.names, ballots=p.ballots, k=p.k)
+
+
+@given(profiles, st.data())
+@settings(max_examples=80)
+def test_derived_profiles_pass_full_validation(p, data):
+    c = data.draw(st.integers(0, p.m - 1))
+    try:
+        reduced = remove_candidate(p, c)
+    except ProfileError:
+        pass
+    else:
+        assert revalidated(reduced) == reduced
+    subset = data.draw(st.sets(st.integers(0, p.m - 1), min_size=2))
+    k_new = data.draw(st.integers(1, len(subset) - 1))
+    try:
+        restricted = restrict_to_subset(p, subset, k_new)
+    except ProfileError:
+        pass
+    else:
+        assert revalidated(restricted) == restricted
+    if p.m > 2:
+        k = data.draw(st.integers(1, p.m - 1))
+        assert revalidated(p.with_seats(k)) == p.with_seats(k)
+
+
+@given(profiles, st.integers(-2, 8))
+def test_with_seats_rejects_out_of_range_k(p, k):
+    if 1 <= k < p.m:
+        assert p.with_seats(k).k == k
+    else:
+        with pytest.raises(ProfileError):
+            p.with_seats(k)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from mwspoilers.core import Profile
 from mwspoilers.cultures import (
     CultureSpec,
     complete_universe,
@@ -12,6 +15,8 @@ from mwspoilers.cultures import (
     sample_spatial1d,
     trial_rng,
 )
+
+from oracles import spatial1d_by_sorting
 
 
 def spec(model, regime, m=4, k=2, n=1001, seed=7):
@@ -148,3 +153,27 @@ def test_different_seeds_differ():
     a = sample_profile(spec("ic", "complete", seed=1), 0)
     b = sample_profile(spec("ic", "complete", seed=2), 0)
     assert a != b
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["ic", "iac", "spatial1d"]),
+    st.sampled_from(["complete", "partial"]),
+    st.integers(2, 6),
+    st.data(),
+)
+def test_sampled_profiles_pass_full_validation(model, regime, m, data):
+    k = data.draw(st.integers(1, m - 1))
+    n = data.draw(st.integers(1, 300))
+    s = spec(model, regime, m=m, k=k, n=n, seed=data.draw(st.integers(0, 2**32)))
+    p = sample_profile(s, data.draw(st.integers(0, 1000)))
+    assert Profile(m=p.m, names=p.names, ballots=p.ballots, k=p.k) == p
+
+
+@pytest.mark.parametrize("regime", ["complete", "partial"])
+@pytest.mark.parametrize("m", range(3, 9))
+def test_spatial_interval_sampler_matches_per_voter_sort(regime, m):
+    for n in (1, 7, 1001):
+        s = spec("spatial1d", regime, m=m, k=1, n=n, seed=31 * m + n)
+        for trial in range(60):
+            assert sample_spatial1d(s, trial) == spatial1d_by_sorting(s, trial)

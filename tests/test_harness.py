@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from mwspoilers.blt_io import emit_blt, parse_blt
@@ -12,9 +13,9 @@ from mwspoilers.harness import (
     clone_rows,
     wilson_interval,
 )
-from mwspoilers.methods import TiePolicy
+from mwspoilers.methods import METHODS, Method, TiePolicy
 
-from conftest import vote_splitting_profile
+from conftest import random_profile, vote_splitting_profile
 
 
 # ---------------------------------------------------------------------------
@@ -197,3 +198,61 @@ def test_corpus_round_trip_through_blt():
     result = run_corpus_audit([("x", parse_blt(blob))], ["sntv"])
     assert result.elections_used == 1
     assert result.methods["sntv"].tally.spoiler == 1
+
+
+# ---------------------------------------------------------------------------
+# Audit errors and shared removals
+
+
+def test_programming_errors_propagate(monkeypatch):
+    def broken(profile, tie):
+        raise KeyError("bug")
+
+    monkeypatch.setitem(METHODS, "sntv", Method("sntv", "SNTV", broken))
+    spec = CultureSpec("ic", "complete", 4, 2, 51, seed=1)
+    with pytest.raises(KeyError, match="bug"):
+        run_simulation(spec, ["sntv"], trials=3)
+    with pytest.raises(KeyError, match="bug"):
+        run_corpus_audit(corpus(), ["sntv"])
+
+
+def test_search_budget_errors_are_counted():
+    # C(24, 12) committees exceed exact CC's search budget.
+    spec = CultureSpec("spatial1d", "complete", 24, 12, 25, seed=4)
+    res = run_simulation(spec, ["cc_om", "sntv"], trials=3, tie=TiePolicy.LOWEST_INDEX)
+    assert res.methods["cc_om"].tally.errors == 3
+    assert res.methods["cc_om"].tally.requested == 3
+    assert res.methods["sntv"].tally.errors == 0
+
+
+def audit_without_sharing(monkeypatch):
+    """Make the harness audit every rule with removals of its own."""
+    from mwspoilers import harness
+    from mwspoilers.spoilers import analyze_spoilers
+
+    def unshared(profile, method_id, tie, removals):
+        return analyze_spoilers(profile, method_id, tie)
+
+    monkeypatch.setattr(harness, "analyze_spoilers", unshared)
+
+
+@pytest.mark.parametrize("tie", [TiePolicy.ERROR, TiePolicy.LOWEST_INDEX])
+def test_shared_removals_leave_campaign_tallies_unchanged(monkeypatch, tie):
+    spec = CultureSpec("ic", "partial", 5, 3, 61, seed=8)
+    shared = run_simulation(spec, list(METHODS), trials=40, tie=tie)
+    audit_without_sharing(monkeypatch)
+    assert run_simulation(spec, list(METHODS), trials=40, tie=tie) == shared
+
+
+def test_shared_removals_leave_corpus_audit_unchanged(monkeypatch):
+    rng = np.random.default_rng(23)
+    elections = [("spoiled", spoiled_profile())]
+    while len(elections) < 2:
+        p = random_profile(rng, max_m=7, max_types=20)
+        if p.k >= 2 and p.m > p.k + 1:
+            elections.append(("random", p))
+    shared = run_corpus_audit(elections, list(METHODS))
+    audit_without_sharing(monkeypatch)
+    unshared = run_corpus_audit(elections, list(METHODS))
+    assert unshared == shared
+    assert len(shared.details) == 2 * len(METHODS)
