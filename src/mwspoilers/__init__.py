@@ -12,6 +12,7 @@ from .core import (
     first_place_counts,
     pairwise_margin,
     pairwise_matrix,
+    point_matrix,
     remove_candidate,
     restrict_to_subset,
     top_k_counts,

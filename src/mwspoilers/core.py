@@ -18,14 +18,26 @@ valid profile (:func:`remove_candidate`, :func:`restrict_to_subset`,
 :meth:`Profile.with_seats`) cannot break a ballot invariant, so they are made
 by :meth:`Profile._derived`, which keeps only the O(1) shape checks.  This
 matters on the audit hot path, which derives a profile per removed candidate.
+
+The array-based rules (exact and greedy Chamberlin-Courant, committee
+satisfaction, pairwise margins) read :attr:`Profile.arrays`: the rank
+position of every candidate on every ballot type and the int64 weights,
+built on first use and cached on the profile.  Both arrays are read-only, and
+the lazy build is idempotent (two threads racing to build it compute equal
+arrays), so profiles stay shareable.  All arithmetic on them is integer;
+a profile whose ``n * m`` does not fit in int64 is rejected with
+:class:`ProfileError` rather than summed with wraparound.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 
 class ProfileError(ValueError):
@@ -50,6 +62,23 @@ class Ballot(NamedTuple):
 
     ranking: tuple[int, ...]
     weight: int
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+class BallotArrays(NamedTuple):
+    """Array form of a profile's ballot types, row ``i`` for ``ballots[i]``.
+
+    ``positions[i, c]`` is the 0-based rank of candidate ``c`` on ballot type
+    ``i``, or ``m`` when the ballot leaves ``c`` unranked; ``weights[i]`` is
+    the ballot type's multiplicity.  Both are read-only int64 arrays.
+    ``positions`` is stored column-major, so ``positions.T`` (one contiguous
+    row per candidate) is free; the kernels work on that view.
+    """
+
+    positions: np.ndarray
+    weights: np.ndarray
 
 
 def default_names(m: int) -> tuple[str, ...]:
@@ -131,6 +160,34 @@ class Profile:
     def n(self) -> int:
         """Total ballot weight (number of voters)."""
         return sum(b.weight for b in self.ballots)
+
+    @cached_property
+    def arrays(self) -> BallotArrays:
+        """The ballot types as read-only int64 arrays, built once per profile.
+
+        Raises :class:`ProfileError` when ``n * m`` exceeds the int64 range,
+        which bounds every score, satisfaction total and pairwise count the
+        array kernels compute.
+        """
+        m = self.m
+        if self.n * m > _INT64_MAX:
+            raise ProfileError(
+                f"n={self.n} voters x m={m} candidates overflows 64-bit integer scores"
+            )
+        rankings, weights = zip(*self.ballots)
+        lengths = np.fromiter(map(len, rankings), np.int64, len(rankings))
+        ranked = np.fromiter(
+            itertools.chain.from_iterable(rankings), np.int64, int(lengths.sum())
+        )
+        # One scatter for every (ballot type, ranked candidate) pair.
+        starts = np.cumsum(lengths) - lengths
+        rows = np.repeat(np.arange(len(rankings)), lengths)
+        positions = np.full((len(rankings), m), m, dtype=np.int64, order="F")
+        positions[rows, ranked] = np.arange(len(ranked)) - np.repeat(starts, lengths)
+        weight_array = np.array(weights, dtype=np.int64)
+        positions.flags.writeable = False
+        weight_array.flags.writeable = False
+        return BallotArrays(positions, weight_array)
 
     def with_seats(self, k: int) -> "Profile":
         """Same ballots, different seat count."""
@@ -311,27 +368,40 @@ def borda_scores(profile: Profile, model: UnrankedModel) -> ScoreVector:
     return ScoreVector(tuple(values))
 
 
+def point_matrix(profile: Profile, model: UnrankedModel) -> np.ndarray:
+    """Ballot type x candidate int64 points under the unranked-candidate model.
+
+    A candidate ranked at 0-based position ``pos`` gets ``m - 1 - pos``
+    points; one left off a ballot of length ``l`` gets ``m - l - 1`` under
+    the optimistic model and zero under the pessimistic one.  Every entry is
+    non-negative and no unranked candidate outscores a ranked one, so a
+    voter's satisfaction with a committee is the row maximum over its
+    columns, and ``weights @ point_matrix`` is :func:`borda_scores`.  Like
+    :attr:`Profile.arrays`, the result is column-major.
+    """
+    positions, _ = profile.arrays
+    m = profile.m
+    # Unranked candidates (position m) get -1 here, and ranked ones at least
+    # m - l, so raising every entry to the model's floor fixes the unranked
+    # entries alone.
+    if model is UnrankedModel.OPTIMISTIC:
+        floor = m - 1 - (positions < m).sum(axis=1, keepdims=True)
+    else:
+        floor = 0
+    return np.maximum(m - 1 - positions, floor)
+
+
 def pairwise_matrix(profile: Profile) -> tuple[tuple[int, ...], ...]:
     """Antisymmetric margin matrix: entry ``[a][b]`` is (a over b) - (b over a).
 
     A ranked candidate beats an unranked one; two unranked candidates are
     mutually tied and contribute to neither side.
     """
-    m = profile.m
-    wins = [[0] * m for _ in range(m)]
-    for ranking, weight in profile.ballots:
-        for i, a in enumerate(ranking):
-            for b in ranking[i + 1 :]:
-                wins[a][b] += weight
-        if len(ranking) < m:
-            ranked = set(ranking)
-            unranked = [c for c in range(m) if c not in ranked]
-            for a in ranking:
-                for b in unranked:
-                    wins[a][b] += weight
-    return tuple(
-        tuple(wins[a][b] - wins[b][a] for b in range(m)) for a in range(m)
-    )
+    positions, weights = profile.arrays
+    by_candidate = positions.T
+    # Row a: weight of ballots placing a strictly above each b (unranked is m).
+    wins = np.array([(by_candidate[a] < by_candidate) @ weights for a in range(profile.m)])
+    return tuple(map(tuple, (wins - wins.T).tolist()))
 
 
 def pairwise_margin(profile: Profile, a: int, b: int) -> int:

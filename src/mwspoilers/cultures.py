@@ -148,13 +148,16 @@ def sample_spatial1d(spec: CultureSpec, trial: int = 0) -> Profile:
     midpoints = np.array(
         [(cands[i] + cands[j]) / 2.0 for i in range(m) for j in range(i + 1, m)]
     )
+    bounds = np.sort(midpoints)
     voters = rng.standard_normal(n)
-    collides = np.isin(voters, midpoints)
-    while collides.any():  # pragma: no cover - measure-zero event
+    # A voter on a midpoint is the first bound at or above them.
+    gaps = np.searchsorted(bounds, voters)
+    collides = bounds.take(gaps, mode="clip") == voters
+    while collides.any():  # a measure-zero event
         voters[collides] = rng.standard_normal(int(collides.sum()))
-        collides = np.isin(voters, midpoints)
+        gaps = np.searchsorted(bounds, voters)
+        collides = bounds.take(gaps, mode="clip") == voters
 
-    gaps = np.searchsorted(np.sort(midpoints), voters)
     if spec.regime == "complete":
         lengths = m - 1
     else:

@@ -36,6 +36,7 @@ from .core import (
     borda_scores,
     first_place_counts,
     pairwise_matrix,
+    point_matrix,
     remove_candidate,
     top_k_counts,
 )
@@ -370,22 +371,6 @@ def k_borda(
 # Chamberlin-Courant
 
 
-def _ballot_point_tables(
-    profile: Profile, model: UnrankedModel
-) -> list[tuple[dict[int, int], int, int]]:
-    """Per ballot type: ranked-candidate points, default points, weight."""
-    m = profile.m
-    tables = []
-    for ranking, weight in profile.ballots:
-        points = {c: m - pos - 1 for pos, c in enumerate(ranking)}
-        if model is UnrankedModel.OPTIMISTIC and len(ranking) < m:
-            default = m - len(ranking) - 1
-        else:
-            default = 0
-        tables.append((points, default, weight))
-    return tables
-
-
 def committee_satisfaction(
     profile: Profile, committee: Sequence[int], model: UnrankedModel
 ) -> int:
@@ -394,15 +379,13 @@ def committee_satisfaction(
     A voter ranking no committee member contributes the model's default for
     their ballot length.
     """
-    total = 0
-    for points, default, weight in _ballot_point_tables(profile, model):
-        best = default
-        for c in committee:
-            p = points.get(c)
-            if p is not None and p > best:
-                best = p
-        total += weight * best
-    return total
+    if not committee or any(not 0 <= c < profile.m for c in committee):
+        raise ProfileError(
+            f"committee {list(committee)} must be non-empty, within 0..{profile.m - 1}"
+        )
+    _, weights = profile.arrays
+    by_candidate = point_matrix(profile, model).T
+    return int(by_candidate[list(committee)].max(axis=0) @ weights)
 
 
 def chamberlin_courant(
@@ -421,29 +404,24 @@ def chamberlin_courant(
         raise SearchBudgetError(
             f"C({m}, {k}) = {comb(m, k)} committees exceeds budget {budget}; use greedy_cc"
         )
-    # Ballot-type x candidate point matrix with the model's default filled in
-    # for unranked candidates; a ranked candidate never scores below the
-    # default, so each voter's satisfaction with a committee is a plain row
-    # maximum over its columns.  Integer dtype keeps ties exact.
-    points = np.empty((len(profile.ballots), m), dtype=np.int64)
-    weights = np.empty(len(profile.ballots), dtype=np.int64)
-    for i, (ranking, weight) in enumerate(profile.ballots):
-        if model is UnrankedModel.OPTIMISTIC and len(ranking) < m:
-            points[i, :] = m - len(ranking) - 1
-        else:
-            points[i, :] = 0
-        for pos, c in enumerate(ranking):
-            points[i, c] = m - pos - 1
-        weights[i] = weight
-    best_value: int | None = None
+    _, weights = profile.arrays
+    by_candidate = point_matrix(profile, model).T
+    best_value = -1
     best: list[frozenset[int]] = []
-    for committee in itertools.combinations(range(m), k):
-        value = int(weights @ points[:, committee].max(axis=1))
-        if best_value is None or value > best_value:
-            best_value = value
-            best = [frozenset(committee)]
-        elif value == best_value:
-            best.append(frozenset(committee))
+    # A committee is a (k-1)-prefix plus a larger last member: one array op
+    # scores every last member of a prefix.  Points are non-negative, so the
+    # empty prefix (k = 1) has a best-member score of zero on every ballot.
+    for prefix in itertools.combinations(range(m - 1), k - 1):
+        start = prefix[-1] + 1 if prefix else 0
+        prefix_max = by_candidate[list(prefix)].max(axis=0) if prefix else 0
+        values = np.maximum(prefix_max, by_candidate[start:]) @ weights
+        top = int(values.max())
+        if top < best_value:
+            continue
+        if top > best_value:
+            best_value, best = top, []
+        last = np.flatnonzero(values == top) + start
+        best.extend(frozenset((*prefix, j)) for j in last.tolist())
     return OutcomeSet(committees=frozenset(best), tie_flag=len(best) > 1)
 
 
@@ -453,36 +431,30 @@ def greedy_cc(
     """Greedy Chamberlin-Courant approximation.
 
     Seeds with the Borda winner, then repeatedly adds the candidate whose
-    inclusion raises total satisfaction the most.
+    inclusion raises total satisfaction the most.  This is the marginal-gain
+    greedy of Lu & Boutilier, "Budgeted Social Choice: From Consensus to
+    Personalized Decision Making" (IJCAI 2011); satisfaction is monotone and
+    submodular in the committee, so it reaches at least (1 - 1/e) of the
+    optimum.  The Borda winner is the greedy first pick, since a singleton
+    committee's satisfaction is its member's Borda score.
     """
-    tables = _ballot_point_tables(profile, model)
-    seed_scores = borda_scores(profile, model)
-    seed_set = sorted(seed_scores.argmax_set())
+    _, weights = profile.arrays
+    by_candidate = point_matrix(profile, model).T
+    seed_scores = by_candidate @ weights  # the Borda scores under ``model``
+    seed_set = np.flatnonzero(seed_scores == seed_scores.max()).tolist()
     tie_used = len(seed_set) > 1
     seed = _break_tie(profile, seed_set, tie, "for greedy seed")
     committee = [seed]
-    best = [max(points.get(seed, -1), default) for points, default, _ in tables]
+    best = by_candidate[seed].copy()  # each ballot type's best member's points
     for _ in range(profile.k - 1):
-        gains: dict[int, int] = {}
-        for c in range(profile.m):
-            if c in committee:
-                continue
-            gain = 0
-            for i, (points, _default, weight) in enumerate(tables):
-                p = points.get(c)
-                if p is not None and p > best[i]:
-                    gain += weight * (p - best[i])
-            gains[c] = gain
-        top_gain = max(gains.values())
-        tied = sorted(c for c, g in gains.items() if g == top_gain)
+        gains = np.maximum(by_candidate - best, 0) @ weights
+        gains[committee] = -1  # members gain nothing; keep them out of the max
+        tied = np.flatnonzero(gains == gains.max()).tolist()
         if len(tied) > 1:
             tie_used = True
         chosen = _break_tie(profile, tied, tie, "for greedy committee extension")
         committee.append(chosen)
-        for i, (points, _default, _weight) in enumerate(tables):
-            p = points.get(chosen)
-            if p is not None and p > best[i]:
-                best[i] = p
+        np.maximum(best, by_candidate[chosen], out=best)
     return OutcomeSet.single(committee, tie_flag=tie_used)
 
 

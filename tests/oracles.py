@@ -49,27 +49,92 @@ def naive_margin(profile: Profile, a: int, b: int) -> int:
     return total
 
 
+def naive_satisfaction(profile: Profile, committee, model: UnrankedModel) -> int:
+    """Total over voters of the points of their best-ranked committee member."""
+    m = profile.m
+    value = 0
+    for ranking, weight in profile.ballots:
+        ranks = [ranking.index(c) for c in committee if c in ranking]
+        if ranks:
+            points = m - 1 - min(ranks)
+        elif model is UnrankedModel.OPTIMISTIC:
+            points = m - len(ranking) - 1
+        else:
+            points = 0
+        value += weight * points
+    return value
+
+
 def cc_enumeration(profile: Profile, model: UnrankedModel) -> frozenset[frozenset[int]]:
     """All committees maximizing total best-member satisfaction."""
-    m, k = profile.m, profile.k
     best_value: int | None = None
     best: list[frozenset[int]] = []
-    for committee in itertools.combinations(range(m), k):
-        value = 0
-        for ranking, weight in profile.ballots:
-            ranks = [ranking.index(c) for c in committee if c in ranking]
-            if ranks:
-                points = m - 1 - min(ranks)
-            elif model is UnrankedModel.OPTIMISTIC:
-                points = m - len(ranking) - 1
-            else:
-                points = 0
-            value += weight * points
+    for committee in itertools.combinations(range(profile.m), profile.k):
+        value = naive_satisfaction(profile, committee, model)
         if best_value is None or value > best_value:
             best_value, best = value, [frozenset(committee)]
         elif value == best_value:
             best.append(frozenset(committee))
     return frozenset(best)
+
+
+def greedy_cc_reference(
+    profile: Profile, model: UnrankedModel, tie: TiePolicy
+) -> OutcomeSet:
+    """Greedy Chamberlin-Courant on per-ballot dicts of ranked-candidate points.
+
+    The library's former scalar implementation: seed with the Borda winner,
+    then add the candidate with the largest total gain over each ballot's
+    best member so far.  Ties are broken, or raised, with the library's
+    policy and messages.
+    """
+    m = profile.m
+    tables = []  # per ballot type: ranked-candidate points, default points, weight
+    for ranking, weight in profile.ballots:
+        points = {c: m - pos - 1 for pos, c in enumerate(ranking)}
+        if model is UnrankedModel.OPTIMISTIC and len(ranking) < m:
+            default = m - len(ranking) - 1
+        else:
+            default = 0
+        tables.append((points, default, weight))
+
+    def pick(cands: list[int], what: str) -> int:
+        if len(cands) == 1:
+            return cands[0]
+        if tie is TiePolicy.ERROR:
+            names = ", ".join(profile.names[c] for c in sorted(cands))
+            raise TieError(f"tie {what} between {names}")
+        if tie is TiePolicy.ALPHABETICAL:
+            return min(cands, key=lambda c: (profile.names[c], c))
+        return min(cands)
+
+    seed_scores = naive_borda(profile, model)
+    seed_set = [c for c in range(m) if seed_scores[c] == max(seed_scores)]
+    tie_used = len(seed_set) > 1
+    committee = [pick(seed_set, "for greedy seed")]
+    best = [max(points.get(committee[0], -1), default) for points, default, _ in tables]
+    for _ in range(profile.k - 1):
+        gains: dict[int, int] = {}
+        for c in range(m):
+            if c in committee:
+                continue
+            gain = 0
+            for i, (points, _default, weight) in enumerate(tables):
+                p = points.get(c)
+                if p is not None and p > best[i]:
+                    gain += weight * (p - best[i])
+            gains[c] = gain
+        top_gain = max(gains.values())
+        tied = sorted(c for c, g in gains.items() if g == top_gain)
+        if len(tied) > 1:
+            tie_used = True
+        chosen = pick(tied, "for greedy committee extension")
+        committee.append(chosen)
+        for i, (points, _default, _weight) in enumerate(tables):
+            p = points.get(chosen)
+            if p is not None and p > best[i]:
+                best[i] = p
+    return OutcomeSet.single(committee, tie_flag=tie_used)
 
 
 def all_condorcet_committees(profile: Profile, size: int) -> list[frozenset[int]]:

@@ -177,3 +177,31 @@ def test_spatial_interval_sampler_matches_per_voter_sort(regime, m):
         s = spec("spatial1d", regime, m=m, k=1, n=n, seed=31 * m + n)
         for trial in range(60):
             assert sample_spatial1d(s, trial) == spatial1d_by_sorting(s, trial)
+
+
+class ScriptedNormals:
+    """Stands in for a trial's generator: hands out fixed normal draws in order."""
+
+    def __init__(self, *draws):
+        self.draws = [np.array(d, dtype=float) for d in draws]
+        self.calls = 0
+
+    def standard_normal(self, size):
+        out = self.draws[self.calls]
+        assert len(out) == size
+        self.calls += 1
+        return out.copy()
+
+
+def test_spatial_voters_on_a_midpoint_are_redrawn(monkeypatch):
+    # Candidates 0, 1, 3 have midpoints 0.5, 1.5 and 2.0.  The first voter
+    # draw hits the lowest and the highest midpoint exactly; the next draw
+    # replaces those two voters and no others, in order.
+    draws = ([0.0, 1.0, 3.0], [0.5, -1.0, 2.0, 5.0], [0.7, 2.5])
+    s = spec("spatial1d", "complete", m=3, k=1, n=4)
+    monkeypatch.setattr("mwspoilers.cultures.trial_rng", lambda spec, t: ScriptedNormals(*draws))
+    monkeypatch.setattr("oracles.trial_rng", lambda spec, t: ScriptedNormals(*draws))
+    sampled = sample_spatial1d(s)
+    assert sampled == spatial1d_by_sorting(s)
+    # Voters end at 0.7, -1.0, 2.5, 5.0: nearest-first orders of the top two.
+    assert sampled.ballots == (((0, 1), 1), ((1, 0), 1), ((2, 1), 2))
