@@ -10,7 +10,6 @@ from .core import (
     borda_scores,
     default_names,
     first_place_counts,
-    pairwise_margin,
     pairwise_matrix,
     point_matrix,
     remove_candidate,

@@ -217,10 +217,6 @@ class ScoreVector:
     def __len__(self) -> int:
         return len(self.values)
 
-    def argmax_set(self) -> frozenset[int]:
-        top = max(self.values)
-        return frozenset(c for c, v in enumerate(self.values) if v == top)
-
     def argmin_set(self) -> frozenset[int]:
         bottom = min(self.values)
         return frozenset(c for c, v in enumerate(self.values) if v == bottom)
@@ -354,18 +350,18 @@ def borda_scores(profile: Profile, model: UnrankedModel) -> ScoreVector:
     points under the optimistic model and zero under the pessimistic one.
     """
     m = profile.m
+    optimistic = model is UnrankedModel.OPTIMISTIC
     values = [0] * m
+    # Optimistic points every candidate gets, as if no ballot ranked anyone;
+    # each ranked candidate's entry takes its own ballot's share back off (on
+    # a complete ballot that share is -weight, and it cancels out).
+    unranked = 0
     for ranking, weight in profile.ballots:
+        missing = weight * (m - len(ranking) - 1) if optimistic else 0
+        unranked += missing
         for pos, c in enumerate(ranking):
-            values[c] += weight * (m - pos - 1)
-        if model is UnrankedModel.OPTIMISTIC and len(ranking) < m:
-            missing_points = weight * (m - len(ranking) - 1)
-            if missing_points:
-                ranked = set(ranking)
-                for c in range(m):
-                    if c not in ranked:
-                        values[c] += missing_points
-    return ScoreVector(tuple(values))
+            values[c] += weight * (m - pos - 1) - missing
+    return ScoreVector(tuple(v + unranked for v in values))
 
 
 def point_matrix(profile: Profile, model: UnrankedModel) -> np.ndarray:
@@ -402,29 +398,3 @@ def pairwise_matrix(profile: Profile) -> tuple[tuple[int, ...], ...]:
     # Row a: weight of ballots placing a strictly above each b (unranked is m).
     wins = np.array([(by_candidate[a] < by_candidate) @ weights for a in range(profile.m)])
     return tuple(map(tuple, (wins - wins.T).tolist()))
-
-
-def pairwise_margin(profile: Profile, a: int, b: int) -> int:
-    """Net weight preferring ``a`` to ``b``; antisymmetric in its arguments."""
-    if a == b:
-        raise ProfileError("pairwise margin of a candidate against itself is undefined")
-    for c in (a, b):
-        if not 0 <= c < profile.m:
-            raise ProfileError(f"no candidate with index {c}")
-    margin = 0
-    for ranking, weight in profile.ballots:
-        try:
-            pos_a: int | None = ranking.index(a)
-        except ValueError:
-            pos_a = None
-        try:
-            pos_b: int | None = ranking.index(b)
-        except ValueError:
-            pos_b = None
-        if pos_a is None and pos_b is None:
-            continue
-        if pos_b is None or (pos_a is not None and pos_a < pos_b):
-            margin += weight
-        else:
-            margin -= weight
-    return margin

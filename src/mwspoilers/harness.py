@@ -196,7 +196,7 @@ def run_simulation(
     return SimulationResult(spec=spec, trials=trials, tie=tie, methods=methods)
 
 
-@dataclass(frozen=True)
+@dataclass
 class StabilityAggregate:
     """Winning-set stability counters over a corpus, per method."""
 
@@ -244,16 +244,7 @@ def run_corpus_audit(
         if mid not in METHODS:
             raise KeyError(f"unknown method {mid!r}")
     tallies = {mid: MethodTally() for mid in method_ids}
-    stab: dict[str, dict[str, int]] = {
-        mid: {
-            "spoilers": 0,
-            "multi": 0,
-            "max_sp": 0,
-            "multi_alt": 0,
-            "max_alt": 0,
-        }
-        for mid in method_ids
-    }
+    stability = {mid: StabilityAggregate() for mid in method_ids}
     clone_inputs: dict[str, tuple[list[SpoilerReport], list[Profile]]] = {
         mid: ([], []) for mid in method_ids
     }
@@ -291,15 +282,15 @@ def run_corpus_audit(
             counted = _tally_report(tally, report, weak, tie)
             summary = stability_summary(report)
             if counted:
-                s = stab[mid]
+                s = stability[mid]
                 if summary.num_spoilers >= 1:
-                    s["spoilers"] += 1
+                    s.spoiler_elections += 1
                 if summary.num_spoilers >= 2:
-                    s["multi"] += 1
+                    s.multi_spoiler_elections += 1
                     if summary.num_alternate_sets > 1:
-                        s["multi_alt"] += 1
-                s["max_sp"] = max(s["max_sp"], summary.num_spoilers)
-                s["max_alt"] = max(s["max_alt"], summary.num_alternate_sets)
+                        s.multi_alt_set_elections += 1
+                s.max_spoilers = max(s.max_spoilers, summary.num_spoilers)
+                s.greatest_alt_sets = max(s.greatest_alt_sets, summary.num_alternate_sets)
                 clone_inputs[mid][0].append(report)
                 clone_inputs[mid][1].append(profile)
             details.append(
@@ -315,16 +306,6 @@ def run_corpus_audit(
 
     methods = {
         mid: MethodResult(mid, METHODS[mid].label, tallies[mid]) for mid in method_ids
-    }
-    stability = {
-        mid: StabilityAggregate(
-            spoiler_elections=s["spoilers"],
-            multi_spoiler_elections=s["multi"],
-            max_spoilers=s["max_sp"],
-            multi_alt_set_elections=s["multi_alt"],
-            greatest_alt_sets=s["max_alt"],
-        )
-        for mid, s in stab.items()
     }
     clones = {
         mid: clone_statistics(reports, profiles)

@@ -11,6 +11,11 @@ truncated to five decimal places.  Vote totals are therefore carried as exact
 integer counts of 1e-5 vote units, never floats, which makes official round
 tables reproducible digit for digit.
 
+STV, SRCV and top-k IRV are one elimination count, :func:`_count`, run with
+different quotas and seat counts: STV with the Droop quota; top-k IRV with a
+quota no total can reach, so it only eliminates until k remain; SRCV once
+per seat with one seat and the past winners excluded from the start.
+
 Ties are resolved by a :class:`TiePolicy`.  The score-based rules (SNTV,
 Bloc, k-Borda) treat a tie at the committee boundary differently: outside of
 ``error`` mode they enumerate every tied committee rather than picking one,
@@ -37,7 +42,7 @@ from .core import (
     first_place_counts,
     pairwise_matrix,
     point_matrix,
-    remove_candidate,
+    remove_candidate,  # noqa: F401 -- unused; perfbench/tracer.py patches this name
     top_k_counts,
 )
 
@@ -125,27 +130,41 @@ class TabulationTrace:
 _CONTINUING, _ELECTED, _ELIMINATED = 0, 1, 2
 
 
-def stv(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> tuple[OutcomeSet, TabulationTrace]:
-    """Single transferable vote with fractional (weighted inclusive) transfers.
+def _count(
+    profile: Profile,
+    seats: int,
+    quota: int,
+    tie: TiePolicy,
+    excluded: frozenset[int] = frozenset(),
+) -> tuple[OutcomeSet, TabulationTrace]:
+    """The parcel count behind :func:`stv`, :func:`srcv` and :func:`top_k_irv`.
 
-    Each stage: declare elected every continuing candidate at or above quota;
-    stop once ``k`` are elected, or once the continuing candidates exactly
-    fill the remaining seats (they are elected without reaching quota).
-    Otherwise transfer the largest untransferred surplus, or, when none is
-    pending, exclude the lowest continuing candidate at full current value.
-    Transfers skip previously elected and excluded candidates; ballots with
-    no continuing preference left are exhausted and their value leaves the
-    count.  The quota is fixed from the initial ballot total.
+    Fills ``seats`` seats at a fixed ``quota`` (units).  Each stage: declare
+    elected every continuing candidate at or above quota; stop once the seats
+    are filled, or once the continuing candidates exactly fill the remaining
+    seats (they are elected without reaching quota).  Otherwise transfer the
+    largest untransferred surplus, or, when none is pending, exclude the
+    lowest continuing candidate at full current value.  Transfers skip
+    previously elected and excluded candidates; ballots with no continuing
+    preference left are exhausted and their value leaves the count.
+
+    Candidates in ``excluded`` are out before the first stage: ballots start
+    with their first other preference, and ballots ranking nobody else never
+    enter the count, exactly as if those candidates had been removed.
     """
-    m, k = profile.m, profile.k
-    quota = droop_quota(profile.n, k) * UNIT
+    m = profile.m
     status = [_CONTINUING] * m
+    for c in excluded:
+        status[c] = _ELIMINATED
     # Parcels: [ranking, paper count, value per paper (units), holder position].
     holdings: list[list[list]] = [[] for _ in range(m)]
     totals = [0] * m
     for ranking, weight in profile.ballots:
-        holdings[ranking[0]].append([ranking, weight, UNIT, 0])
-        totals[ranking[0]] += weight * UNIT
+        for j, c in enumerate(ranking):
+            if status[c] == _CONTINUING:
+                holdings[c].append([ranking, weight, UNIT, j])
+                totals[c] += weight * UNIT
+                break
     exhausted = 0
     pending: list[tuple[int, int]] = []  # (candidate, surplus units) awaiting transfer
     winners: list[int] = []
@@ -197,7 +216,7 @@ def stv(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> tuple[OutcomeSet,
 
         continuing = [c for c in in_play if status[c] == _CONTINUING]
         auto: tuple[int, ...] = ()
-        if len(winners) < k and len(continuing) == k - len(winners):
+        if len(winners) < seats and len(continuing) == seats - len(winners):
             auto = tuple(continuing)
             for c in auto:
                 status[c] = _ELECTED
@@ -205,7 +224,7 @@ def stv(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> tuple[OutcomeSet,
 
         transferred: int | None = None
         eliminated: int | None = None
-        if len(winners) < k:
+        if len(winners) < seats:
             if pending:
                 top_surplus = max(s for _, s in pending)
                 tied = [c for c, s in pending if s == top_surplus]
@@ -233,7 +252,7 @@ def stv(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> tuple[OutcomeSet,
             )
         )
 
-        if len(winners) == k:
+        if len(winners) == seats:
             break
         if transferred is not None:
             move_parcels(transferred, totals[transferred] - quota)
@@ -248,72 +267,53 @@ def stv(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> tuple[OutcomeSet,
     return OutcomeSet.single(winners, tie_flag=tie_used), trace
 
 
+def stv(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> tuple[OutcomeSet, TabulationTrace]:
+    """Single transferable vote with fractional (weighted inclusive) transfers.
+
+    The shared parcel count (:func:`_count`) with the Droop quota, fixed from
+    the initial ballot total: surpluses pass on at a truncated fraction of
+    each paper's value, exclusions at full value.
+    """
+    return _count(profile, profile.k, droop_quota(profile.n, profile.k) * UNIT, tie)
+
+
 def srcv(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> OutcomeSet:
     """Sequential ranked-choice voting: k single-winner runoffs.
 
-    Each seat goes to the instant-runoff winner of the current ballots; the
-    winner is then removed from all ballots before the next seat is filled.
+    Each seat goes to the instant-runoff winner of the ballots with the past
+    winners excluded; the quota is the Droop quota of the ballots that still
+    rank a continuing candidate.  A one-seat count transfers no surplus, so
+    excluding the past winners counts exactly as removing them would.
     Should every remaining ballot rank only past winners, the leftover seats
     are a pure tie among unranked candidates and fall to the tie policy.
     """
-    current = profile
-    original = list(range(profile.m))
     seats: list[int] = []
     tie_used = False
-    for seat in range(profile.k):
-        outcome, _ = stv(current.with_seats(1), tie)
+    while len(seats) < profile.k:
+        excluded = frozenset(seats)
+        live = sum(w for ranking, w in profile.ballots if not excluded.issuperset(ranking))
+        if not live:
+            leftovers = [c for c in range(profile.m) if c not in excluded]
+            if tie is TiePolicy.ERROR:
+                names = ", ".join(profile.names[c] for c in leftovers)
+                raise TieError(f"all ballots exhausted; remaining seats tie between {names}")
+            if tie is TiePolicy.ALPHABETICAL:
+                leftovers.sort(key=lambda c: (profile.names[c], c))
+            seats.extend(leftovers[: profile.k - len(seats)])
+            return OutcomeSet.single(seats, tie_flag=True)
+        outcome, trace = _count(profile, 1, droop_quota(live, 1) * UNIT, tie, excluded)
         tie_used = tie_used or outcome.tie_flag
-        winner = next(iter(outcome.sole_committee()))
-        seats.append(original[winner])
-        if seat < profile.k - 1:
-            try:
-                current = remove_candidate(current.with_seats(1), winner)
-            except ProfileError:
-                leftovers = [original[i] for i in range(current.m) if i != winner]
-                if tie is TiePolicy.ERROR:
-                    names = ", ".join(profile.names[c] for c in leftovers)
-                    raise TieError(
-                        f"all ballots exhausted; remaining seats tie between {names}"
-                    ) from None
-                if tie is TiePolicy.ALPHABETICAL:
-                    leftovers.sort(key=lambda c: (profile.names[c], c))
-                seats.extend(leftovers[: profile.k - len(seats)])
-                tie_used = True
-                break
-            del original[winner]
+        seats.append(trace.winners[0])
     return OutcomeSet.single(seats, tie_flag=tie_used)
 
 
 def top_k_irv(profile: Profile, tie: TiePolicy = TiePolicy.ALPHABETICAL) -> OutcomeSet:
-    """Eliminate plurality losers, transferring at full value, until k remain."""
-    m, k = profile.m, profile.k
-    status = [_CONTINUING] * m
-    holdings: list[list[list]] = [[] for _ in range(m)]
-    totals = [0] * m
-    for ranking, weight in profile.ballots:
-        holdings[ranking[0]].append([ranking, weight, 0])
-        totals[ranking[0]] += weight
-    remaining = m
-    tie_used = False
-    while remaining > k:
-        continuing = [c for c in range(m) if status[c] == _CONTINUING]
-        low = min(totals[c] for c in continuing)
-        tied = [c for c in continuing if totals[c] == low]
-        if len(tied) > 1:
-            tie_used = True
-        out = _break_tie(profile, tied, tie, "for elimination")
-        status[out] = _ELIMINATED
-        for ranking, weight, pos in holdings[out]:
-            for j in range(pos + 1, len(ranking)):
-                if status[ranking[j]] == _CONTINUING:
-                    holdings[ranking[j]].append([ranking, weight, j])
-                    totals[ranking[j]] += weight
-                    break
-        holdings[out] = []
-        totals[out] = 0
-        remaining -= 1
-    winners = [c for c in range(m) if status[c] == _CONTINUING]
-    return OutcomeSet.single(winners, tie_flag=tie_used)
+    """Eliminate plurality losers, transferring at full value, until k remain.
+
+    The shared parcel count with a quota no total can reach, so every seat is
+    filled when the continuing candidates exactly fill the seats.
+    """
+    return _count(profile, profile.k, profile.n * UNIT + 1, tie)[0]
 
 
 # ---------------------------------------------------------------------------

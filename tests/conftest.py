@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from mwspoilers.core import Profile, default_names
+from mwspoilers.methods import TieError
 
 
 def vote_splitting_profile(k: int = 1) -> Profile:
@@ -40,6 +41,14 @@ def random_profile(
         ranking = tuple(int(c) for c in rng.permutation(m)[:length])
         ballots.append((ranking, int(rng.integers(1, max_weight + 1))))
     return Profile.build(m, default_names(m), ballots, k)
+
+
+def outcome_or_tie(rule, *args):
+    """The rule's outcome, or the text of the ``TieError`` it raised."""
+    try:
+        return rule(*args)
+    except TieError as exc:
+        return f"TieError: {exc}"
 
 
 @pytest.fixture

@@ -11,9 +11,16 @@ import itertools
 
 import numpy as np
 
-from mwspoilers.core import OutcomeSet, Profile, UnrankedModel, default_names
+from mwspoilers.core import (
+    OutcomeSet,
+    Profile,
+    ProfileError,
+    UnrankedModel,
+    default_names,
+    remove_candidate,
+)
 from mwspoilers.cultures import CultureSpec, trial_rng
-from mwspoilers.methods import TieError, TiePolicy, run_method
+from mwspoilers.methods import TieError, TiePolicy, _break_tie, run_method, stv
 
 
 def naive_first_place(profile: Profile) -> list[int]:
@@ -257,6 +264,86 @@ def stv_reference(profile: Profile, tie: TiePolicy):
             for paper in papers:
                 if paper["seat"] == out:
                     reseat(paper)
+
+
+_CONTINUING, _ELIMINATED = 0, 2
+
+
+def srcv_by_removal(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> OutcomeSet:
+    """SRCV as k single-seat STV counts on ever smaller profiles.
+
+    The library's former implementation, kept as the reference for the
+    shared count's excluded candidates.
+
+    Each seat goes to the instant-runoff winner of the current ballots; the
+    winner is then removed from all ballots before the next seat is filled.
+    Should every remaining ballot rank only past winners, the leftover seats
+    are a pure tie among unranked candidates and fall to the tie policy.
+    """
+    current = profile
+    original = list(range(profile.m))
+    seats: list[int] = []
+    tie_used = False
+    for seat in range(profile.k):
+        outcome, _ = stv(current.with_seats(1), tie)
+        tie_used = tie_used or outcome.tie_flag
+        winner = next(iter(outcome.sole_committee()))
+        seats.append(original[winner])
+        if seat < profile.k - 1:
+            try:
+                current = remove_candidate(current.with_seats(1), winner)
+            except ProfileError:
+                leftovers = [original[i] for i in range(current.m) if i != winner]
+                if tie is TiePolicy.ERROR:
+                    names = ", ".join(profile.names[c] for c in leftovers)
+                    raise TieError(
+                        f"all ballots exhausted; remaining seats tie between {names}"
+                    ) from None
+                if tie is TiePolicy.ALPHABETICAL:
+                    leftovers.sort(key=lambda c: (profile.names[c], c))
+                seats.extend(leftovers[: profile.k - len(seats)])
+                tie_used = True
+                break
+            del original[winner]
+    return OutcomeSet.single(seats, tie_flag=tie_used)
+
+
+def top_k_irv_reference(
+    profile: Profile, tie: TiePolicy = TiePolicy.ALPHABETICAL
+) -> OutcomeSet:
+    """Top-k IRV on a parcel loop of its own, without a quota.
+
+    The library's former implementation: eliminate plurality losers,
+    transferring at full value, until k remain.
+    """
+    m, k = profile.m, profile.k
+    status = [_CONTINUING] * m
+    holdings: list[list[list]] = [[] for _ in range(m)]
+    totals = [0] * m
+    for ranking, weight in profile.ballots:
+        holdings[ranking[0]].append([ranking, weight, 0])
+        totals[ranking[0]] += weight
+    remaining = m
+    tie_used = False
+    while remaining > k:
+        continuing = [c for c in range(m) if status[c] == _CONTINUING]
+        low = min(totals[c] for c in continuing)
+        tied = [c for c in continuing if totals[c] == low]
+        if len(tied) > 1:
+            tie_used = True
+        out = _break_tie(profile, tied, tie, "for elimination")
+        status[out] = _ELIMINATED
+        for ranking, weight, pos in holdings[out]:
+            for j in range(pos + 1, len(ranking)):
+                if status[ranking[j]] == _CONTINUING:
+                    holdings[ranking[j]].append([ranking, weight, j])
+                    totals[ranking[j]] += weight
+                    break
+        holdings[out] = []
+        totals[out] = 0
+        remaining -= 1
+    winners = [c for c in range(m) if status[c] == _CONTINUING]
+    return OutcomeSet.single(winners, tie_flag=tie_used)
 
 
 def spoiler_verdicts_by_definition(

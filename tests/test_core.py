@@ -10,7 +10,6 @@ from mwspoilers.core import (
     borda_scores,
     default_names,
     first_place_counts,
-    pairwise_margin,
     pairwise_matrix,
     remove_candidate,
     restrict_to_subset,
@@ -135,17 +134,17 @@ def test_borda_on_complete_profile(table_profile):
 
 
 def test_pairwise_margin(table_profile):
-    assert pairwise_margin(table_profile, 1, 0) == 30
-    assert pairwise_margin(table_profile, 1, 2) == 150
-    with pytest.raises(ProfileError):
-        pairwise_margin(table_profile, 1, 1)
+    margins = pairwise_matrix(table_profile)
+    assert margins[1][0] == 30
+    assert margins[1][2] == 150
 
 
 def test_pairwise_unranked_semantics():
     # One ballot [A] with m=3: A beats both; B vs C is a tie of unranked.
     p = Profile.build(3, "ABC", [((0,), 4)], 1)
-    assert pairwise_margin(p, 0, 1) == 4
-    assert pairwise_margin(p, 1, 2) == 0
+    margins = pairwise_matrix(p)
+    assert margins[0][1] == 4
+    assert margins[1][2] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +209,6 @@ def test_pairwise_matrix_antisymmetric_and_matches_oracle(p):
             if a != b:
                 assert matrix[a][b] == -matrix[b][a]
                 assert matrix[a][b] == naive_margin(p, a, b)
-                assert matrix[a][b] == pairwise_margin(p, a, b)
 
 
 @given(profiles, st.data())

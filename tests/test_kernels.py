@@ -16,7 +16,6 @@ from mwspoilers.core import (
 )
 from mwspoilers.harness import run_corpus_audit
 from mwspoilers.methods import (
-    TieError,
     TiePolicy,
     chamberlin_courant,
     committee_satisfaction,
@@ -24,6 +23,7 @@ from mwspoilers.methods import (
     mcc,
 )
 
+from conftest import outcome_or_tie
 from oracles import (
     cc_enumeration,
     greedy_cc_reference,
@@ -43,13 +43,6 @@ def partial_profiles(draw, max_m=10, max_weight=10**6):
     ballots = draw(st.lists(ballot, min_size=1, max_size=12))
     rankings = [(order[:length], w) for order, length, w in ballots]
     return Profile.build(m, default_names(m), rankings, k)
-
-
-def outcome_or_tie(rule, *args):
-    try:
-        return rule(*args)
-    except TieError as exc:
-        return f"TieError: {exc}"
 
 
 @given(partial_profiles(), st.sampled_from(UnrankedModel), st.sampled_from(TiePolicy))

@@ -205,6 +205,19 @@ def test_srcv_majority_holder_takes_first_seat():
     assert sole(p, outcome) == ["A", "B"]
 
 
+def test_srcv_exhausted_ballots_leave_remaining_seats_to_the_tie_policy():
+    # E and D take the first two seats; then every ballot ranks only past
+    # winners, and C, B, A (indices 2, 3, 4) tie for the last two seats.
+    p = Profile.build(5, "EDCBA", [((0, 1), 5), ((1, 0), 2)], 4)
+    with pytest.raises(TieError) as exc:
+        srcv(p)
+    assert str(exc.value) == "all ballots exhausted; remaining seats tie between C, B, A"
+    by_name = srcv(p, TiePolicy.ALPHABETICAL)
+    assert sole(p, by_name) == ["A", "B", "D", "E"] and by_name.tie_flag
+    by_index = srcv(p, TiePolicy.LOWEST_INDEX)
+    assert by_index.sole_committee() == frozenset([0, 1, 2, 3]) and by_index.tie_flag
+
+
 # ---------------------------------------------------------------------------
 # Chamberlin-Courant
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwspoilers.core import Profile, UnrankedModel, first_place_counts
+from mwspoilers.core import Profile, UnrankedModel, default_names, first_place_counts
 from mwspoilers.methods import (
     METHODS,
     UNIT,
@@ -17,12 +17,20 @@ from mwspoilers.methods import (
     greedy_cc,
     mcc,
     run_method,
+    srcv,
     stv,
     top_k_irv,
 )
 
-from conftest import random_profile
-from oracles import all_condorcet_committees, cc_enumeration, stv_reference
+from conftest import outcome_or_tie, random_profile
+from oracles import (
+    all_condorcet_committees,
+    cc_enumeration,
+    naive_borda,
+    srcv_by_removal,
+    stv_reference,
+    top_k_irv_reference,
+)
 
 
 def seeded_profiles(seed, count, **kwargs):
@@ -199,13 +207,13 @@ def test_top_k_irv_first_elimination_is_a_plurality_minimizer():
 
 
 def test_single_seat_greedy_is_the_borda_winner():
-    from mwspoilers.core import borda_scores
     from mwspoilers.methods import k_borda
 
     for p in seeded_profiles(1010, 80):
         p1 = p.with_seats(1)
         for model in UnrankedModel:
-            if len(borda_scores(p1, model).argmax_set()) > 1:
+            scores = naive_borda(p1, model)
+            if scores.count(max(scores)) > 1:
                 continue  # seed tie: greedy resolves, k-Borda enumerates
             greedy = greedy_cc(p1, model, TiePolicy.ALPHABETICAL)
             scored = k_borda(p1, model, TiePolicy.ALPHABETICAL)
@@ -221,6 +229,36 @@ def test_top_k_irv_single_seat_agrees_with_stv():
         except Exception:
             continue
         assert irv.committees == runoff.committees
+
+
+# ---------------------------------------------------------------------------
+# SRCV and top-k IRV on the shared count
+
+
+@st.composite
+def ranked_profiles(draw):
+    """Elections of m 2-8 on partial or complete ballots.
+
+    Few, often short ballots make ties and exhausted ballots common.  Names
+    run backwards half of the time, so that name order and index order
+    disagree.
+    """
+    m = draw(st.integers(2, 8))
+    k = draw(st.integers(1, m - 1))
+    lengths = st.integers(1, m) if draw(st.booleans()) else st.just(m)
+    ballot = st.tuples(st.permutations(range(m)), lengths, st.integers(1, 4))
+    ballots = draw(st.lists(ballot, min_size=1, max_size=10))
+    names = default_names(m)
+    if draw(st.booleans()):
+        names = names[::-1]
+    return Profile.build(m, names, [(order[:n], w) for order, n, w in ballots], k)
+
+
+@given(ranked_profiles(), st.sampled_from(TiePolicy))
+@settings(max_examples=400, deadline=None)
+def test_srcv_and_top_k_irv_match_their_former_implementations(p, tie):
+    assert outcome_or_tie(srcv, p, tie) == outcome_or_tie(srcv_by_removal, p, tie)
+    assert outcome_or_tie(top_k_irv, p, tie) == outcome_or_tie(top_k_irv_reference, p, tie)
 
 
 @given(st.integers(0, 2**32 - 1))
