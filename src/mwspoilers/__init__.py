@@ -5,7 +5,6 @@ from .core import (
     OutcomeSet,
     Profile,
     ProfileError,
-    ScoreVector,
     UnrankedModel,
     borda_scores,
     default_names,

@@ -15,10 +15,10 @@ dataset; it is not vendored here):
 Windows line endings and trailing whitespace are tolerated; anything else
 malformed is rejected with the offending line number, since a quietly
 mis-parsed ballot file would poison every audit downstream.  Lines after the
-title (present in a handful of corpus files) are ignored but preserved in
-:class:`BltDocument.trailing`.  Other ballot formats are out of scope; to add
-one, produce a :class:`~mwspoilers.core.Profile` by any means and feed it to
-the same downstream machinery.
+title (present in a handful of corpus files) are skipped.  Other ballot
+formats are out of scope; to add one, produce a
+:class:`~mwspoilers.core.Profile` by any means and feed it to the same
+downstream machinery.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ class BltDocument:
     ballot_lines: tuple[tuple[int, tuple[int, ...]], ...]  # weight, 1-based indices
     names: tuple[str, ...]
     title: str
-    trailing: tuple[str, ...] = ()
 
     def to_profile(self) -> Profile:
         zero_based = (
@@ -150,14 +149,12 @@ def parse_blt_document(data: bytes | str) -> BltDocument:
         names.append(_unquote(raw, line_no))
     raw, line_no = next_line()
     title = _unquote(raw, line_no)
-    trailing = tuple(s.rstrip("\r") for s in lines[pos:] if s.strip())
     return BltDocument(
         m=m,
         k=k,
         ballot_lines=tuple(ballot_lines),
         names=tuple(names),
         title=title,
-        trailing=trailing,
     )
 
 

@@ -82,10 +82,6 @@ class MethodResult:
     label: str
     tally: MethodTally
 
-    @property
-    def trials_used(self) -> int:
-        return self.tally.used
-
     def _fraction(self, successes: int) -> float:
         return successes / self.tally.used if self.tally.used else 0.0
 

@@ -36,7 +36,6 @@ from .core import (
     OutcomeSet,
     Profile,
     ProfileError,
-    ScoreVector,
     UnrankedModel,
     borda_scores,
     first_place_counts,
@@ -108,12 +107,6 @@ class StvRound:
     transferred: int | None
     eliminated: int | None
     exhausted: int  # cumulative units held by ballots with no continuing preference
-
-    def total_of(self, c: int) -> int:
-        for cand, units in self.totals:
-            if cand == c:
-                return units
-        raise KeyError(f"candidate {c} not in play at round {self.number}")
 
 
 @dataclass(frozen=True)
@@ -320,7 +313,7 @@ def top_k_irv(profile: Profile, tie: TiePolicy = TiePolicy.ALPHABETICAL) -> Outc
 # Score-based rules
 
 
-def _top_k_outcome(profile: Profile, scores: ScoreVector, tie: TiePolicy) -> OutcomeSet:
+def _top_k_outcome(profile: Profile, scores: tuple[int, ...], tie: TiePolicy) -> OutcomeSet:
     """Committees formed by the k best scores.
 
     A tie crossing the k-th place either raises (``error``), yields every
@@ -370,6 +363,8 @@ def k_borda(
 # ---------------------------------------------------------------------------
 # Chamberlin-Courant
 
+_SEARCH_BUDGET = 1_000_000  # most committees exact CC will enumerate
+
 
 def committee_satisfaction(
     profile: Profile, committee: Sequence[int], model: UnrankedModel
@@ -388,9 +383,7 @@ def committee_satisfaction(
     return int(by_candidate[list(committee)].max(axis=0) @ weights)
 
 
-def chamberlin_courant(
-    profile: Profile, model: UnrankedModel, budget: int = 1_000_000
-) -> OutcomeSet:
+def chamberlin_courant(profile: Profile, model: UnrankedModel) -> OutcomeSet:
     """Exact Chamberlin-Courant by exhaustive committee enumeration.
 
     Scans all C(m, k) committees in lexicographic order, streaming the
@@ -400,9 +393,10 @@ def chamberlin_courant(
     to :func:`greedy_cc`).
     """
     m, k = profile.m, profile.k
-    if comb(m, k) > budget:
+    if comb(m, k) > _SEARCH_BUDGET:
         raise SearchBudgetError(
-            f"C({m}, {k}) = {comb(m, k)} committees exceeds budget {budget}; use greedy_cc"
+            f"C({m}, {k}) = {comb(m, k)} committees exceeds budget {_SEARCH_BUDGET}; "
+            "use greedy_cc"
         )
     _, weights = profile.arrays
     by_candidate = point_matrix(profile, model).T

@@ -30,11 +30,16 @@ class WeaknessFlags:
     top_k_losers: frozenset[int]
 
 
+def _argmin_set(scores: tuple[int, ...]) -> frozenset[int]:
+    bottom = min(scores)
+    return frozenset(c for c, v in enumerate(scores) if v == bottom)
+
+
 def weakness_flags(profile: Profile) -> WeaknessFlags:
     """Candidates with the fewest first-place votes / fewest top-k mentions."""
     return WeaknessFlags(
-        plurality_losers=first_place_counts(profile).argmin_set(),
-        top_k_losers=top_k_counts(profile, profile.k).argmin_set(),
+        plurality_losers=_argmin_set(first_place_counts(profile)),
+        top_k_losers=_argmin_set(top_k_counts(profile, profile.k)),
     )
 
 
@@ -62,10 +67,6 @@ class SpoilerReport:
     @cached_property
     def spoilers(self) -> tuple[int, ...]:
         return tuple(v.candidate for v in self.verdicts if v.is_spoiler)
-
-    @property
-    def spoiler_count(self) -> int:
-        return len(self.spoilers)
 
     @cached_property
     def has_tie(self) -> bool:
@@ -164,7 +165,7 @@ def analyze_spoilers(
         verdicts.append(
             SpoilerVerdict(
                 candidate=c,
-                is_spoiler=not alternate.same_winning_sets(outcome),
+                is_spoiler=alternate.committees != outcome.committees,
                 alternate=alternate,
                 tie_encountered=alternate.tie_flag,
             )
@@ -187,7 +188,7 @@ class StabilitySummary:
 def stability_summary(report: SpoilerReport) -> StabilitySummary:
     """How much the winning set can move: spoilers, reachable sets, max turnover."""
     return StabilitySummary(
-        num_spoilers=report.spoiler_count,
+        num_spoilers=len(report.spoilers),
         num_alternate_sets=len(report.alternate_committees),
         max_changed_candidates=report.max_changed_candidates,
     )

@@ -41,7 +41,6 @@ def test_parse_merges_duplicate_ballot_lines():
 
 def test_trailing_metadata_lines_are_kept_but_ignored():
     doc = parse_blt_document(TABLE_DOC + "source: somewhere\n\n")
-    assert doc.trailing == ("source: somewhere",)
     assert doc.to_profile() == vote_splitting_profile()
 
 

@@ -17,7 +17,7 @@ from mwspoilers.core import (
 )
 
 from conftest import vote_splitting_profile
-from oracles import naive_borda, naive_margin
+from oracles import _profile_without, naive_borda, naive_first_place, naive_margin
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +66,9 @@ def test_removal_drops_emptied_ballots():
     out = remove_candidate(p, 0)
     assert out.n == 5
     assert out.m == 2
+    only_a = Profile.build(3, "ABC", [((0,), 7)], 1)
+    with pytest.raises(ProfileError, match="^removing 'A' leaves no ballots$"):
+        remove_candidate(only_a, 0)
 
 
 def test_removal_rejected_when_seats_would_not_fit():
@@ -94,6 +97,9 @@ def test_restriction_drops_ballots_outside_subset():
     p = Profile.build(4, "ABCD", [((0, 1), 2), ((2, 3), 3)], 1)
     out = restrict_to_subset(p, {0, 1}, 1)
     assert out.n == 2
+    only_cd = Profile.build(4, "ABCD", [((2, 3), 3)], 1)
+    with pytest.raises(ProfileError, match="^restriction leaves no ballots$"):
+        restrict_to_subset(only_cd, {0, 1}, 1)
 
 
 def test_restriction_validates_subset(table_profile):
@@ -108,29 +114,29 @@ def test_restriction_validates_subset(table_profile):
 
 
 def test_first_place_counts(table_profile):
-    assert first_place_counts(table_profile).values == (100, 90, 40)
+    assert first_place_counts(table_profile) == (100, 90, 40)
 
 
 def test_top_k_counts_partial_ballots_count_only_ranked():
     p = Profile.build(4, "ABCD", [((0,), 5), ((1, 2, 3), 2)], 3)
-    assert top_k_counts(p, 3).values == (5, 2, 2, 2)
+    assert top_k_counts(p, 3) == (5, 2, 2, 2)
 
 
 def test_top_1_equals_first_place(table_profile):
-    assert top_k_counts(table_profile, 1).values == first_place_counts(table_profile).values
+    assert top_k_counts(table_profile, 1) == first_place_counts(table_profile)
 
 
 def test_borda_optimistic_vs_pessimistic():
     # m=4, one ballot [A, B]: unranked C, D get m-l-1 = 1 under OM, 0 under PM.
     p = Profile.build(4, "ABCD", [((0, 1), 1)], 1)
-    assert borda_scores(p, UnrankedModel.OPTIMISTIC).values == (3, 2, 1, 1)
-    assert borda_scores(p, UnrankedModel.PESSIMISTIC).values == (3, 2, 0, 0)
+    assert borda_scores(p, UnrankedModel.OPTIMISTIC) == (3, 2, 1, 1)
+    assert borda_scores(p, UnrankedModel.PESSIMISTIC) == (3, 2, 0, 0)
 
 
 def test_borda_on_complete_profile(table_profile):
     om = borda_scores(table_profile, UnrankedModel.OPTIMISTIC)
     pm = borda_scores(table_profile, UnrankedModel.PESSIMISTIC)
-    assert om.values == pm.values == (200, 320, 170)
+    assert om == pm == (200, 320, 170)
 
 
 def test_pairwise_margin(table_profile):
@@ -172,7 +178,13 @@ profiles = st.builds(
 
 @given(profiles)
 def test_first_place_counts_sum_to_n(p):
-    assert sum(first_place_counts(p).values) == p.n
+    assert sum(first_place_counts(p)) == p.n
+
+
+@given(profiles)
+def test_first_place_and_top_1_counts_match_naive_oracle(p):
+    expected = tuple(naive_first_place(p))
+    assert first_place_counts(p) == top_k_counts(p, 1) == expected
 
 
 @given(profiles)
@@ -181,13 +193,13 @@ def test_top_m_counts_equal_mentions(p):
     for ranking, weight in p.ballots:
         for c in ranking:
             mentions[c] += weight
-    assert list(top_k_counts(p, p.m).values) == mentions
+    assert list(top_k_counts(p, p.m)) == mentions
 
 
 @given(profiles)
 def test_optimistic_borda_dominates_pessimistic(p):
-    om = borda_scores(p, UnrankedModel.OPTIMISTIC).values
-    pm = borda_scores(p, UnrankedModel.PESSIMISTIC).values
+    om = borda_scores(p, UnrankedModel.OPTIMISTIC)
+    pm = borda_scores(p, UnrankedModel.PESSIMISTIC)
     assert all(a >= b for a, b in zip(om, pm))
     if all(len(b.ranking) >= p.m - 1 for b in p.ballots):
         assert om == pm
@@ -196,7 +208,7 @@ def test_optimistic_borda_dominates_pessimistic(p):
 @given(profiles)
 def test_borda_matches_naive_oracle(p):
     for model in UnrankedModel:
-        assert list(borda_scores(p, model).values) == naive_borda(p, model)
+        assert list(borda_scores(p, model)) == naive_borda(p, model)
 
 
 @given(profiles)
@@ -209,6 +221,18 @@ def test_pairwise_matrix_antisymmetric_and_matches_oracle(p):
             if a != b:
                 assert matrix[a][b] == -matrix[b][a]
                 assert matrix[a][b] == naive_margin(p, a, b)
+
+
+@given(profiles)
+def test_removal_matches_by_name_oracle(p):
+    for c in range(p.m):
+        try:
+            expected = _profile_without(p, c)
+        except ProfileError:
+            with pytest.raises(ProfileError):
+                remove_candidate(p, c)
+        else:
+            assert remove_candidate(p, c) == expected
 
 
 @given(profiles, st.data())

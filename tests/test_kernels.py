@@ -83,7 +83,7 @@ def test_point_matrix_column_sums_are_borda_scores(p, model):
     points = point_matrix(p, model)
     assert points.dtype == np.int64 and points.min() >= 0
     column_sums = (p.arrays.weights @ points).tolist()
-    assert column_sums == list(borda_scores(p, model).values) == naive_borda(p, model)
+    assert column_sums == list(borda_scores(p, model)) == naive_borda(p, model)
 
 
 # ---------------------------------------------------------------------------

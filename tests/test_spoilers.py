@@ -160,7 +160,7 @@ def test_clone_statistics_skips_multi_seat_swings():
         profiles.append(p)
     stats = clone_statistics(reports, profiles)
     clean = stats.closer_to_retained + stats.closer_to_would_be + stats.equal_similarity
-    total_spoilers = sum(r.spoiler_count for r in reports)
+    total_spoilers = sum(len(r.spoilers) for r in reports)
     assert clean + stats.skipped == total_spoilers
     for t in stats.triples:
         assert len({t.retained, t.would_be, t.spoiler}) == 3
