@@ -27,6 +27,7 @@ from .core import Profile
 from .cultures import MODELS, REGIMES, CultureSpec
 from .extend import ExtensionConfig, extend_profile
 from .harness import (
+    DETAIL_COLUMNS,
     FRACTION_COLUMNS,
     CorpusResult,
     clone_rows,
@@ -164,7 +165,10 @@ def _cmd_spoilers(args: argparse.Namespace) -> int:
     if args.stability_out:
         _write(blt_io.emit_results_csv(stability_rows(result), ()), args.stability_out)
     if args.detail_out:
-        _write(blt_io.emit_results_csv(result.details, ()), args.detail_out)
+        _write(
+            blt_io.emit_results_csv(result.details, (), columns=DETAIL_COLUMNS),
+            args.detail_out,
+        )
     print(
         f"elections used: {result.elections_used}, skipped: {result.elections_skipped}",
         file=sys.stderr,
@@ -173,14 +177,19 @@ def _cmd_spoilers(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    spec = CultureSpec(
-        model=args.model,
-        regime=args.regime,
-        m=args.m,
-        k=args.k,
-        n=args.voters,
-        seed=args.seed,
-    )
+    try:
+        spec = CultureSpec(
+            model=args.model,
+            regime=args.regime,
+            m=args.m,
+            k=args.k,
+            n=args.voters,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        args.usage_error(str(exc))
+    if args.trials < 0:
+        args.usage_error("--trials must be non-negative")
     result = run_simulation(
         spec,
         _resolve_methods(args.methods),
@@ -205,6 +214,8 @@ def _cmd_extend(args: argparse.Namespace) -> int:
 
 
 def _cmd_subelections(args: argparse.Namespace) -> int:
+    if not 1 <= args.k < args.t:
+        args.usage_error(f"--k {args.k} must satisfy 1 <= k < t={args.t}")
     skipped_empty = 0
 
     def stream() -> Iterator[tuple[str, Profile]]:
@@ -292,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out")
     _add_tie_option(p, "error")
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, usage_error=p.error)
 
     p = sub.add_parser("extend", help="proportionally extend partial ballots")
     p.add_argument("file")
@@ -307,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", nargs="+", choices=_METHOD_CHOICES, default=["all"])
     p.add_argument("--out")
     _add_tie_option(p, "alphabetical")
-    p.set_defaults(func=_cmd_subelections)
+    p.set_defaults(func=_cmd_subelections, usage_error=p.error)
 
     p = sub.add_parser("clones", help="clone-similarity statistics for spoilers")
     p.add_argument("path")

@@ -60,6 +60,10 @@ class CultureSpec:
             raise ValueError(f"k={self.k} must satisfy 1 <= k < m={self.m}")
         if self.n < 1:
             raise ValueError("need at least one voter")
+        if self.model != "spatial1d" and self.m > MAX_ENUMERATED_M:
+            raise ValueError(
+                f"model {self.model!r} enumerates ballot types, so needs m <= {MAX_ENUMERATED_M}"
+            )
 
 
 def trial_rng(spec: CultureSpec, trial: int) -> np.random.Generator:

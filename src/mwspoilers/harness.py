@@ -1,10 +1,13 @@
 """Experiment orchestration: Monte Carlo campaigns and corpus audits.
 
-Both entry points aggregate per-election spoiler reports into the same
-per-method counters: how often any spoiler appeared, multiple spoilers,
-and spoilers who were plurality or top-k losers.  Corpus audits add winning-
-set stability and clone-similarity aggregates plus a per-election detail
-table.
+Both entry points audit each profile (a sampled trial or a real election)
+with one step: weakness flags once, removals shared across rules, one
+spoiler analysis per rule, and each report folded into the same per-method
+counters: how often any spoiler appeared, multiple spoilers, and spoilers
+who were plurality or top-k losers.  Only corpus audits keep more: the
+``m > k + 1``, ``k > 1`` filter, winning-set stability aggregates,
+clone-similarity statistics, a per-election detail table and the failed
+audits' messages.
 
 Under the ``error`` tie policy, elections whose base run or any re-run hit
 an exact tie are thrown out of the aggregates (and counted); under a
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Sequence
 
 from .core import Profile, ProfileError
@@ -126,22 +129,45 @@ def _tally_report(tally: MethodTally, report: SpoilerReport, weak, tie: TiePolic
     return True
 
 
+def _new_tallies(method_ids: Sequence[str]) -> dict[str, MethodTally]:
+    for mid in method_ids:
+        if mid not in METHODS:
+            raise KeyError(f"unknown method {mid!r}")
+    return {mid: MethodTally() for mid in method_ids}
+
+
+def _results(tallies: dict[str, MethodTally]) -> dict[str, MethodResult]:
+    return {mid: MethodResult(mid, METHODS[mid].label, t) for mid, t in tallies.items()}
+
+
+def _audit(
+    profile: Profile, tallies: dict[str, MethodTally], tie: TiePolicy
+) -> dict[str, tuple[SpoilerReport | str, bool]]:
+    """Audit one profile under every rule in ``tallies`` and fold each report in.
+
+    Per rule, returns the report (or ``"ErrorType: message"`` for an audit
+    that raised one of :data:`AUDIT_ERRORS`) and whether it was counted.
+    """
+    weak = weakness_flags(profile)
+    removals: dict[int, Profile] = {}
+    audits: dict[str, tuple[SpoilerReport | str, bool]] = {}
+    for mid, tally in tallies.items():
+        try:
+            report = analyze_spoilers(profile, mid, tie, removals)
+        except AUDIT_ERRORS as exc:
+            tally.requested += 1
+            tally.errors += 1
+            audits[mid] = (f"{type(exc).__name__}: {exc}", False)
+            continue
+        audits[mid] = (report, _tally_report(tally, report, weak, tie))
+    return audits
+
+
 def _simulate_block(args: tuple) -> dict[str, MethodTally]:
     spec, method_ids, tie, start, stop = args
-    tallies = {mid: MethodTally() for mid in method_ids}
+    tallies = _new_tallies(method_ids)
     for trial in range(start, stop):
-        profile = sample_profile(spec, trial)
-        weak = weakness_flags(profile)
-        removals: dict[int, Profile] = {}
-        for mid in method_ids:
-            tally = tallies[mid]
-            try:
-                report = analyze_spoilers(profile, mid, tie, removals)
-            except AUDIT_ERRORS:
-                tally.requested += 1
-                tally.errors += 1
-                continue
-            _tally_report(tally, report, weak, tie)
+        _audit(sample_profile(spec, trial), tallies, tie)
     return tallies
 
 
@@ -168,9 +194,7 @@ def run_simulation(
     Under the ``error`` policy, trials with ties are discarded per method and
     reported; audit errors (:data:`AUDIT_ERRORS`) are counted, never fatal.
     """
-    for mid in method_ids:
-        if mid not in METHODS:
-            raise KeyError(f"unknown method {mid!r}")
+    tallies = _new_tallies(method_ids)
     if trials < 0:
         raise ValueError("trials must be non-negative")
     if workers <= 1 or trials == 0:
@@ -181,15 +205,11 @@ def run_simulation(
             (spec, tuple(method_ids), tie, start, min(start + chunk, trials))
             for start in range(0, trials, chunk)
         ]
-        tallies = {mid: MethodTally() for mid in method_ids}
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for result in pool.map(_simulate_block, blocks):
                 for mid, tally in result.items():
                     tallies[mid].merge(tally)
-    methods = {
-        mid: MethodResult(mid, METHODS[mid].label, tallies[mid]) for mid in method_ids
-    }
-    return SimulationResult(spec=spec, trials=trials, tie=tie, methods=methods)
+    return SimulationResult(spec=spec, trials=trials, tie=tie, methods=_results(tallies))
 
 
 @dataclass
@@ -198,14 +218,16 @@ class StabilityAggregate:
 
     spoiler_elections: int = 0
     multi_spoiler_elections: int = 0
-    max_spoilers: int = 0
+    greatest_num_spoilers: int = 0
     multi_alt_set_elections: int = 0  # among multi-spoiler elections
-    greatest_alt_sets: int = 0
+    greatest_num_alt_sets: int = 0
 
 
-# Detail-table statistics after the election's identity columns; a failed
-# audit's row leaves them empty.
-_DETAIL_STATS = ("tie", "num_spoilers", "spoilers", "num_alt_sets", "max_changed")
+# A failed audit's row leaves every column after ``n`` empty.
+DETAIL_COLUMNS = (
+    "election", "method", "m", "k", "n",
+    "tie", "num_spoilers", "spoilers", "num_alt_sets", "max_changed",
+)  # fmt: skip
 
 
 @dataclass(frozen=True)
@@ -236,14 +258,9 @@ def run_corpus_audit(
     and one detail row per election and method.  A failed audit gets a detail
     row with empty statistics and an entry in ``failures``.
     """
-    for mid in method_ids:
-        if mid not in METHODS:
-            raise KeyError(f"unknown method {mid!r}")
-    tallies = {mid: MethodTally() for mid in method_ids}
-    stability = {mid: StabilityAggregate() for mid in method_ids}
-    clone_inputs: dict[str, tuple[list[SpoilerReport], list[Profile]]] = {
-        mid: ([], []) for mid in method_ids
-    }
+    tallies = _new_tallies(method_ids)
+    stability = {mid: StabilityAggregate() for mid in tallies}
+    clone_inputs: dict[str, list[tuple[SpoilerReport, Profile]]] = {mid: [] for mid in tallies}
     details: list[dict] = []
     failures: list[tuple[str, str, str]] = []
     used = skipped = 0
@@ -256,26 +273,13 @@ def run_corpus_audit(
         if k_eff != profile.k:
             profile = profile.with_seats(k_eff)
         used += 1
-        weak = weakness_flags(profile)
-        removals: dict[int, Profile] = {}
-        for mid in method_ids:
-            tally = tallies[mid]
-            row = {
-                "election": name,
-                "method": mid,
-                "m": profile.m,
-                "k": profile.k,
-                "n": profile.n,
-            }
-            try:
-                report = analyze_spoilers(profile, mid, tie, removals)
-            except AUDIT_ERRORS as exc:
-                tally.requested += 1
-                tally.errors += 1
-                failures.append((name, mid, f"{type(exc).__name__}: {exc}"))
-                details.append(dict(row, **dict.fromkeys(_DETAIL_STATS)))
+        for mid, (report, counted) in _audit(profile, tallies, tie).items():
+            row = dict.fromkeys(DETAIL_COLUMNS)
+            row.update(election=name, method=mid, m=profile.m, k=profile.k, n=profile.n)
+            details.append(row)
+            if isinstance(report, str):
+                failures.append((name, mid, report))
                 continue
-            counted = _tally_report(tally, report, weak, tie)
             summary = stability_summary(report)
             if counted:
                 s = stability[mid]
@@ -285,36 +289,25 @@ def run_corpus_audit(
                     s.multi_spoiler_elections += 1
                     if summary.num_alternate_sets > 1:
                         s.multi_alt_set_elections += 1
-                s.max_spoilers = max(s.max_spoilers, summary.num_spoilers)
-                s.greatest_alt_sets = max(s.greatest_alt_sets, summary.num_alternate_sets)
-                clone_inputs[mid][0].append(report)
-                clone_inputs[mid][1].append(profile)
-            details.append(
-                dict(
-                    row,
-                    tie=report.has_tie,
-                    num_spoilers=summary.num_spoilers,
-                    spoilers=";".join(profile.names[c] for c in report.spoilers),
-                    num_alt_sets=summary.num_alternate_sets,
-                    max_changed=summary.max_changed_candidates,
-                )
+                s.greatest_num_spoilers = max(s.greatest_num_spoilers, summary.num_spoilers)
+                s.greatest_num_alt_sets = max(s.greatest_num_alt_sets, summary.num_alternate_sets)
+                clone_inputs[mid].append((report, profile))
+            row.update(
+                tie=report.has_tie,
+                num_spoilers=summary.num_spoilers,
+                spoilers=";".join(profile.names[c] for c in report.spoilers),
+                num_alt_sets=summary.num_alternate_sets,
+                max_changed=summary.max_changed_candidates,
             )
 
-    methods = {
-        mid: MethodResult(mid, METHODS[mid].label, tallies[mid]) for mid in method_ids
-    }
-    clones = {
-        mid: clone_statistics(reports, profiles)
-        for mid, (reports, profiles) in clone_inputs.items()
-    }
     return CorpusResult(
         tie=tie,
         k_override=k_override,
         elections_used=used,
         elections_skipped=skipped,
-        methods=methods,
+        methods=_results(tallies),
         stability=stability,
-        clones=clones,
+        clones={mid: clone_statistics(pairs) for mid, pairs in clone_inputs.items()},
         details=details,
         failures=failures,
     )
@@ -353,19 +346,9 @@ def method_rows(methods: dict[str, MethodResult]) -> list[dict]:
 
 
 def stability_rows(result: CorpusResult) -> list[dict]:
-    rows = []
-    for mid, agg in result.stability.items():
-        rows.append(
-            {
-                "method": METHODS[mid].label,
-                "spoiler_elections": agg.spoiler_elections,
-                "multi_spoiler_elections": agg.multi_spoiler_elections,
-                "greatest_num_spoilers": agg.max_spoilers,
-                "multi_alt_set_elections": agg.multi_alt_set_elections,
-                "greatest_num_alt_sets": agg.greatest_alt_sets,
-            }
-        )
-    return rows
+    return [
+        {"method": METHODS[mid].label, **asdict(agg)} for mid, agg in result.stability.items()
+    ]
 
 
 def clone_rows(result: CorpusResult) -> list[dict]:

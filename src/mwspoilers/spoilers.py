@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable
 
 from .core import OutcomeSet, Profile, first_place_counts, remove_candidate, top_k_counts
 from .methods import TieError, TiePolicy, run_method
@@ -253,20 +253,17 @@ def adjacent_pair_weight(profile: Profile, x: int, y: int) -> int:
     return total
 
 
-def clone_statistics(
-    reports: Sequence[SpoilerReport], profiles: Sequence[Profile]
-) -> CloneStats:
+def clone_statistics(pairs: Iterable[tuple[SpoilerReport, Profile]]) -> CloneStats:
     """Aggregate clone-similarity direction over many spoiler reports.
 
-    Each report must be paired with the profile it was computed from.  Only
-    clean one-seat swaps contribute: a unique original committee, a unique
-    alternate committee, and a symmetric difference of exactly one seat.
+    Takes ``(report, profile)`` pairs, each report with the profile it was
+    computed from.  Only clean one-seat swaps contribute: a unique original
+    committee, a unique alternate committee, and a symmetric difference of
+    exactly one seat.
     """
-    if len(reports) != len(profiles):
-        raise ValueError("reports and profiles must come in parallel")
     greater = less = equal = skipped = 0
     triples: list[CloneTriple] = []
-    for report, profile in zip(reports, profiles):
+    for report, profile in pairs:
         if report.outcome is None or len(report.outcome.committees) != 1:
             skipped += sum(1 for v in report.verdicts if v.is_spoiler)
             continue

@@ -181,3 +181,43 @@ def test_spoilers_detail_table_keeps_failed_audits(tmp_path, capsys):
     assert "large.blt,cc_om,24,12,300,,,,," in rows
     rates = {line.split(",")[0]: line for line in out_csv.read_text().splitlines()}
     assert rates["Cham-Cour (OM)"].endswith(",1,0,0,1")
+
+
+def test_spoilers_detail_table_has_a_header_when_every_election_is_filtered(tmp_path, capsys):
+    d = tmp_path / "corpus"
+    d.mkdir()
+    small = Profile.build(3, default_names(3), [((0, 1, 2), 5), ((2, 1, 0), 4)], 2)
+    (d / "small.blt").write_bytes(emit_blt(small, title="small"))
+    detail_csv = tmp_path / "detail.csv"
+    code, _, err = run_cli(
+        capsys, "spoilers", str(d), "--methods", "sntv", "--detail-out", str(detail_csv)
+    )
+    assert code == 0
+    assert "elections used: 0, skipped: 1" in err
+    assert detail_csv.read_text() == (
+        "election,method,m,k,n,tie,num_spoilers,spoilers,num_alt_sets,max_changed\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["subelections", "{corpus}", "--t", "4", "--k", "4"],
+        ["simulate", "--model", "ic", "--regime", "complete", "--m", "4", "--k", "4",
+         "--trials", "3"],
+        ["simulate", "--model", "ic", "--regime", "complete", "--m", "4", "--k", "2",
+         "--trials", "-1"],
+        ["simulate", "--model", "ic", "--regime", "complete", "--m", "9", "--k", "2",
+         "--trials", "3"],
+    ],
+    ids=["subelections-k-not-below-t", "simulate-k-not-below-m", "simulate-negative-trials",
+         "simulate-ic-m-too-large"],
+)  # fmt: skip
+def test_invalid_arguments_are_usage_errors(argv, corpus_dir, tmp_path, capsys):
+    out_csv = tmp_path / "out.csv"
+    argv = [a.format(corpus=corpus_dir) for a in argv] + ["--out", str(out_csv)]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"mwspoilers {argv[0]}: error:" in capsys.readouterr().err
+    assert not out_csv.exists()

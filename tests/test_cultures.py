@@ -43,6 +43,9 @@ def test_spec_validation():
         CultureSpec("ic", "half", 4, 2, 10)
     with pytest.raises(ValueError):
         CultureSpec("ic", "complete", 4, 4, 10)
+    with pytest.raises(ValueError, match="enumerates"):
+        CultureSpec("iac", "partial", 9, 2, 10)
+    CultureSpec("spatial1d", "partial", 9, 2, 10)  # ranks voters, enumerates nothing
 
 
 @pytest.mark.parametrize("model", ["ic", "iac", "spatial1d"])

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mwspoilers.blt_io import emit_blt, parse_blt
+from mwspoilers.blt_io import emit_blt, emit_results_csv, parse_blt
 from mwspoilers.core import Profile, default_names
-from mwspoilers.cultures import CultureSpec
+from mwspoilers.cultures import MODELS, REGIMES, CultureSpec, sample_profile
 from mwspoilers.harness import (
     MethodTally,
     method_rows,
@@ -256,3 +258,59 @@ def test_shared_removals_leave_corpus_audit_unchanged(monkeypatch):
     unshared = run_corpus_audit(elections, list(METHODS))
     assert unshared == shared
     assert len(shared.details) == 2 * len(METHODS)
+
+
+# ---------------------------------------------------------------------------
+# Campaigns and corpus audits count alike
+
+
+@st.composite
+def unfiltered_specs(draw):
+    """Culture specs whose profiles all pass the corpus filter (k >= 2, m > k + 1)."""
+    m = draw(st.integers(4, 6))
+    return CultureSpec(
+        draw(st.sampled_from(MODELS)),
+        draw(st.sampled_from(REGIMES)),
+        m,
+        draw(st.integers(2, m - 2)),
+        draw(st.integers(1, 30)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(unfiltered_specs(), st.integers(1, 3), st.sampled_from(list(TiePolicy)))
+def test_corpus_audit_tallies_equal_campaign_tallies(spec, trials, tie):
+    campaign = run_simulation(spec, list(METHODS), trials=trials, tie=tie)
+    elections = [(str(t), sample_profile(spec, t)) for t in range(trials)]
+    audit = run_corpus_audit(elections, list(METHODS), tie=tie)
+    assert audit.elections_skipped == 0
+    for mid in METHODS:
+        assert audit.methods[mid].tally == campaign.methods[mid].tally
+
+
+def tie_then_spoiler_profile():
+    # STV: removing B turns the committee over, removing A gives an exact tie.
+    return Profile.build(
+        4,
+        default_names(4),
+        [((0, 2, 3, 1), 1), ((2, 1, 0, 3), 4), ((2, 3, 1, 0), 3)],
+        2,
+    )
+
+
+def test_error_policy_corpus_keeps_tie_rows_out_of_stability_and_clones():
+    tied = ("tied", tie_then_spoiler_profile())
+    spoiled = ("spoiled", spoiled_profile())
+    result = run_corpus_audit([tied, spoiled], ["stv"], tie=TiePolicy.ERROR)
+    alone = run_corpus_audit([spoiled], ["stv"], tie=TiePolicy.ERROR)
+    tally = result.methods["stv"].tally
+    assert (tally.requested, tally.used, tally.ties_discarded) == (2, 1, 1)
+    detail = emit_results_csv(result.details, ()).decode().splitlines()
+    assert "tied,stv,4,2,8,1,1,B,1,1" in detail
+    assert result.stability == alone.stability
+    assert result.clones == alone.clones
+    # A deterministic policy counts the same election, so it does reach both.
+    lenient = run_corpus_audit([tied, spoiled], ["stv"], tie=TiePolicy.ALPHABETICAL)
+    assert lenient.stability != alone.stability
+    assert lenient.clones != alone.clones

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from mwspoilers.core import Profile
 from mwspoilers.methods import METHODS, TiePolicy
@@ -139,7 +138,7 @@ def test_adjacency_requires_both_ranked_and_consecutive():
 
 def test_clone_statistics_on_vote_splitting(table_profile):
     report = analyze_spoilers(table_profile, "sntv")
-    stats = clone_statistics([report], [table_profile])
+    stats = clone_statistics([(report, table_profile)])
     triples = {t.spoiler: t for t in stats.triples}
     # Spoiler S: A keeps the seat W would take; S sits next to W far more often.
     assert triples[2].retained == 0 and triples[2].would_be == 1
@@ -153,19 +152,13 @@ def test_clone_statistics_on_vote_splitting(table_profile):
 
 def test_clone_statistics_skips_multi_seat_swings():
     rng = np.random.default_rng(33)
-    reports, profiles = [], []
+    pairs = []
     for _ in range(120):
         p = random_profile(rng, max_m=5)
-        reports.append(analyze_spoilers(p, "bloc", TiePolicy.ALPHABETICAL))
-        profiles.append(p)
-    stats = clone_statistics(reports, profiles)
+        pairs.append((analyze_spoilers(p, "bloc", TiePolicy.ALPHABETICAL), p))
+    stats = clone_statistics(pairs)
     clean = stats.closer_to_retained + stats.closer_to_would_be + stats.equal_similarity
-    total_spoilers = sum(len(r.spoilers) for r in reports)
+    total_spoilers = sum(len(r.spoilers) for r, _ in pairs)
     assert clean + stats.skipped == total_spoilers
     for t in stats.triples:
         assert len({t.retained, t.would_be, t.spoiler}) == 3
-
-
-def test_clone_statistics_requires_parallel_inputs(table_profile):
-    with pytest.raises(ValueError):
-        clone_statistics([], [table_profile])
