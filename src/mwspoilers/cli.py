@@ -36,7 +36,7 @@ from .harness import (
     run_simulation,
     stability_rows,
 )
-from .methods import METHODS, UNIT, TiePolicy, stv
+from .methods import METHODS, UNIT, TieError, TiePolicy, stv
 from .subelections import enumerate_subelections
 
 _METHOD_CHOICES = tuple(METHODS) + ("all",)
@@ -50,6 +50,19 @@ def _resolve_methods(requested: Iterable[str]) -> list[str]:
         elif mid not in out:
             out.append(mid)
     return out
+
+
+def _existing(args: argparse.Namespace, name: str) -> Path:
+    """The path ``name``; a usage error when nothing is there."""
+    path = Path(name)
+    if not path.exists():
+        args.usage_error(f"{name}: no such file or directory")
+    return path
+
+
+def _fail(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 def _collect_files(path: Path) -> list[Path]:
@@ -129,17 +142,24 @@ def format_trace(profile: Profile, trace) -> str:
 
 
 def _cmd_tabulate(args: argparse.Namespace) -> int:
-    profile = blt_io.parse_blt(Path(args.file).read_bytes())
+    path = _existing(args, args.file)
+    try:
+        profile = blt_io.parse_blt(path.read_bytes())
+    except (OSError, ValueError) as exc:
+        return _fail(f"{args.file}: {exc}")
     tie = TiePolicy(args.tie)
-    if args.method == "stv":
-        outcome, trace = stv(profile, tie)
-        if args.trace:
-            sys.stdout.write(format_trace(profile, trace))
-            return 0
-    else:
-        if args.trace:
-            print("warning: --trace is only available for stv", file=sys.stderr)
-        outcome = METHODS[args.method].run(profile, tie)
+    if args.trace and args.method != "stv":
+        print("warning: --trace is only available for stv", file=sys.stderr)
+    try:
+        if args.method == "stv":
+            outcome, trace = stv(profile, tie)
+        else:
+            outcome = METHODS[args.method].run(profile, tie)
+    except TieError as exc:
+        return _fail(str(exc))
+    if args.method == "stv" and args.trace:
+        sys.stdout.write(format_trace(profile, trace))
+        return 0
     for committee in sorted(
         (sorted(profile.names[c] for c in committee) for committee in outcome.committees)
     ):
@@ -152,7 +172,7 @@ def _cmd_tabulate(args: argparse.Namespace) -> int:
 def _cmd_spoilers(args: argparse.Namespace) -> int:
     methods = _resolve_methods(args.methods)
     result = run_corpus_audit(
-        _load_elections(Path(args.path)),
+        _load_elections(_existing(args, args.path)),
         methods,
         k_override=args.k,
         tie=TiePolicy(args.tie),
@@ -205,10 +225,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_extend(args: argparse.Namespace) -> int:
-    document = blt_io.parse_blt_document(Path(args.file).read_bytes())
-    extended = extend_profile(
-        document.to_profile(), ExtensionConfig(stop_ratio=args.stop_ratio)
-    )
+    path = _existing(args, args.file)
+    try:
+        document = blt_io.parse_blt_document(path.read_bytes())
+        profile = document.to_profile()
+    except (OSError, ValueError) as exc:
+        return _fail(f"{args.file}: {exc}")
+    extended = extend_profile(profile, ExtensionConfig(stop_ratio=args.stop_ratio))
     _write(blt_io.emit_blt(extended, title=document.title), args.out)
     return 0
 
@@ -216,11 +239,12 @@ def _cmd_extend(args: argparse.Namespace) -> int:
 def _cmd_subelections(args: argparse.Namespace) -> int:
     if not 1 <= args.k < args.t:
         args.usage_error(f"--k {args.k} must satisfy 1 <= k < t={args.t}")
+    path = _existing(args, args.path)
     skipped_empty = 0
 
     def stream() -> Iterator[tuple[str, Profile]]:
         nonlocal skipped_empty
-        for name, profile in _load_elections(Path(args.path)):
+        for name, profile in _load_elections(path):
             if profile.m < args.t:
                 continue
             for sub in enumerate_subelections(profile, args.t, args.k):
@@ -248,7 +272,7 @@ def _cmd_subelections(args: argparse.Namespace) -> int:
 
 def _cmd_clones(args: argparse.Namespace) -> int:
     result = run_corpus_audit(
-        _load_elections(Path(args.path)),
+        _load_elections(_existing(args, args.path)),
         [args.method],
         k_override=args.k,
         tie=TiePolicy(args.tie),
@@ -279,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=tuple(METHODS), default="stv")
     p.add_argument("--trace", action="store_true", help="print the STV round table")
     _add_tie_option(p, "alphabetical")
-    p.set_defaults(func=_cmd_tabulate)
+    p.set_defaults(func=_cmd_tabulate, usage_error=p.error)
 
     p = sub.add_parser("spoilers", help="spoiler audit of a file or directory")
     p.add_argument("path")
@@ -289,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stability-out")
     p.add_argument("--detail-out")
     _add_tie_option(p, "alphabetical")
-    p.set_defaults(func=_cmd_spoilers)
+    p.set_defaults(func=_cmd_spoilers, usage_error=p.error)
 
     p = sub.add_parser("simulate", help="Monte Carlo spoiler campaign")
     p.add_argument("--model", choices=MODELS, required=True)
@@ -309,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--stop-ratio", type=float, default=0.10)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_extend)
+    p.set_defaults(func=_cmd_extend, usage_error=p.error)
 
     p = sub.add_parser("subelections", help="audit all size-t candidate subsets")
     p.add_argument("path")
@@ -326,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--out")
     _add_tie_option(p, "alphabetical")
-    p.set_defaults(func=_cmd_clones)
+    p.set_defaults(func=_cmd_clones, usage_error=p.error)
 
     return parser
 

@@ -11,10 +11,13 @@ truncated to five decimal places.  Vote totals are therefore carried as exact
 integer counts of 1e-5 vote units, never floats, which makes official round
 tables reproducible digit for digit.
 
-STV, SRCV and top-k IRV are one elimination count, :func:`_count`, run with
-different quotas and seat counts: STV with the Droop quota; top-k IRV with a
-quota no total can reach, so it only eliminates until k remain; SRCV once
-per seat with one seat and the past winners excluded from the start.
+The ranked rules run on two counts.  STV's parcel count, :func:`_count`,
+carries each paper's fractional value and records an official round table.
+SRCV and top-k IRV only ever transfer at full value, so they share a
+smaller pile count: each ballot sits on the pile of its first-ranked
+candidate still in, and eliminating a candidate hands only that pile on.
+Top-k IRV eliminates until k candidates remain; SRCV runs one single-seat
+count per seat, with the past winners out from the start.
 
 Ties are resolved by a :class:`TiePolicy`.  The score-based rules (SNTV,
 Bloc, k-Borda) treat a tie at the committee boundary differently: outside of
@@ -33,6 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
+    Ballot,
     OutcomeSet,
     Profile,
     ProfileError,
@@ -123,16 +127,10 @@ class TabulationTrace:
 _CONTINUING, _ELECTED, _ELIMINATED = 0, 1, 2
 
 
-def _count(
-    profile: Profile,
-    seats: int,
-    quota: int,
-    tie: TiePolicy,
-    excluded: frozenset[int] = frozenset(),
-) -> tuple[OutcomeSet, TabulationTrace]:
-    """The parcel count behind :func:`stv`, :func:`srcv` and :func:`top_k_irv`.
+def _count(profile: Profile, quota: int, tie: TiePolicy) -> tuple[OutcomeSet, TabulationTrace]:
+    """The parcel count behind :func:`stv`.
 
-    Fills ``seats`` seats at a fixed ``quota`` (units).  Each stage: declare
+    Fills the k seats at a fixed ``quota`` (units).  Each stage: declare
     elected every continuing candidate at or above quota; stop once the seats
     are filled, or once the continuing candidates exactly fill the remaining
     seats (they are elected without reaching quota).  Otherwise transfer the
@@ -140,24 +138,15 @@ def _count(
     lowest continuing candidate at full current value.  Transfers skip
     previously elected and excluded candidates; ballots with no continuing
     preference left are exhausted and their value leaves the count.
-
-    Candidates in ``excluded`` are out before the first stage: ballots start
-    with their first other preference, and ballots ranking nobody else never
-    enter the count, exactly as if those candidates had been removed.
     """
-    m = profile.m
+    m, seats = profile.m, profile.k
     status = [_CONTINUING] * m
-    for c in excluded:
-        status[c] = _ELIMINATED
     # Parcels: [ranking, paper count, value per paper (units), holder position].
     holdings: list[list[list]] = [[] for _ in range(m)]
     totals = [0] * m
     for ranking, weight in profile.ballots:
-        for j, c in enumerate(ranking):
-            if status[c] == _CONTINUING:
-                holdings[c].append([ranking, weight, UNIT, j])
-                totals[c] += weight * UNIT
-                break
+        holdings[ranking[0]].append([ranking, weight, UNIT, 0])
+        totals[ranking[0]] += weight * UNIT
     exhausted = 0
     pending: list[tuple[int, int]] = []  # (candidate, surplus units) awaiting transfer
     winners: list[int] = []
@@ -263,30 +252,101 @@ def _count(
 def stv(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> tuple[OutcomeSet, TabulationTrace]:
     """Single transferable vote with fractional (weighted inclusive) transfers.
 
-    The shared parcel count (:func:`_count`) with the Droop quota, fixed from
-    the initial ballot total: surpluses pass on at a truncated fraction of
-    each paper's value, exclusions at full value.
+    The parcel count (:func:`_count`) with the Droop quota, fixed from the
+    initial ballot total: surpluses pass on at a truncated fraction of each
+    paper's value, exclusions at full value.
     """
-    return _count(profile, profile.k, droop_quota(profile.n, profile.k) * UNIT, tie)
+    return _count(profile, droop_quota(profile.n, profile.k) * UNIT, tie)
+
+
+# ---------------------------------------------------------------------------
+# SRCV and top-k IRV: the full-value pile count
+
+
+def _hand_on(
+    ballots: Sequence[Ballot], piles: list[list[Ballot]], totals: list[int], out: list[bool]
+) -> None:
+    """Put each ballot on the pile of its first-ranked candidate not out.
+
+    Ballots ranking nobody still in are exhausted and leave the count.
+    """
+    for ballot in ballots:
+        for c in ballot[0]:
+            if not out[c]:
+                piles[c].append(ballot)
+                totals[c] += ballot[1]
+                break
+
+
+def _exclude(piles: list[list[Ballot]], totals: list[int], out: list[bool], x: int) -> None:
+    """Take ``x`` out of the count and hand its pile on at full value.
+
+    A ballot sits with its first-ranked candidate still in, so everyone it
+    ranks before ``x`` is already out: scanning its ranking from the front
+    finds its next continuing preference.
+    """
+    out[x] = True
+    pile, piles[x], totals[x] = piles[x], [], 0
+    _hand_on(pile, piles, totals, out)
+
+
+def _first_preferences(profile: Profile) -> tuple[list[list[Ballot]], list[int], list[bool]]:
+    """Piles, totals and out flags with every candidate in."""
+    piles: list[list[Ballot]] = [[] for _ in range(profile.m)]
+    totals = [0] * profile.m
+    out = [False] * profile.m
+    _hand_on(profile.ballots, piles, totals, out)
+    return piles, totals, out
+
+
+def _runoff(
+    profile: Profile,
+    piles: list[list[Ballot]],
+    totals: list[int],
+    out: list[bool],
+    seats: int,
+    quota: int | None,
+    tie: TiePolicy,
+) -> tuple[list[int], bool]:
+    """Eliminate plurality losers until the continuing candidates fill ``seats``.
+
+    With a ``quota`` (single-seat counts only), a candidate at or above it
+    wins at once.  Consumes the piles; returns the winners and whether an
+    elimination tie had to be broken.
+    """
+    tie_used = False
+    while True:
+        continuing = [c for c in range(profile.m) if not out[c]]
+        if quota is not None:
+            leader = max(continuing, key=totals.__getitem__)
+            if totals[leader] >= quota:
+                return [leader], tie_used
+        if len(continuing) == seats:
+            return continuing, tie_used
+        low = min(totals[c] for c in continuing)
+        tied = [c for c in continuing if totals[c] == low]
+        if len(tied) > 1:
+            tie_used = True
+        _exclude(piles, totals, out, _break_tie(profile, tied, tie, "for elimination"))
 
 
 def srcv(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> OutcomeSet:
     """Sequential ranked-choice voting: k single-winner runoffs.
 
     Each seat goes to the instant-runoff winner of the ballots with the past
-    winners excluded; the quota is the Droop quota of the ballots that still
-    rank a continuing candidate.  A one-seat count transfers no surplus, so
-    excluding the past winners counts exactly as removing them would.
+    winners out; the quota is the Droop quota of the ballots that still rank
+    a continuing candidate.  A one-seat count transfers no surplus, so
+    putting the past winners out counts exactly as removing them would.
     Should every remaining ballot rank only past winners, the leftover seats
     are a pure tie among unranked candidates and fall to the tie policy.
     """
+    piles, totals, out = _first_preferences(profile)  # the past winners out
     seats: list[int] = []
     tie_used = False
-    while len(seats) < profile.k:
-        excluded = frozenset(seats)
-        live = sum(w for ranking, w in profile.ballots if not excluded.issuperset(ranking))
+    while True:
+        live = sum(totals)
         if not live:
-            leftovers = [c for c in range(profile.m) if c not in excluded]
+            leftovers = [c for c in range(profile.m) if not out[c]]
             if tie is TiePolicy.ERROR:
                 names = ", ".join(profile.names[c] for c in leftovers)
                 raise TieError(f"all ballots exhausted; remaining seats tie between {names}")
@@ -294,19 +354,26 @@ def srcv(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> OutcomeSet:
                 leftovers.sort(key=lambda c: (profile.names[c], c))
             seats.extend(leftovers[: profile.k - len(seats)])
             return OutcomeSet.single(seats, tie_flag=True)
-        outcome, trace = _count(profile, 1, droop_quota(live, 1) * UNIT, tie, excluded)
-        tie_used = tie_used or outcome.tie_flag
-        seats.append(trace.winners[0])
-    return OutcomeSet.single(seats, tie_flag=tie_used)
+        (winner,), tied = _runoff(
+            profile,
+            [pile.copy() for pile in piles],
+            totals.copy(),
+            out.copy(),
+            1,
+            droop_quota(live, 1),
+            tie,
+        )
+        tie_used = tie_used or tied
+        seats.append(winner)
+        if len(seats) == profile.k:
+            return OutcomeSet.single(seats, tie_flag=tie_used)
+        _exclude(piles, totals, out, winner)
 
 
 def top_k_irv(profile: Profile, tie: TiePolicy = TiePolicy.ALPHABETICAL) -> OutcomeSet:
-    """Eliminate plurality losers, transferring at full value, until k remain.
-
-    The shared parcel count with a quota no total can reach, so every seat is
-    filled when the continuing candidates exactly fill the seats.
-    """
-    return _count(profile, profile.k, profile.n * UNIT + 1, tie)[0]
+    """Eliminate plurality losers, transferring at full value, until k remain."""
+    winners, tie_used = _runoff(profile, *_first_preferences(profile), profile.k, None, tie)
+    return OutcomeSet.single(winners, tie_flag=tie_used)
 
 
 # ---------------------------------------------------------------------------

@@ -54,3 +54,17 @@ def outcome_or_tie(rule, *args):
 @pytest.fixture
 def table_profile() -> Profile:
     return vote_splitting_profile()
+
+
+@pytest.fixture(scope="module")
+def ward() -> Profile:
+    """A seeded m=10, k=4 partial-ballot election of about 2,000 ballot types."""
+    m = 10
+    rng = np.random.default_rng(20240607)
+    ballots = []
+    for _ in range(2600):
+        length = int(rng.integers(1, m))
+        ballots.append((tuple(rng.permutation(m)[:length].tolist()), int(rng.integers(1, 40))))
+    profile = Profile.build(m, default_names(m), ballots, 4)
+    assert 1900 <= len(profile.ballots) <= 2100
+    return profile

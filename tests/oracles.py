@@ -273,7 +273,7 @@ def srcv_by_removal(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> Outco
     """SRCV as k single-seat STV counts on ever smaller profiles.
 
     The library's former implementation, kept as the reference for the
-    shared count's excluded candidates.
+    pile count's single-seat runoffs.
 
     Each seat goes to the instant-runoff winner of the current ballots; the
     winner is then removed from all ballots before the next seat is filled.

@@ -221,3 +221,46 @@ def test_invalid_arguments_are_usage_errors(argv, corpus_dir, tmp_path, capsys):
     assert exit_info.value.code == 2
     assert f"mwspoilers {argv[0]}: error:" in capsys.readouterr().err
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("command", ["tabulate", "extend"])
+def test_malformed_ballot_file_is_a_one_line_error(command, tmp_path, capsys):
+    bad = tmp_path / "bad.blt"
+    bad.write_bytes(b"not a ballot file\n")
+    code, out, err = run_cli(capsys, command, str(bad))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {bad}: line 1: header must be 'm k', got 'not a ballot file'\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tabulate", "{missing}"],
+        ["extend", "{missing}", "--out", "{out}"],
+        ["spoilers", "{missing}", "--out", "{out}"],
+        ["subelections", "{missing}", "--t", "4", "--k", "2", "--out", "{out}"],
+        ["clones", "{missing}", "--method", "sntv", "--out", "{out}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_missing_paths_are_usage_errors(argv, tmp_path, capsys):
+    missing, out_csv = tmp_path / "nowhere", tmp_path / "out.csv"
+    argv = [a.format(missing=missing, out=out_csv) for a in argv]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"mwspoilers {argv[0]}: error: {missing}: no such file or directory" in err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("method", ["stv", "srcv"])
+def test_tabulate_reports_a_refused_tie_on_one_line(method, tmp_path, capsys):
+    tied = Profile.build(3, default_names(3), [((0,), 1), ((1,), 1), ((2,), 1)], 1)
+    path = tmp_path / "tied.blt"
+    path.write_bytes(emit_blt(tied, title="tied"))
+    code, out, err = run_cli(capsys, "tabulate", str(path), "--method", method, "--tie", "error")
+    assert code == 1
+    assert out == ""
+    assert err == "error: tie for elimination between A, B, C\n"

@@ -218,6 +218,24 @@ def test_srcv_exhausted_ballots_leave_remaining_seats_to_the_tie_policy():
     assert by_index.sole_committee() == frozenset([0, 1, 2, 3]) and by_index.tie_flag
 
 
+def test_srcv_quota_is_a_majority_of_the_live_ballots():
+    # A takes the first seat.  Of the 7 ballots left live, B's 5 reach the
+    # quota of 4 before C and D, tied on 1, would face elimination; a quota
+    # taken from all 17 ballots (9) would force that tie.
+    p = Profile.build(4, "ABCD", [((0,), 10), ((1,), 5), ((2,), 1), ((3,), 1)], 2)
+    outcome = srcv(p, TiePolicy.ERROR)
+    assert sole(p, outcome) == ["A", "B"] and not outcome.tie_flag
+
+
+def test_srcv_flags_a_broken_elimination_tie():
+    # C and D tie for elimination in the first seat's runoff.
+    p = Profile.build(4, "ABCD", [((0,), 4), ((1,), 3), ((2, 0), 1), ((3, 1), 1)], 2)
+    with pytest.raises(TieError, match="^tie for elimination between C, D$"):
+        srcv(p, TiePolicy.ERROR)
+    outcome = srcv(p, TiePolicy.ALPHABETICAL)
+    assert sole(p, outcome) == ["A", "B"] and outcome.tie_flag
+
+
 # ---------------------------------------------------------------------------
 # Chamberlin-Courant
 
@@ -327,6 +345,7 @@ def test_top_k_irv_alphabetical_default_tie():
     assert sole(p, outcome) == ["A", "B"]
     tied = Profile.build(3, "ABC", [((0,), 2), ((1,), 2), ((2,), 2)], 2)
     assert sole(tied, top_k_irv(tied)) == ["B", "C"]  # A goes out by name
+    assert top_k_irv(tied).tie_flag and not outcome.tie_flag
     with pytest.raises(TieError):
         top_k_irv(tied, TiePolicy.ERROR)
 

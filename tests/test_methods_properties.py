@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwspoilers.core import Profile, UnrankedModel, default_names, first_place_counts
+from mwspoilers.core import (
+    Profile,
+    UnrankedModel,
+    default_names,
+    first_place_counts,
+    remove_candidate,
+)
 from mwspoilers.methods import (
     METHODS,
     UNIT,
@@ -233,7 +239,7 @@ def test_top_k_irv_single_seat_agrees_with_stv():
 
 
 # ---------------------------------------------------------------------------
-# SRCV and top-k IRV on the shared count
+# SRCV and top-k IRV on the pile count
 
 
 @st.composite
@@ -260,6 +266,14 @@ def ranked_profiles(draw):
 def test_srcv_and_top_k_irv_match_their_former_implementations(p, tie):
     assert outcome_or_tie(srcv, p, tie) == outcome_or_tie(srcv_by_removal, p, tie)
     assert outcome_or_tie(top_k_irv, p, tie) == outcome_or_tie(top_k_irv_reference, p, tie)
+
+
+@pytest.mark.parametrize("tie", list(TiePolicy))
+def test_srcv_and_top_k_irv_match_their_former_implementations_on_a_ward(ward, tie):
+    # The ward and each of its single-candidate removals, as an audit re-runs them.
+    for p in [ward] + [remove_candidate(ward, c) for c in range(ward.m)]:
+        assert outcome_or_tie(srcv, p, tie) == outcome_or_tie(srcv_by_removal, p, tie)
+        assert outcome_or_tie(top_k_irv, p, tie) == outcome_or_tie(top_k_irv_reference, p, tie)
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -1,34 +1,25 @@
 """Micro-benchmarks of the audit's hot functions, each checked against its oracle.
 
 One seeded m=10, k=4 partial-ballot election of about 2,000 ballot types,
-the size of a large ward.  Each bench times five single calls
-(``benchmark.pedantic``); the first call on a fresh profile pays for building
-its cached array form, as the first rule run on a reduced profile does in an
-audit.  Print the timings with ``pytest tests/test_microbench.py``; compare
-runs with pytest-benchmark's ``--benchmark-autosave`` and ``--benchmark-compare``.
+the size of a large ward (the ``ward`` fixture of ``conftest.py``).  Each
+bench times five single calls (``benchmark.pedantic``); the first call on a
+fresh profile pays for building its cached array form, as the first rule run
+on a reduced profile does in an audit.  Print the timings with
+``pytest tests/test_microbench.py``; compare runs with pytest-benchmark's
+``--benchmark-autosave`` and ``--benchmark-compare``.
 """
 
-import numpy as np
-import pytest
+from mwspoilers.core import Profile, UnrankedModel, pairwise_matrix, remove_candidate
+from mwspoilers.methods import TiePolicy, chamberlin_courant, greedy_cc, srcv, top_k_irv
 
-from mwspoilers.core import Profile, UnrankedModel, default_names, pairwise_matrix, remove_candidate
-from mwspoilers.methods import TiePolicy, chamberlin_courant, greedy_cc
-
-from oracles import _profile_without, cc_enumeration, greedy_cc_reference, naive_margin
-
-M, K = 10, 4
-
-
-@pytest.fixture(scope="module")
-def ward() -> Profile:
-    rng = np.random.default_rng(20240607)
-    ballots = []
-    for _ in range(2600):
-        length = int(rng.integers(1, M))
-        ballots.append((tuple(rng.permutation(M)[:length].tolist()), int(rng.integers(1, 40))))
-    profile = Profile.build(M, default_names(M), ballots, K)
-    assert 1900 <= len(profile.ballots) <= 2100
-    return profile
+from oracles import (
+    _profile_without,
+    cc_enumeration,
+    greedy_cc_reference,
+    naive_margin,
+    srcv_by_removal,
+    top_k_irv_reference,
+)
 
 
 def fresh(profile: Profile) -> Profile:
@@ -53,10 +44,23 @@ def test_bench_greedy_cc(benchmark, ward):
 def test_bench_pairwise_matrix(benchmark, ward):
     matrix = benchmark.pedantic(pairwise_matrix, args=(fresh(ward),), rounds=5, iterations=1)
     assert matrix == tuple(
-        tuple(naive_margin(ward, a, b) if a != b else 0 for b in range(M)) for a in range(M)
+        tuple(naive_margin(ward, a, b) if a != b else 0 for b in range(ward.m))
+        for a in range(ward.m)
     )
 
 
 def test_bench_remove_candidate(benchmark, ward):
     reduced = benchmark.pedantic(remove_candidate, args=(ward, 3), rounds=5, iterations=1)
     assert reduced == _profile_without(ward, 3)
+
+
+def test_bench_srcv(benchmark, ward):
+    tie = TiePolicy.ALPHABETICAL
+    outcome = benchmark.pedantic(srcv, args=(ward, tie), rounds=5, iterations=1)
+    assert outcome == srcv_by_removal(ward, tie)
+
+
+def test_bench_top_k_irv(benchmark, ward):
+    tie = TiePolicy.ALPHABETICAL
+    outcome = benchmark.pedantic(top_k_irv, args=(ward, tie), rounds=5, iterations=1)
+    assert outcome == top_k_irv_reference(ward, tie)
