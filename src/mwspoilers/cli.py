@@ -36,7 +36,7 @@ from .harness import (
     run_simulation,
     stability_rows,
 )
-from .methods import METHODS, UNIT, TieError, TiePolicy, stv
+from .methods import METHODS, UNIT, SearchBudgetError, TieError, TiePolicy, stv
 from .subelections import enumerate_subelections
 
 _METHOD_CHOICES = tuple(METHODS) + ("all",)
@@ -155,7 +155,7 @@ def _cmd_tabulate(args: argparse.Namespace) -> int:
             outcome, trace = stv(profile, tie)
         else:
             outcome = METHODS[args.method].run(profile, tie)
-    except TieError as exc:
+    except (TieError, SearchBudgetError) as exc:
         return _fail(str(exc))
     if args.method == "stv" and args.trace:
         sys.stdout.write(format_trace(profile, trace))
@@ -225,6 +225,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_extend(args: argparse.Namespace) -> int:
+    if not 0 < args.stop_ratio <= 1:
+        args.usage_error(f"--stop-ratio {args.stop_ratio} must be in (0, 1]")
     path = _existing(args, args.file)
     try:
         document = blt_io.parse_blt_document(path.read_bytes())

@@ -14,6 +14,14 @@ keeps the surviving names, so reports always print original names.
 that keeps a sorted set of candidates; removal keeps all but one.  Scores
 are plain tuples indexed by candidate.
 
+The positional scores (first-place, top-k and Borda counts) all come from
+one :attr:`Profile.tally`, built in one exact-integer pass over the ballots
+on the first score query and cached on the profile: for every depth ``d``,
+the weight of ballots ranking each candidate among their first ``d``
+entries, plus the optimistic model's points for unranked candidates.  A
+candidate at rank ``r`` lies within depths ``r..m``, so its Borda score is
+the sum of its top-``d`` counts over ``d = 1..m-1``.
+
 Ballots are validated once, where they enter the program: the plain
 constructor and :meth:`Profile.build` (used by the ballot-file parser, ballot
 extension and the samplers) check every ballot.  Profiles derived from a
@@ -25,9 +33,10 @@ matters on the audit hot path, which derives a profile per removed candidate.
 The array-based rules (exact and greedy Chamberlin-Courant, committee
 satisfaction, pairwise margins) read :attr:`Profile.arrays`: the rank
 position of every candidate on every ballot type and the int64 weights,
-built on first use and cached on the profile.  Both arrays are read-only, and
-the lazy build is idempotent (two threads racing to build it compute equal
-arrays), so profiles stay shareable.  All arithmetic on them is integer;
+built on first use and cached on the profile.  Both arrays are read-only,
+the tally is made of tuples, and both lazy builds are idempotent (two
+threads racing to build one compute equal values), so profiles stay
+shareable.  All arithmetic on the arrays is integer;
 a profile whose ``n * m`` does not fit in int64 is rejected with
 :class:`ProfileError` rather than summed with wraparound.
 """
@@ -82,6 +91,23 @@ class BallotArrays(NamedTuple):
 
     positions: np.ndarray
     weights: np.ndarray
+
+
+class PositionTally(NamedTuple):
+    """Every positional score of a profile, from one pass over its ballots.
+
+    ``top`` holds ``m`` rows of ``m`` entries, flattened: entry
+    ``(d - 1) * m + c`` is the weight of ballots ranking candidate ``c``
+    among their first ``d`` entries.  A ballot of length ``l < m - 1`` gives
+    each candidate it leaves unranked ``m - l - 1`` optimistic points;
+    ``unranked`` is what a candidate ranked on no ballot would get, and
+    ``unranked_shares[c]`` the part of it from the ballots that do rank
+    ``c``, so candidate ``c`` gets ``unranked - unranked_shares[c]``.
+    """
+
+    top: tuple[int, ...]
+    unranked: int
+    unranked_shares: tuple[int, ...]
 
 
 def default_names(m: int) -> tuple[str, ...]:
@@ -191,6 +217,30 @@ class Profile:
         positions.flags.writeable = False
         weight_array.flags.writeable = False
         return BallotArrays(positions, weight_array)
+
+    @cached_property
+    def tally(self) -> PositionTally:
+        """The positional score counts, built once per profile (exact integers)."""
+        m = self.m
+        size = m * m
+        # Rank-position rows first, each summed into the row below at the end.
+        top = [0] * size
+        shares = [0] * m
+        unranked = 0
+        short = m - 1
+        for ranking, weight in self.ballots:
+            row = 0
+            for c in ranking:
+                top[row + c] += weight
+                row += m
+            if len(ranking) < short:
+                share = weight * (short - len(ranking))
+                unranked += share
+                for c in ranking:
+                    shares[c] += share
+        for i in range(m, size):
+            top[i] += top[i - m]
+        return PositionTally(tuple(top), unranked, tuple(shares))
 
     def with_seats(self, k: int) -> "Profile":
         """Same ballots, different seat count."""
@@ -314,15 +364,14 @@ def first_place_counts(profile: Profile) -> tuple[int, ...]:
 def top_k_counts(profile: Profile, k: int) -> tuple[int, ...]:
     """Weight of ballots ranking each candidate among their top ``k`` entries.
 
-    Partial ballots contribute only for the candidates they actually rank.
+    Partial ballots contribute only for the candidates they actually rank;
+    any ``k >= m`` counts every mention.  Read off :attr:`Profile.tally`.
     """
     if k < 1:
         raise ProfileError(f"k must be positive, got {k}")
-    values = [0] * profile.m
-    for ranking, weight in profile.ballots:
-        for c in ranking[:k]:
-            values[c] += weight
-    return tuple(values)
+    m = profile.m
+    depth = min(k, m)
+    return profile.tally.top[(depth - 1) * m : depth * m]
 
 
 def borda_scores(profile: Profile, model: UnrankedModel) -> tuple[int, ...]:
@@ -330,20 +379,16 @@ def borda_scores(profile: Profile, model: UnrankedModel) -> tuple[int, ...]:
 
     A candidate missing from a ballot of length ``l`` earns ``m - l - 1``
     points under the optimistic model and zero under the pessimistic one.
+    From :attr:`Profile.tally`: the pessimistic score is the sum of the
+    candidate's top-``d`` counts for ``d = 1..m-1``; the optimistic one adds
+    the unranked total less the share of the ballots ranking the candidate.
     """
     m = profile.m
-    optimistic = model is UnrankedModel.OPTIMISTIC
-    values = [0] * m
-    # Optimistic points every candidate gets, as if no ballot ranked anyone;
-    # each ranked candidate's entry takes its own ballot's share back off (on
-    # a complete ballot that share is -weight, and it cancels out).
-    unranked = 0
-    for ranking, weight in profile.ballots:
-        missing = weight * (m - len(ranking) - 1) if optimistic else 0
-        unranked += missing
-        for pos, c in enumerate(ranking):
-            values[c] += weight * (m - pos - 1) - missing
-    return tuple(v + unranked for v in values)
+    top, unranked, shares = profile.tally
+    pessimistic = tuple([sum(top[c : (m - 1) * m : m]) for c in range(m)])
+    if model is UnrankedModel.PESSIMISTIC:
+        return pessimistic
+    return tuple([s + unranked - own for s, own in zip(pessimistic, shares)])
 
 
 def point_matrix(profile: Profile, model: UnrankedModel) -> np.ndarray:

@@ -19,10 +19,16 @@ candidate still in, and eliminating a candidate hands only that pile on.
 Top-k IRV eliminates until k candidates remain; SRCV runs one single-seat
 count per seat, with the past winners out from the start.
 
-Ties are resolved by a :class:`TiePolicy`.  The score-based rules (SNTV,
-Bloc, k-Borda) treat a tie at the committee boundary differently: outside of
-``error`` mode they enumerate every tied committee rather than picking one,
-since a boundary tie genuinely means several winning sets.
+The score-based rules (SNTV, Bloc, k-Borda) are committee scoring rules:
+each takes the k best of one score per candidate.  They read their scores
+(first-place, top-k and Borda counts) off the profile's cached position
+tally, :attr:`~mwspoilers.core.Profile.tally`, so all of them, and the
+spoiler audit's weakness flags, share one pass over each profile's ballots.
+
+Ties are resolved by a :class:`TiePolicy`.  The score-based rules treat a
+tie at the committee boundary differently: outside of ``error`` mode they
+enumerate every tied committee rather than picking one, since a boundary tie
+genuinely means several winning sets.
 """
 
 from __future__ import annotations

@@ -30,6 +30,45 @@ def naive_first_place(profile: Profile) -> list[int]:
     return counts
 
 
+def naive_top_k(profile: Profile, k: int) -> list[int]:
+    counts = [0] * profile.m
+    for ranking, weight in profile.ballots:
+        for c in range(profile.m):
+            if c in ranking and ranking.index(c) < k:
+                counts[c] += weight
+    return counts
+
+
+def top_k_counts_reference(profile: Profile, k: int) -> tuple[int, ...]:
+    """The library's former scalar top-k count: one pass over the ballots per query."""
+    if k < 1:
+        raise ProfileError(f"k must be positive, got {k}")
+    values = [0] * profile.m
+    for ranking, weight in profile.ballots:
+        for c in ranking[:k]:
+            values[c] += weight
+    return tuple(values)
+
+
+def borda_scores_reference(profile: Profile, model: UnrankedModel) -> tuple[int, ...]:
+    """The library's former scalar Borda count: one pass over the ballots per query.
+
+    It keeps one running total of optimistic unranked points and takes each
+    ranked candidate's own ballot's share back off (on a complete ballot
+    that share is -weight, and it cancels out).
+    """
+    m = profile.m
+    optimistic = model is UnrankedModel.OPTIMISTIC
+    values = [0] * m
+    unranked = 0
+    for ranking, weight in profile.ballots:
+        missing = weight * (m - len(ranking) - 1) if optimistic else 0
+        unranked += missing
+        for pos, c in enumerate(ranking):
+            values[c] += weight * (m - pos - 1) - missing
+    return tuple(v + unranked for v in values)
+
+
 def naive_borda(profile: Profile, model: UnrankedModel) -> list[int]:
     m = profile.m
     scores = [0] * m

@@ -209,9 +209,13 @@ def test_spoilers_detail_table_has_a_header_when_every_election_is_filtered(tmp_
          "--trials", "-1"],
         ["simulate", "--model", "ic", "--regime", "complete", "--m", "9", "--k", "2",
          "--trials", "3"],
+        ["extend", "{corpus}/a.blt", "--stop-ratio", "1.5"],
+        ["extend", "{corpus}/a.blt", "--stop-ratio", "0"],
+        ["extend", "{corpus}/a.blt", "--stop-ratio", "nan"],
     ],
     ids=["subelections-k-not-below-t", "simulate-k-not-below-m", "simulate-negative-trials",
-         "simulate-ic-m-too-large"],
+         "simulate-ic-m-too-large", "extend-stop-ratio-above-1", "extend-stop-ratio-0",
+         "extend-stop-ratio-nan"],
 )  # fmt: skip
 def test_invalid_arguments_are_usage_errors(argv, corpus_dir, tmp_path, capsys):
     out_csv = tmp_path / "out.csv"
@@ -221,6 +225,14 @@ def test_invalid_arguments_are_usage_errors(argv, corpus_dir, tmp_path, capsys):
     assert exit_info.value.code == 2
     assert f"mwspoilers {argv[0]}: error:" in capsys.readouterr().err
     assert not out_csv.exists()
+
+
+def test_extend_checks_the_stop_ratio_before_reading_the_file(tmp_path, capsys):
+    missing = tmp_path / "nowhere.blt"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["extend", str(missing), "--stop-ratio", "1.5"])
+    assert exit_info.value.code == 2
+    assert "error: --stop-ratio 1.5 must be in (0, 1]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["tabulate", "extend"])
@@ -264,3 +276,16 @@ def test_tabulate_reports_a_refused_tie_on_one_line(method, tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err == "error: tie for elimination between A, B, C\n"
+
+
+def test_tabulate_reports_an_exceeded_search_budget_on_one_line(tmp_path, capsys):
+    m = 24
+    ranked = [(tuple((c + shift) % m for c in range(m)), 1) for shift in range(3)]
+    path = tmp_path / "large.blt"
+    path.write_bytes(emit_blt(Profile.build(m, default_names(m), ranked, 12), title="large"))
+    code, out, err = run_cli(capsys, "tabulate", str(path), "--method", "cc_om")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: C(24, 12) = 2704156 committees exceeds budget 1000000; use greedy_cc\n"
+    )

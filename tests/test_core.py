@@ -17,7 +17,7 @@ from mwspoilers.core import (
 )
 
 from conftest import vote_splitting_profile
-from oracles import _profile_without, naive_borda, naive_first_place, naive_margin
+from oracles import _profile_without, naive_borda, naive_first_place, naive_margin, naive_top_k
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +185,12 @@ def test_first_place_counts_sum_to_n(p):
 def test_first_place_and_top_1_counts_match_naive_oracle(p):
     expected = tuple(naive_first_place(p))
     assert first_place_counts(p) == top_k_counts(p, 1) == expected
+
+
+@given(profiles)
+def test_top_k_counts_match_naive_oracle_at_every_depth(p):
+    for k in range(1, p.m + 2):
+        assert top_k_counts(p, k) == tuple(naive_top_k(p, k))
 
 
 @given(profiles)

@@ -1,4 +1,5 @@
-"""The integer array kernels against the scalar oracles, and their guards."""
+"""The integer kernels (the array form and the position tally) against the
+scalar oracles, and their guards."""
 
 import numpy as np
 import pytest
@@ -11,25 +12,32 @@ from mwspoilers.core import (
     UnrankedModel,
     borda_scores,
     default_names,
+    first_place_counts,
     pairwise_matrix,
     point_matrix,
+    top_k_counts,
 )
 from mwspoilers.harness import run_corpus_audit
 from mwspoilers.methods import (
     TiePolicy,
+    _top_k_outcome,
     chamberlin_courant,
     committee_satisfaction,
     greedy_cc,
     mcc,
+    run_method,
 )
+from mwspoilers.spoilers import weakness_flags
 
 from conftest import outcome_or_tie
 from oracles import (
+    borda_scores_reference,
     cc_enumeration,
     greedy_cc_reference,
     naive_borda,
     naive_margin,
     naive_satisfaction,
+    top_k_counts_reference,
 )
 
 
@@ -86,6 +94,46 @@ def test_point_matrix_column_sums_are_borda_scores(p, model):
     assert column_sums == list(borda_scores(p, model)) == naive_borda(p, model)
 
 
+REFERENCE_SCORES = {
+    "sntv": lambda p: top_k_counts_reference(p, 1),
+    "bloc": lambda p: top_k_counts_reference(p, p.k),
+    "borda_om": lambda p: borda_scores_reference(p, UnrankedModel.OPTIMISTIC),
+    "borda_pm": lambda p: borda_scores_reference(p, UnrankedModel.PESSIMISTIC),
+}
+
+
+@given(partial_profiles(), st.sampled_from(TiePolicy))
+@settings(max_examples=150)
+def test_positional_scores_and_rules_match_the_former_scalar_loops(p, tie):
+    for k in range(1, p.m + 2):
+        assert top_k_counts(p, k) == top_k_counts_reference(p, k)
+    for model in UnrankedModel:
+        assert borda_scores(p, model) == borda_scores_reference(p, model)
+    for mid, scores in REFERENCE_SCORES.items():
+        expected = outcome_or_tie(_top_k_outcome, p, scores(p), tie)
+        assert outcome_or_tie(run_method, mid, p, tie) == expected
+
+
+def _score_queries(m: int):
+    """Every positional score query, each as (label, function of a profile)."""
+    queries = [("first", first_place_counts), ("weakness", weakness_flags)]
+    queries += [(f"top{d}", lambda p, d=d: top_k_counts(p, d)) for d in range(1, m + 2)]
+    queries += [(f"borda_{model.value}", lambda p, model=model: borda_scores(p, model))
+                for model in UnrankedModel]
+    queries += [(mid, lambda p, mid=mid: run_method(mid, p, TiePolicy.ALPHABETICAL))
+                for mid in REFERENCE_SCORES]
+    return queries
+
+
+@given(partial_profiles(), st.data())
+@settings(max_examples=100)
+def test_score_queries_in_any_order_match_fresh_profiles(p, data):
+    order = data.draw(st.permutations(_score_queries(p.m)))
+    for label, query in order:
+        fresh = Profile.build(p.m, p.names, p.ballots, p.k)
+        assert query(p) == query(fresh), label
+
+
 # ---------------------------------------------------------------------------
 # Guards
 
@@ -101,6 +149,21 @@ def test_cached_arrays_are_read_only_and_built_once():
     with pytest.raises(ValueError):
         weights += 1
     assert p.arrays.weights.tolist() == [4, 2]
+
+
+def test_cached_tally_is_immutable_and_built_once():
+    p = Profile.build(3, "ABC", [((0, 2), 4), ((1,), 2)], 1)
+    assert p.tally is p.tally
+    assert p.tally == ((4, 2, 0, 4, 2, 4, 4, 2, 4), 2, (0, 2, 0))
+    with pytest.raises(TypeError):
+        p.tally.top[0] = 5
+    with pytest.raises(AttributeError):
+        p.tally.unranked = 0
+    with pytest.raises(AttributeError):
+        p.tally = p.tally._replace(unranked=0)
+    assert top_k_counts(p, 1) == (4, 2, 0)
+    assert borda_scores(p, UnrankedModel.PESSIMISTIC) == (8, 4, 4)
+    assert borda_scores(p, UnrankedModel.OPTIMISTIC) == (10, 4, 6)
 
 
 @pytest.mark.parametrize("committee", [[], [-1], [0, 3]])

@@ -4,26 +4,38 @@ One seeded m=10, k=4 partial-ballot election of about 2,000 ballot types,
 the size of a large ward (the ``ward`` fixture of ``conftest.py``).  Each
 bench times five single calls (``benchmark.pedantic``); the first call on a
 fresh profile pays for building its cached array form, as the first rule run
-on a reduced profile does in an audit.  Print the timings with
+on a reduced profile does in an audit.  The positional-score bench gets a
+fresh profile every round, so each round also builds the position tally.
+Print the timings with
 ``pytest tests/test_microbench.py``; compare runs with pytest-benchmark's
 ``--benchmark-autosave`` and ``--benchmark-compare``.
 """
 
-from mwspoilers.core import Profile, UnrankedModel, pairwise_matrix, remove_candidate
+from mwspoilers.core import (
+    Profile,
+    UnrankedModel,
+    borda_scores,
+    first_place_counts,
+    pairwise_matrix,
+    remove_candidate,
+    top_k_counts,
+)
 from mwspoilers.methods import TiePolicy, chamberlin_courant, greedy_cc, srcv, top_k_irv
 
 from oracles import (
     _profile_without,
+    borda_scores_reference,
     cc_enumeration,
     greedy_cc_reference,
     naive_margin,
     srcv_by_removal,
+    top_k_counts_reference,
     top_k_irv_reference,
 )
 
 
 def fresh(profile: Profile) -> Profile:
-    """An equal profile without the cached array form."""
+    """An equal profile without the cached array form or position tally."""
     return Profile.build(profile.m, profile.names, profile.ballots, profile.k)
 
 
@@ -64,3 +76,22 @@ def test_bench_top_k_irv(benchmark, ward):
     tie = TiePolicy.ALPHABETICAL
     outcome = benchmark.pedantic(top_k_irv, args=(ward, tie), rounds=5, iterations=1)
     assert outcome == top_k_irv_reference(ward, tie)
+
+
+def test_bench_positional_scores(benchmark, ward):
+    def scores(p):  # SNTV, Bloc, Borda OM and Borda PM
+        return (
+            first_place_counts(p),
+            top_k_counts(p, p.k),
+            borda_scores(p, UnrankedModel.OPTIMISTIC),
+            borda_scores(p, UnrankedModel.PESSIMISTIC),
+        )
+
+    setup = lambda: ((fresh(ward),), {})
+    got = benchmark.pedantic(scores, setup=setup, rounds=5, iterations=1)
+    assert got == (
+        top_k_counts_reference(ward, 1),
+        top_k_counts_reference(ward, ward.k),
+        borda_scores_reference(ward, UnrankedModel.OPTIMISTIC),
+        borda_scores_reference(ward, UnrankedModel.PESSIMISTIC),
+    )
