@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import blt_io
-from .core import Profile
+from .core import Profile, ProfileError
 from .cultures import MODELS, REGIMES, CultureSpec
 from .extend import ExtensionConfig, extend_profile
 from .harness import (
@@ -155,7 +155,7 @@ def _cmd_tabulate(args: argparse.Namespace) -> int:
             outcome, trace = stv(profile, tie)
         else:
             outcome = METHODS[args.method].run(profile, tie)
-    except (TieError, SearchBudgetError) as exc:
+    except (TieError, SearchBudgetError, ProfileError) as exc:
         return _fail(str(exc))
     if args.method == "stv" and args.trace:
         sys.stdout.write(format_trace(profile, trace))

@@ -24,11 +24,26 @@ the sum of its top-``d`` counts over ``d = 1..m-1``.
 
 Ballots are validated once, where they enter the program: the plain
 constructor and :meth:`Profile.build` (used by the ballot-file parser, ballot
-extension and the samplers) check every ballot.  Profiles derived from a
-valid profile (:func:`remove_candidate`, :func:`restrict_to_subset`,
+extension and the samplers) check every ballot, in one pass with a set per
+ballot.  ``build`` merges and sorts its input unless it is already canonical,
+as the samplers emit it.  Profiles derived from a valid profile
+(:func:`remove_candidate`, :func:`restrict_to_subset`,
 :meth:`Profile.with_seats`) cannot break a ballot invariant, so they are made
 by :meth:`Profile._derived`, which keeps only the O(1) shape checks.  This
 matters on the audit hot path, which derives a profile per removed candidate.
+
+For m up to ``MAX_ENUMERATED_M``, :func:`ranking_universe` lists every strict
+ranking of length 1..m in lexicographic order: U(m), built on first use for
+each m.  A canonical profile's ballot types appear in U(m) in order.  The
+samplers emit their profiles in this order and give each one a universe
+index, the U(m) position of every ballot type; removal and restriction of
+such a profile project those positions through a table per kept candidate
+set and pass the index on to the result.  Parsed, extended and hand-built
+profiles, and any with m > ``MAX_ENUMERATED_M``, carry none and take the
+tuple path.  The index is private and not a dataclass field: it is outside
+``==``, ``repr`` and ``hash``, so a sampled profile equals the same ballots
+built any other way, and ``Profile.ballots`` stays the one representation
+the rules read.  It is set once, before the profile is handed out.
 
 The array-based rules (exact and greedy Chamberlin-Courant, committee
 satisfaction, pairwise margins) read :attr:`Profile.arrays`: the rank
@@ -45,9 +60,11 @@ from __future__ import annotations
 
 import enum
 import itertools
+import operator
+from array import array
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from functools import cached_property, lru_cache
+from typing import ClassVar, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -117,6 +134,73 @@ def default_names(m: int) -> tuple[str, ...]:
     return tuple(f"C{i}" for i in range(m))
 
 
+# Ballot universes are enumerated explicitly, which is only sane for small m;
+# the simulation campaigns use m in {4, 5}.
+MAX_ENUMERATED_M = 8
+
+
+@lru_cache(maxsize=None)
+def ranking_universe(m: int) -> tuple[tuple[int, ...], ...]:
+    """U(m): every strict ranking of length 1..m of ``range(m)``, lexicographic.
+
+    Each ranking comes right after its own proper prefixes, so the ballot
+    types of a canonical profile on m candidates appear in U(m) in order.
+    """
+    if not 1 <= m <= MAX_ENUMERATED_M:
+        raise ValueError(f"ranking universe needs 1 <= m <= {MAX_ENUMERATED_M}, got m={m}")
+    lengths = range(1, m + 1)
+    return tuple(
+        sorted(itertools.chain.from_iterable(itertools.permutations(range(m), n) for n in lengths))
+    )
+
+
+@lru_cache(maxsize=None)
+def _ranking_positions(m: int) -> dict[tuple[int, ...], int]:
+    """The U(m) position of every ranking of length 1..m."""
+    return {ranking: i for i, ranking in enumerate(ranking_universe(m))}
+
+
+@lru_cache(maxsize=None)
+def _universe_tree(m: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """U(m) as a prefix tree: each ranking's parent, its last entry, and the levels.
+
+    The parent of a ranking is its position without the last entry (-1 for
+    length 1); level ``l - 1`` holds the positions of the rankings of length ``l``.
+    """
+    universe = ranking_universe(m)
+    position = _ranking_positions(m)
+    parent = np.array([position.get(ranking[:-1], -1) for ranking in universe])
+    last = np.array([ranking[-1] for ranking in universe])
+    lengths = np.array([len(ranking) for ranking in universe])
+    return parent, last, [np.flatnonzero(lengths == n) for n in range(1, m + 1)]
+
+
+# At m = 8 one table holds 109,600 entries (438 kB), so only recent ones stay.
+@lru_cache(maxsize=64)
+def _projection(m: int, keep: tuple[int, ...]) -> array:
+    """For each U(m) ranking, the U(t) position of its restriction to ``keep``.
+
+    ``keep`` is sorted and becomes ``0..t-1``; a ranking naming none of it
+    maps to -1.  A ranking's restriction is its parent's, extended by its
+    last entry if that is kept, so the table fills one length at a time.
+    """
+    t = len(keep)
+    new_index = np.full(m, -1, dtype=np.int64)
+    new_index[list(keep)] = np.arange(t)
+    parent_t, last_t, _ = _universe_tree(t)
+    # child[p + 1, c]: position in U(t) of ranking p extended by c (p = -1: the empty one).
+    child = np.full((len(parent_t) + 1, t), -1, dtype=np.int64)
+    child[parent_t + 1, last_t] = np.arange(len(parent_t))
+    parent, last, levels = _universe_tree(m)
+    # The extra last slot, read through parent -1, stands for the empty ranking.
+    position = np.full(len(parent) + 1, -1, dtype=np.int64)
+    for rows in levels:
+        above = position[parent[rows]]
+        kept = new_index[last[rows]]
+        position[rows] = np.where(kept >= 0, child[above + 1, kept], above)
+    return array("i", position[:-1].astype(np.intc).tobytes())
+
+
 @dataclass(frozen=True)
 class Profile:
     """An election: ``m`` candidates, weighted ballot types, ``k`` seats.
@@ -132,18 +216,24 @@ class Profile:
     ballots: tuple[Ballot, ...]
     k: int
 
+    # U(m) position of each ballot type, on sampled profiles and those derived
+    # from them; None elsewhere.  Not a field: outside ==, repr and hash.
+    _universe_index: ClassVar[tuple[int, ...] | None] = None
+
     def __post_init__(self) -> None:
         self._check_shape()
+        m = self.m
+        candidates = frozenset(range(m))
         prev: tuple[int, ...] | None = None
-        for ballot in self.ballots:
-            ranking, weight = ballot
+        for ranking, weight in self.ballots:
             if weight < 1:
                 raise ProfileError(f"ballot {ranking} has non-positive weight {weight}")
-            if not 1 <= len(ranking) <= self.m:
-                raise ProfileError(f"ballot length {len(ranking)} out of range 1..{self.m}")
-            if len(set(ranking)) != len(ranking):
+            if not 1 <= len(ranking) <= m:
+                raise ProfileError(f"ballot length {len(ranking)} out of range 1..{m}")
+            ranked = set(ranking)
+            if len(ranked) != len(ranking):
                 raise ProfileError(f"duplicate candidate in ballot {ranking}")
-            if any(not 0 <= c < self.m for c in ranking):
+            if not ranked <= candidates:
                 raise ProfileError(f"candidate index out of range in ballot {ranking}")
             if prev is not None and not prev < ranking:
                 raise ProfileError("ballots must be sorted by ranking and deduplicated")
@@ -167,22 +257,54 @@ class Profile:
         weighted_rankings: Iterable[tuple[Sequence[int], int]],
         k: int,
     ) -> "Profile":
-        """Merge duplicate ballot types, sort, and validate."""
-        return cls(m=m, names=tuple(names), ballots=_canonical(weighted_rankings), k=k)
+        """Merge duplicate ballot types, sort, and validate.
+
+        Input already in canonical order (strictly increasing rankings, as the
+        samplers emit it) is taken as it is; anything else is merged and sorted.
+        """
+        pairs = [(tuple(ranking), weight) for ranking, weight in weighted_rankings]
+        rankings = [ranking for ranking, _ in pairs]
+        if all(map(operator.lt, rankings, rankings[1:])):
+            ballots = tuple([Ballot(ranking, weight) for ranking, weight in pairs])
+        else:
+            ballots = _canonical(pairs)
+        return cls(m=m, names=tuple(names), ballots=ballots, k=k)
+
+    @classmethod
+    def _from_universe(
+        cls, m: int, index: Sequence[int], weights: Sequence[int], k: int
+    ) -> "Profile":
+        """The profile with ``weights[j]`` ballots of U(m) type ``index[j]``, default names.
+
+        ``index`` must be strictly increasing.  The ballots go through
+        :meth:`build` like any others, and the profile keeps ``index``.
+        """
+        universe = ranking_universe(m)
+        profile = cls.build(m, default_names(m), zip([universe[i] for i in index], weights), k)
+        object.__setattr__(profile, "_universe_index", tuple(index))
+        return profile
 
     @classmethod
     def _derived(
-        cls, m: int, names: tuple[str, ...], ballots: tuple[Ballot, ...], k: int
+        cls,
+        m: int,
+        names: tuple[str, ...],
+        ballots: tuple[Ballot, ...],
+        k: int,
+        universe_index: tuple[int, ...] | None = None,
     ) -> "Profile":
         """A profile whose canonical ballots come from a valid profile.
 
         Checks only the shape (m, names, k, at least one ballot); the caller
-        guarantees every ballot is a valid, sorted, deduplicated ranking.
+        guarantees every ballot is a valid, sorted, deduplicated ranking, and
+        that ``universe_index``, if given, holds their U(m) positions.
         """
         profile = object.__new__(cls)
         for attr, value in (("m", m), ("names", names), ("ballots", ballots), ("k", k)):
             object.__setattr__(profile, attr, value)
         profile._check_shape()
+        if universe_index is not None:
+            object.__setattr__(profile, "_universe_index", universe_index)
         return profile
 
     @cached_property
@@ -230,21 +352,24 @@ class Profile:
         short = m - 1
         for ranking, weight in self.ballots:
             row = 0
-            for c in ranking:
-                top[row + c] += weight
-                row += m
             if len(ranking) < short:
                 share = weight * (short - len(ranking))
                 unranked += share
                 for c in ranking:
+                    top[row + c] += weight
                     shares[c] += share
+                    row += m
+            else:
+                for c in ranking:
+                    top[row + c] += weight
+                    row += m
         for i in range(m, size):
             top[i] += top[i - m]
         return PositionTally(tuple(top), unranked, tuple(shares))
 
     def with_seats(self, k: int) -> "Profile":
         """Same ballots, different seat count."""
-        return Profile._derived(self.m, self.names, self.ballots, k)
+        return Profile._derived(self.m, self.names, self.ballots, k, self._universe_index)
 
 
 def _canonical(
@@ -340,11 +465,34 @@ def _restricted(profile: Profile, keep: list[int], k: int, empty_message: str) -
 
     Ballots ranking none of ``keep`` are dropped; if none remain, raises
     :class:`ProfileError` with ``empty_message``.
+
+    Two paths give the same ballots, chosen by whether the profile carries a
+    universe index (sampled profiles and those derived from them do; parsed,
+    extended and hand-built ones, and any with m > ``MAX_ENUMERATED_M``, do
+    not).  With an index, each ballot type's U(m) position is looked up in the
+    projection table of ``keep`` and the weights are summed per U(t) position,
+    whose order is the canonical ballot order; the result keeps those
+    positions as its index.  Without one, each ranking is re-indexed and the
+    reduced ballots are merged and sorted.
     """
+    names = tuple(profile.names[c] for c in keep)
+    index = profile._universe_index
+    if index is not None:
+        table = _projection(profile.m, tuple(keep))
+        merged: dict[int, int] = {}
+        for i, (_, weight) in zip(index, profile.ballots):
+            j = table[i]
+            if j >= 0:
+                merged[j] = merged.get(j, 0) + weight
+        if not merged:
+            raise ProfileError(empty_message)
+        universe = ranking_universe(len(keep))
+        positions = tuple(sorted(merged))
+        ballots = tuple([Ballot(universe[j], merged[j]) for j in positions])
+        return Profile._derived(len(keep), names, ballots, k, positions)
     new_index: list[int | None] = [None] * profile.m
     for i, c in enumerate(keep):
         new_index[c] = i
-    names = tuple(profile.names[c] for c in keep)
     remaining: list[tuple[tuple[int, ...], int]] = []
     for ranking, weight in profile.ballots:
         # A list index map and tuple([...]) timed faster than a dict and a generator.

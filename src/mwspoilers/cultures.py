@@ -14,6 +14,15 @@ Three models, each in a complete-ballot and a partial-ballot regime:
   are emitted at length m-1 (the last candidate is implied); in the partial
   regime each voter truncates to a uniform length in 1..m-1.
 
+Every sampler draws its counts in its own order, which the draws depend on
+and which never changes (IC and IAC over :func:`complete_universe` or
+:func:`partial_universe`, spatial per occupied bin), and emits the nonzero
+ones through :meth:`Profile.build` in U(m) order, the lexicographic order of
+:func:`mwspoilers.core.ranking_universe`.  That is the canonical ballot
+order, so build need not re-sort, and the profile keeps each ballot type's
+U(m) position for cheap removals.  Spatial profiles with
+m > ``MAX_ENUMERATED_M`` are built from their rankings alone.
+
 Determinism contract: every sampler is a pure function of (spec, trial).
 Trial ``t`` uses the numpy stream seeded with the entropy pair
 ``(spec.seed, t)``, so any partition of trials across workers reproduces the
@@ -22,20 +31,15 @@ serial run bit for bit.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .core import Profile, default_names
+from .core import MAX_ENUMERATED_M, Profile, _ranking_positions, default_names, ranking_universe
 
 MODELS = ("ic", "iac", "spatial1d")
 REGIMES = ("complete", "partial")
-
-# Ballot-type universes are enumerated explicitly, which is only sane for
-# small m; the simulation campaigns use m in {4, 5}.
-MAX_ENUMERATED_M = 8
 
 
 @dataclass(frozen=True)
@@ -76,7 +80,7 @@ def complete_universe(m: int) -> tuple[tuple[int, ...], ...]:
     """All m! full rankings, lexicographic."""
     if m > MAX_ENUMERATED_M:
         raise ValueError(f"refusing to enumerate {m}! rankings (m > {MAX_ENUMERATED_M})")
-    return tuple(itertools.permutations(range(m)))
+    return tuple(r for r in ranking_universe(m) if len(r) == m)
 
 
 @lru_cache(maxsize=None)
@@ -84,33 +88,39 @@ def partial_universe(m: int) -> tuple[tuple[int, ...], ...]:
     """All strict partial rankings of length 1..m-1, shortest first."""
     if m > MAX_ENUMERATED_M:
         raise ValueError(f"partial ranking universe too large (m > {MAX_ENUMERATED_M})")
-    out: list[tuple[int, ...]] = []
-    for length in range(1, m):
-        out.extend(itertools.permutations(range(m), length))
-    return tuple(out)
+    return tuple(sorted((r for r in ranking_universe(m) if len(r) < m), key=len))
 
 
-def _universe(spec: CultureSpec) -> tuple[tuple[int, ...], ...]:
-    if spec.regime == "complete":
-        return complete_universe(spec.m)
-    return partial_universe(spec.m)
+def _universe(regime: str, m: int) -> tuple[tuple[int, ...], ...]:
+    """The ballot types IC and IAC draw over, in draw order."""
+    if regime == "complete":
+        return complete_universe(m)
+    return partial_universe(m)
 
 
-def _profile_from_counts(
-    spec: CultureSpec, universe: tuple[tuple[int, ...], ...], counts: np.ndarray
-) -> Profile:
-    ballots = [
-        (universe[i], int(c)) for i, c in enumerate(counts) if c > 0
-    ]
-    return Profile.build(spec.m, default_names(spec.m), ballots, spec.k)
+@lru_cache(maxsize=None)
+def _emission(m: int, regime: str) -> tuple[np.ndarray, np.ndarray]:
+    """The draw universe's indices in U(m) order, and their U(m) positions."""
+    position = _ranking_positions(m)
+    drawn = np.array([position[r] for r in _universe(regime, m)])
+    order = np.argsort(drawn)
+    return order, drawn[order]
+
+
+def _from_counts(spec: CultureSpec, counts: np.ndarray) -> Profile:
+    """The profile with ``counts[i]`` ballots of draw-universe type ``i``."""
+    order, positions = _emission(spec.m, spec.regime)
+    counts = counts[order]
+    held = np.flatnonzero(counts)
+    return Profile._from_universe(spec.m, positions[held].tolist(), counts[held].tolist(), spec.k)
 
 
 def sample_ic(spec: CultureSpec, trial: int = 0) -> Profile:
     """n i.i.d. uniform draws over the ballot-type universe."""
     rng = trial_rng(spec, trial)
-    universe = _universe(spec)
+    universe = _universe(spec.regime, spec.m)
     counts = rng.multinomial(spec.n, np.full(len(universe), 1.0 / len(universe)))
-    return _profile_from_counts(spec, universe, counts)
+    return _from_counts(spec, counts)
 
 
 def sample_iac(spec: CultureSpec, trial: int = 0) -> Profile:
@@ -121,14 +131,14 @@ def sample_iac(spec: CultureSpec, trial: int = 0) -> Profile:
     anonymous profile with equal probability.
     """
     rng = trial_rng(spec, trial)
-    universe = _universe(spec)
+    universe = _universe(spec.regime, spec.m)
     t = len(universe)
     bars = np.sort(rng.choice(spec.n + t - 1, size=t - 1, replace=False))
     counts = np.empty(t, dtype=np.int64)
     counts[0] = bars[0]
     counts[1:-1] = np.diff(bars) - 1
     counts[-1] = spec.n + t - 2 - bars[-1]
-    return _profile_from_counts(spec, universe, counts)
+    return _from_counts(spec, counts)
 
 
 def sample_spatial1d(spec: CultureSpec, trial: int = 0) -> Profile:
@@ -172,13 +182,17 @@ def sample_spatial1d(spec: CultureSpec, trial: int = 0) -> Profile:
     representative[gaps] = voters
     gap_of, length_of = np.divmod(occupied, m)
     order = np.argsort(np.abs(representative[gap_of, None] - cands[None, :]), axis=1)
-    ballots = [
-        (tuple(row[:length]), count)
-        for row, length, count in zip(
-            order.tolist(), length_of.tolist(), counts[occupied].tolist()
-        )
-    ]
-    return Profile.build(m, default_names(m), ballots, spec.k)
+    rankings = [tuple(row[:length]) for row, length in zip(order.tolist(), length_of.tolist())]
+    weights = counts[occupied].tolist()
+    if m > MAX_ENUMERATED_M:
+        return Profile.build(m, default_names(m), zip(rankings, weights), spec.k)
+    position = _ranking_positions(m)
+    merged: dict[int, int] = {}
+    for ranking, weight in zip(rankings, weights):
+        i = position[ranking]
+        merged[i] = merged.get(i, 0) + weight
+    index = sorted(merged)
+    return Profile._from_universe(m, index, [merged[i] for i in index], spec.k)
 
 
 _SAMPLERS = {"ic": sample_ic, "iac": sample_iac, "spatial1d": sample_spatial1d}

@@ -450,3 +450,47 @@ def spatial1d_by_sorting(spec: CultureSpec, trial: int = 0) -> Profile:
             merged[key] = merged.get(key, 0) + 1
         ballots = list(merged.items())
     return Profile.build(m, default_names(m), ballots, spec.k)
+
+
+def draw_universe(regime: str, m: int) -> tuple[tuple[int, ...], ...]:
+    """The ballot types IC and IAC draw over, enumerated as they always were.
+
+    Complete: the m! full rankings, lexicographic.  Partial: the rankings of
+    length 1..m-1, shortest first and lexicographic within a length.
+    """
+    if regime == "complete":
+        return tuple(itertools.permutations(range(m)))
+    return tuple(
+        itertools.chain.from_iterable(itertools.permutations(range(m), n) for n in range(1, m))
+    )
+
+
+def profile_from_counts(
+    spec: CultureSpec, universe: tuple[tuple[int, ...], ...], counts: np.ndarray
+) -> Profile:
+    """The samplers' former construction: draw-order ballots merged and sorted by build."""
+    ballots = [(universe[i], int(c)) for i, c in enumerate(counts) if c > 0]
+    return Profile.build(spec.m, default_names(spec.m), ballots, spec.k)
+
+
+def sample_in_draw_order(spec: CultureSpec, trial: int = 0) -> Profile:
+    """The IC and IAC samplers as they were: same draws, ballots handed to build in draw order."""
+    rng = trial_rng(spec, trial)
+    universe = draw_universe(spec.regime, spec.m)
+    t = len(universe)
+    if spec.model == "ic":
+        counts = rng.multinomial(spec.n, np.full(t, 1.0 / t))
+    else:
+        bars = np.sort(rng.choice(spec.n + t - 1, size=t - 1, replace=False))
+        counts = np.diff(np.concatenate(([-1], bars, [spec.n + t - 1]))) - 1
+    return profile_from_counts(spec, universe, counts)
+
+
+def restricted_ranking(ranking: tuple[int, ...], keep: tuple[int, ...]) -> tuple[int, ...]:
+    """``ranking`` without the candidates outside the sorted ``keep``, re-indexed by name."""
+    return tuple(keep.index(c) for c in ranking if c in keep)
+
+
+def index_free(profile: Profile) -> Profile:
+    """An equal profile without a universe index, so restriction takes the tuple path."""
+    return Profile(m=profile.m, names=profile.names, ballots=profile.ballots, k=profile.k)

@@ -289,3 +289,16 @@ def test_tabulate_reports_an_exceeded_search_budget_on_one_line(tmp_path, capsys
     assert err == (
         "error: C(24, 12) = 2704156 committees exceeds budget 1000000; use greedy_cc\n"
     )
+
+
+def test_tabulate_reports_a_profile_error_on_one_line(tmp_path, capsys):
+    # n * m overflows the int64 scores of the array rules.
+    heavy = Profile.build(3, default_names(3), [((0, 1, 2), 2**62 + 1)], 1)
+    path = tmp_path / "heavy.blt"
+    path.write_bytes(emit_blt(heavy, title="heavy"))
+    code, out, err = run_cli(capsys, "tabulate", str(path), "--method", "cc_om")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: n=4611686018427387905 voters x m=3 candidates overflows 64-bit integer scores\n"
+    )

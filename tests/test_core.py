@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,15 +34,61 @@ def test_build_merges_duplicate_ballot_types():
 
 def test_invalid_profiles_rejected():
     with pytest.raises(ProfileError):
-        Profile.build(3, "ABC", [((0, 0), 1)], 1)  # duplicate candidate
-    with pytest.raises(ProfileError):
-        Profile.build(3, "ABC", [((3,), 1)], 1)  # index out of range
-    with pytest.raises(ProfileError):
-        Profile.build(3, "ABC", [((0,), 0)], 1)  # zero weight
-    with pytest.raises(ProfileError):
         Profile.build(3, "ABC", [((0,), 1)], 3)  # k >= m
     with pytest.raises(ProfileError):
         Profile.build(3, "ABC", [], 1)  # no ballots
+
+
+# One invalid ballot each, after a valid one, with the message it must raise.
+# Where a ballot breaks several invariants, the earlier check in this list wins.
+INVALID_BALLOTS = [
+    (((2,), 0), "ballot (2,) has non-positive weight 0"),
+    (((2,), -3), "ballot (2,) has non-positive weight -3"),
+    (((2, 2), 0), "ballot (2, 2) has non-positive weight 0"),
+    (((), 1), "ballot length 0 out of range 1..3"),
+    (((1, 2, 0, 1), 1), "ballot length 4 out of range 1..3"),
+    (((2, 2), 1), "duplicate candidate in ballot (2, 2)"),
+    (((5, 5), 1), "duplicate candidate in ballot (5, 5)"),
+    (((3,), 1), "candidate index out of range in ballot (3,)"),
+    (((1, -1), 1), "candidate index out of range in ballot (1, -1)"),
+]
+
+
+@pytest.mark.parametrize("ballot, message", INVALID_BALLOTS)
+def test_invalid_ballot_messages(ballot, message):
+    ranking, weight = ballot
+    match = f"^{re.escape(message)}$"
+    with pytest.raises(ProfileError, match=match):
+        Profile(3, ("A", "B", "C"), (Ballot((0,), 1), Ballot(ranking, weight)), 1)
+    with pytest.raises(ProfileError, match=match):
+        Profile.build(3, "ABC", [((0,), 1), (ranking, weight)], 1)
+    # Build sorts before it checks, so the invalid ballot can come first too.
+    with pytest.raises(ProfileError, match=match):
+        Profile.build(3, "ABC", [(ranking, weight), ((0,), 1)], 1)
+
+
+@pytest.mark.parametrize(
+    "ballots",
+    [
+        (Ballot((1,), 1), Ballot((0,), 1)),  # unsorted
+        (Ballot((0, 1), 1), Ballot((0,), 1)),  # a prefix sorts first
+        (Ballot((0,), 1), Ballot((0,), 2)),  # duplicate ballot type
+    ],
+)
+def test_unsorted_or_duplicate_ballot_types(ballots):
+    match = "^ballots must be sorted by ranking and deduplicated$"
+    with pytest.raises(ProfileError, match=match):
+        Profile(3, ("A", "B", "C"), ballots, 1)
+    # Build merges and sorts the same input instead.
+    built = Profile.build(3, "ABC", ballots, 1)
+    assert built.ballots == tuple(sorted(_merged(ballots).items()))
+
+
+def _merged(ballots):
+    merged = {}
+    for ranking, weight in ballots:
+        merged[ranking] = merged.get(ranking, 0) + weight
+    return merged
 
 
 # ---------------------------------------------------------------------------
