@@ -76,7 +76,7 @@ def _load_elections(path: Path) -> Iterator[tuple[str, Profile]]:
     for file in _collect_files(path):
         try:
             profile = blt_io.parse_blt(file.read_bytes())
-        except (blt_io.BltParseError, ValueError) as exc:
+        except (OSError, blt_io.BltParseError, ValueError) as exc:
             print(f"warning: {file}: {exc}", file=sys.stderr)
             continue
         yield str(file.relative_to(base)), profile

@@ -36,6 +36,8 @@ class ExtensionConfig:
     def __post_init__(self) -> None:
         if not 0 < self.stop_ratio <= 1:
             raise ValueError(f"stop_ratio must be in (0, 1], got {self.stop_ratio}")
+        if self.max_length is not None and self.max_length < 1:
+            raise ValueError(f"max_length must be at least 1, got {self.max_length}")
 
 
 def hamilton_apportion(quotas: Sequence[float | Fraction], total: int) -> list[int]:

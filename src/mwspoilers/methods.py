@@ -11,13 +11,14 @@ truncated to five decimal places.  Vote totals are therefore carried as exact
 integer counts of 1e-5 vote units, never floats, which makes official round
 tables reproducible digit for digit.
 
-The ranked rules run on two counts.  STV's parcel count, :func:`_count`,
-carries each paper's fractional value and records an official round table.
-SRCV and top-k IRV only ever transfer at full value, so they share a
-smaller pile count: each ballot sits on the pile of its first-ranked
-candidate still in, and eliminating a candidate hands only that pile on.
-Top-k IRV eliminates until k candidates remain; SRCV runs one single-seat
-count per seat, with the past winners out from the start.
+The ranked rules share one pile count: each ballot sits on the pile of
+its first-ranked candidate still in, and taking a candidate out hands only
+that pile on.  SRCV and top-k IRV only ever transfer at full value, so
+their piles hold the profile's own ballot types.  STV's piles hold parcels
+whose papers each carry a value, which a surplus transfer truncates, and
+STV records an official round table.  Top-k IRV eliminates until k
+candidates remain; SRCV runs one single-seat count per seat, with the past
+winners out from the start.
 
 The score-based rules (SNTV, Bloc, k-Borda) are committee scoring rules:
 each takes the k best of one score per candidate.  They read their scores
@@ -42,7 +43,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
-    Ballot,
     OutcomeSet,
     Profile,
     ProfileError,
@@ -97,7 +97,7 @@ def _break_tie(profile: Profile, cands: Sequence[int], tie: TiePolicy, what: str
 
 
 # ---------------------------------------------------------------------------
-# STV
+# Ranked rules: the pile count
 
 
 @dataclass(frozen=True)
@@ -130,84 +130,109 @@ class TabulationTrace:
         return self.quota // UNIT
 
 
-_CONTINUING, _ELECTED, _ELIMINATED = 0, 1, 2
+def _hand_on(
+    entries: Sequence[tuple], piles: list[list[tuple]], totals: list[int], out: list[bool]
+) -> int:
+    """Put each entry on the pile of its first-ranked candidate not out.
+
+    An entry's element 0 is a ranking and element 1 the value it carries: a
+    ballot type's weight in SRCV and top-k IRV, a parcel's units in STV.
+    Entries ranking nobody still in are exhausted and leave the count;
+    returns the value they take with them.
+    """
+    exhausted = 0
+    for entry in entries:
+        for c in entry[0]:
+            if not out[c]:
+                piles[c].append(entry)
+                totals[c] += entry[1]
+                break
+        else:
+            exhausted += entry[1]
+    return exhausted
 
 
-def _count(profile: Profile, quota: int, tie: TiePolicy) -> tuple[OutcomeSet, TabulationTrace]:
-    """The parcel count behind :func:`stv`.
+def _exclude(piles: list[list[tuple]], totals: list[int], out: list[bool], x: int) -> int:
+    """Take ``x`` out of the count and hand its pile on as it stands.
 
-    Fills the k seats at a fixed ``quota`` (units).  Each stage: declare
-    elected every continuing candidate at or above quota; stop once the seats
-    are filled, or once the continuing candidates exactly fill the remaining
-    seats (they are elected without reaching quota).  Otherwise transfer the
-    largest untransferred surplus, or, when none is pending, exclude the
-    lowest continuing candidate at full current value.  Transfers skip
-    previously elected and excluded candidates; ballots with no continuing
-    preference left are exhausted and their value leaves the count.
+    An entry sits with its first-ranked candidate still in, so everyone it
+    ranks before ``x`` is already out: scanning its ranking from the front
+    finds its next continuing preference.  Returns the value exhausted.
+    """
+    out[x] = True
+    pile, piles[x], totals[x] = piles[x], [], 0
+    return _hand_on(pile, piles, totals, out)
+
+
+def _lowest(
+    profile: Profile, continuing: list[int], totals: list[int], tie: TiePolicy
+) -> tuple[int, bool]:
+    """The continuing candidate to eliminate, and whether a tie was broken."""
+    low = min(totals[c] for c in continuing)
+    tied = [c for c in continuing if totals[c] == low]
+    return _break_tie(profile, tied, tie, "for elimination"), len(tied) > 1
+
+
+def _first_preferences(
+    m: int, entries: Sequence[tuple]
+) -> tuple[list[list[tuple]], list[int], list[bool]]:
+    """Piles, totals and out flags with every candidate in."""
+    piles: list[list[tuple]] = [[] for _ in range(m)]
+    totals = [0] * m
+    out = [False] * m
+    _hand_on(entries, piles, totals, out)
+    return piles, totals, out
+
+
+def stv(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> tuple[OutcomeSet, TabulationTrace]:
+    """Single transferable vote with fractional (weighted inclusive) transfers.
+
+    The pile count with the Droop quota, fixed from the initial ballot
+    total.  A pile entry is a parcel ``(ranking, units, papers, units per
+    paper)``, and a candidate is out once elected or excluded.  Each stage:
+    declare elected every continuing candidate at or above quota; stop once
+    the seats are filled, or once the continuing candidates exactly fill the
+    remaining seats (they are elected without reaching quota).  Otherwise
+    transfer the largest untransferred surplus, re-valuing each paper to
+    ``value * surplus // total`` and dropping parcels now worth nothing, or,
+    when none is pending, exclude the lowest continuing candidate at full
+    current value.  Ballots with no continuing preference left are exhausted
+    and their value leaves the count.
     """
     m, seats = profile.m, profile.k
-    status = [_CONTINUING] * m
-    # Parcels: [ranking, paper count, value per paper (units), holder position].
-    holdings: list[list[list]] = [[] for _ in range(m)]
-    totals = [0] * m
-    for ranking, weight in profile.ballots:
-        holdings[ranking[0]].append([ranking, weight, UNIT, 0])
-        totals[ranking[0]] += weight * UNIT
+    quota = droop_quota(profile.n, seats) * UNIT
+    piles, totals, out = _first_preferences(
+        m, [(ranking, weight * UNIT, weight, UNIT) for ranking, weight in profile.ballots]
+    )
     exhausted = 0
     pending: list[tuple[int, int]] = []  # (candidate, surplus units) awaiting transfer
     winners: list[int] = []
     rounds: list[StvRound] = []
     tie_used = False
 
-    def next_continuing(ranking: tuple[int, ...], pos: int) -> int | None:
-        for j in range(pos + 1, len(ranking)):
-            if status[ranking[j]] == _CONTINUING:
-                return j
-        return None
-
-    def move_parcels(source: int, surplus: int | None) -> None:
-        """Transfer source's parcels; ``surplus`` None means full-value exclusion."""
-        nonlocal exhausted
-        parcels = holdings[source]
-        holdings[source] = []
-        source_total = totals[source]
-        for parcel in parcels:
-            ranking, count, value, pos = parcel
-            if surplus is not None:
-                value = value * surplus // source_total
-                if value == 0:
-                    continue
-            j = next_continuing(ranking, pos)
-            if j is None:
-                exhausted += count * value
-                continue
-            target = ranking[j]
-            holdings[target].append([ranking, count, value, j])
-            totals[target] += count * value
-
     number = 0
     while True:
         number += 1
-        in_play = [c for c in range(m) if status[c] == _CONTINUING]
+        in_play = [c for c in range(m) if not out[c]]
         snapshot = tuple((c, totals[c]) for c in in_play)
 
         crossers = [c for c in in_play if totals[c] >= quota]
         crossers.sort(key=lambda c: (-totals[c], c))
         declared: list[tuple[int, int]] = []
         for c in crossers:
-            status[c] = _ELECTED
+            out[c] = True
             winners.append(c)
             surplus = totals[c] - quota
             declared.append((c, surplus))
             if surplus > 0:
                 pending.append((c, surplus))
 
-        continuing = [c for c in in_play if status[c] == _CONTINUING]
+        continuing = [c for c in in_play if not out[c]]
         auto: tuple[int, ...] = ()
         if len(winners) < seats and len(continuing) == seats - len(winners):
             auto = tuple(continuing)
             for c in auto:
-                status[c] = _ELECTED
+                out[c] = True
                 winners.append(c)
 
         transferred: int | None = None
@@ -222,11 +247,8 @@ def _count(profile: Profile, quota: int, tie: TiePolicy) -> tuple[OutcomeSet, Ta
                 pending = [(c, s) for c, s in pending if c != source]
                 transferred = source
             else:
-                low = min(totals[c] for c in continuing)
-                tied = [c for c in continuing if totals[c] == low]
-                if len(tied) > 1:
-                    tie_used = True
-                eliminated = _break_tie(profile, tied, tie, "for elimination")
+                eliminated, tied_low = _lowest(profile, continuing, totals, tie)
+                tie_used = tie_used or tied_low
 
         rounds.append(
             StvRound(
@@ -243,71 +265,26 @@ def _count(profile: Profile, quota: int, tie: TiePolicy) -> tuple[OutcomeSet, Ta
         if len(winners) == seats:
             break
         if transferred is not None:
-            move_parcels(transferred, totals[transferred] - quota)
-            totals[transferred] = quota
+            total = totals[transferred]
+            surplus = total - quota
+            parcels = []
+            for ranking, _, papers, value in piles[transferred]:
+                value = value * surplus // total
+                if value:
+                    parcels.append((ranking, papers * value, papers, value))
+            piles[transferred], totals[transferred] = [], quota
+            exhausted += _hand_on(parcels, piles, totals, out)
         else:
             assert eliminated is not None
-            status[eliminated] = _ELIMINATED
-            move_parcels(eliminated, None)
-            totals[eliminated] = 0
+            exhausted += _exclude(piles, totals, out, eliminated)
 
     trace = TabulationTrace(quota=quota, rounds=tuple(rounds), winners=tuple(winners))
     return OutcomeSet.single(winners, tie_flag=tie_used), trace
 
 
-def stv(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> tuple[OutcomeSet, TabulationTrace]:
-    """Single transferable vote with fractional (weighted inclusive) transfers.
-
-    The parcel count (:func:`_count`) with the Droop quota, fixed from the
-    initial ballot total: surpluses pass on at a truncated fraction of each
-    paper's value, exclusions at full value.
-    """
-    return _count(profile, droop_quota(profile.n, profile.k) * UNIT, tie)
-
-
-# ---------------------------------------------------------------------------
-# SRCV and top-k IRV: the full-value pile count
-
-
-def _hand_on(
-    ballots: Sequence[Ballot], piles: list[list[Ballot]], totals: list[int], out: list[bool]
-) -> None:
-    """Put each ballot on the pile of its first-ranked candidate not out.
-
-    Ballots ranking nobody still in are exhausted and leave the count.
-    """
-    for ballot in ballots:
-        for c in ballot[0]:
-            if not out[c]:
-                piles[c].append(ballot)
-                totals[c] += ballot[1]
-                break
-
-
-def _exclude(piles: list[list[Ballot]], totals: list[int], out: list[bool], x: int) -> None:
-    """Take ``x`` out of the count and hand its pile on at full value.
-
-    A ballot sits with its first-ranked candidate still in, so everyone it
-    ranks before ``x`` is already out: scanning its ranking from the front
-    finds its next continuing preference.
-    """
-    out[x] = True
-    pile, piles[x], totals[x] = piles[x], [], 0
-    _hand_on(pile, piles, totals, out)
-
-
-def _first_preferences(profile: Profile) -> tuple[list[list[Ballot]], list[int], list[bool]]:
-    """Piles, totals and out flags with every candidate in."""
-    piles: list[list[Ballot]] = [[] for _ in range(profile.m)]
-    totals = [0] * profile.m
-    out = [False] * profile.m
-    _hand_on(profile.ballots, piles, totals, out)
-    return piles, totals, out
-
-
 def _runoff(
     profile: Profile,
-    piles: list[list[Ballot]],
+    piles: list[list[tuple]],
     totals: list[int],
     out: list[bool],
     seats: int,
@@ -329,11 +306,9 @@ def _runoff(
                 return [leader], tie_used
         if len(continuing) == seats:
             return continuing, tie_used
-        low = min(totals[c] for c in continuing)
-        tied = [c for c in continuing if totals[c] == low]
-        if len(tied) > 1:
-            tie_used = True
-        _exclude(piles, totals, out, _break_tie(profile, tied, tie, "for elimination"))
+        loser, tied = _lowest(profile, continuing, totals, tie)
+        tie_used = tie_used or tied
+        _exclude(piles, totals, out, loser)
 
 
 def srcv(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> OutcomeSet:
@@ -346,7 +321,7 @@ def srcv(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> OutcomeSet:
     Should every remaining ballot rank only past winners, the leftover seats
     are a pure tie among unranked candidates and fall to the tie policy.
     """
-    piles, totals, out = _first_preferences(profile)  # the past winners out
+    piles, totals, out = _first_preferences(profile.m, profile.ballots)  # the past winners out
     seats: list[int] = []
     tie_used = False
     while True:
@@ -378,7 +353,8 @@ def srcv(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> OutcomeSet:
 
 def top_k_irv(profile: Profile, tie: TiePolicy = TiePolicy.ALPHABETICAL) -> OutcomeSet:
     """Eliminate plurality losers, transferring at full value, until k remain."""
-    winners, tie_used = _runoff(profile, *_first_preferences(profile), profile.k, None, tie)
+    piles, totals, out = _first_preferences(profile.m, profile.ballots)
+    winners, tie_used = _runoff(profile, piles, totals, out, profile.k, None, tie)
     return OutcomeSet.single(winners, tie_flag=tie_used)
 
 

@@ -20,7 +20,15 @@ from mwspoilers.core import (
     remove_candidate,
 )
 from mwspoilers.cultures import CultureSpec, trial_rng
-from mwspoilers.methods import TieError, TiePolicy, _break_tie, run_method, stv
+from mwspoilers.methods import (
+    StvRound,
+    TabulationTrace,
+    TieError,
+    TiePolicy,
+    _break_tie,
+    droop_quota,
+    run_method,
+)
 
 
 def naive_first_place(profile: Profile) -> list[int]:
@@ -305,14 +313,152 @@ def stv_reference(profile: Profile, tie: TiePolicy):
                     reseat(paper)
 
 
-_CONTINUING, _ELIMINATED = 0, 2
+_CONTINUING, _ELECTED, _ELIMINATED = 0, 1, 2
+
+
+def _parcel_count(
+    profile: Profile, quota: int, tie: TiePolicy
+) -> tuple[OutcomeSet, TabulationTrace]:
+    """The parcel count behind :func:`stv_by_parcels`.
+
+    Fills the k seats at a fixed ``quota`` (units).  Each stage: declare
+    elected every continuing candidate at or above quota; stop once the seats
+    are filled, or once the continuing candidates exactly fill the remaining
+    seats (they are elected without reaching quota).  Otherwise transfer the
+    largest untransferred surplus, or, when none is pending, exclude the
+    lowest continuing candidate at full current value.  Transfers skip
+    previously elected and excluded candidates; ballots with no continuing
+    preference left are exhausted and their value leaves the count.
+    """
+    m, seats = profile.m, profile.k
+    status = [_CONTINUING] * m
+    # Parcels: [ranking, paper count, value per paper (units), holder position].
+    holdings: list[list[list]] = [[] for _ in range(m)]
+    totals = [0] * m
+    for ranking, weight in profile.ballots:
+        holdings[ranking[0]].append([ranking, weight, UNIT, 0])
+        totals[ranking[0]] += weight * UNIT
+    exhausted = 0
+    pending: list[tuple[int, int]] = []  # (candidate, surplus units) awaiting transfer
+    winners: list[int] = []
+    rounds: list[StvRound] = []
+    tie_used = False
+
+    def next_continuing(ranking: tuple[int, ...], pos: int) -> int | None:
+        for j in range(pos + 1, len(ranking)):
+            if status[ranking[j]] == _CONTINUING:
+                return j
+        return None
+
+    def move_parcels(source: int, surplus: int | None) -> None:
+        """Transfer source's parcels; ``surplus`` None means full-value exclusion."""
+        nonlocal exhausted
+        parcels = holdings[source]
+        holdings[source] = []
+        source_total = totals[source]
+        for parcel in parcels:
+            ranking, count, value, pos = parcel
+            if surplus is not None:
+                value = value * surplus // source_total
+                if value == 0:
+                    continue
+            j = next_continuing(ranking, pos)
+            if j is None:
+                exhausted += count * value
+                continue
+            target = ranking[j]
+            holdings[target].append([ranking, count, value, j])
+            totals[target] += count * value
+
+    number = 0
+    while True:
+        number += 1
+        in_play = [c for c in range(m) if status[c] == _CONTINUING]
+        snapshot = tuple((c, totals[c]) for c in in_play)
+
+        crossers = [c for c in in_play if totals[c] >= quota]
+        crossers.sort(key=lambda c: (-totals[c], c))
+        declared: list[tuple[int, int]] = []
+        for c in crossers:
+            status[c] = _ELECTED
+            winners.append(c)
+            surplus = totals[c] - quota
+            declared.append((c, surplus))
+            if surplus > 0:
+                pending.append((c, surplus))
+
+        continuing = [c for c in in_play if status[c] == _CONTINUING]
+        auto: tuple[int, ...] = ()
+        if len(winners) < seats and len(continuing) == seats - len(winners):
+            auto = tuple(continuing)
+            for c in auto:
+                status[c] = _ELECTED
+                winners.append(c)
+
+        transferred: int | None = None
+        eliminated: int | None = None
+        if len(winners) < seats:
+            if pending:
+                top_surplus = max(s for _, s in pending)
+                tied = [c for c, s in pending if s == top_surplus]
+                if len(tied) > 1:
+                    tie_used = True
+                source = _break_tie(profile, tied, tie, "in surplus transfer order")
+                pending = [(c, s) for c, s in pending if c != source]
+                transferred = source
+            else:
+                low = min(totals[c] for c in continuing)
+                tied = [c for c in continuing if totals[c] == low]
+                if len(tied) > 1:
+                    tie_used = True
+                eliminated = _break_tie(profile, tied, tie, "for elimination")
+
+        rounds.append(
+            StvRound(
+                number=number,
+                totals=snapshot,
+                elected=tuple(declared),
+                auto_elected=auto,
+                transferred=transferred,
+                eliminated=eliminated,
+                exhausted=exhausted,
+            )
+        )
+
+        if len(winners) == seats:
+            break
+        if transferred is not None:
+            move_parcels(transferred, totals[transferred] - quota)
+            totals[transferred] = quota
+        else:
+            assert eliminated is not None
+            status[eliminated] = _ELIMINATED
+            move_parcels(eliminated, None)
+            totals[eliminated] = 0
+
+    trace = TabulationTrace(quota=quota, rounds=tuple(rounds), winners=tuple(winners))
+    return OutcomeSet.single(winners, tie_flag=tie_used), trace
+
+
+def stv_by_parcels(
+    profile: Profile, tie: TiePolicy = TiePolicy.ERROR
+) -> tuple[OutcomeSet, TabulationTrace]:
+    """STV on a parcel count of its own, with a holder position per parcel.
+
+    The library's former implementation, kept as the reference for STV on
+    the pile count.  The parcel count (:func:`_parcel_count`) with the Droop
+    quota, fixed from the initial ballot total: surpluses pass on at a
+    truncated fraction of each paper's value, exclusions at full value.
+    """
+    return _parcel_count(profile, droop_quota(profile.n, profile.k) * UNIT, tie)
 
 
 def srcv_by_removal(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> OutcomeSet:
     """SRCV as k single-seat STV counts on ever smaller profiles.
 
-    The library's former implementation, kept as the reference for the
-    pile count's single-seat runoffs.
+    The library's former implementation, kept as the reference for SRCV's
+    single-seat runoffs on the pile count.  Its counts are the parcel count
+    of :func:`stv_by_parcels`, so it shares no code with the pile count.
 
     Each seat goes to the instant-runoff winner of the current ballots; the
     winner is then removed from all ballots before the next seat is filled.
@@ -324,7 +470,7 @@ def srcv_by_removal(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> Outco
     seats: list[int] = []
     tie_used = False
     for seat in range(profile.k):
-        outcome, _ = stv(current.with_seats(1), tie)
+        outcome, _ = stv_by_parcels(current.with_seats(1), tie)
         tie_used = tie_used or outcome.tie_flag
         winner = next(iter(outcome.sole_committee()))
         seats.append(original[winner])
@@ -352,8 +498,10 @@ def top_k_irv_reference(
 ) -> OutcomeSet:
     """Top-k IRV on a parcel loop of its own, without a quota.
 
-    The library's former implementation: eliminate plurality losers,
-    transferring at full value, until k remain.
+    The library's former implementation, kept as the reference for top-k
+    IRV on the pile count: eliminate plurality losers, transferring at full
+    value, until k remain.  Each parcel keeps its holder position, where the
+    pile count scans a ranking from the front.
     """
     m, k = profile.m, profile.k
     status = [_CONTINUING] * m

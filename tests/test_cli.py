@@ -148,6 +148,37 @@ def test_clones_command(corpus_dir, capsys):
     assert row.startswith("SNTV,")
 
 
+@pytest.mark.parametrize(
+    "argv, used",
+    [
+        (["spoilers", "--methods", "sntv"], "elections used: 1, skipped: 0"),
+        (["subelections", "--t", "4", "--k", "2", "--methods", "sntv"], "sub-elections used: 1"),
+        (["clones", "--method", "sntv"], None),
+    ],
+    ids=["spoilers", "subelections", "clones"],
+)
+def test_unreadable_ballot_path_is_a_warning(argv, used, tmp_path, capsys):
+    d = tmp_path / "corpus"
+    (d / "sub.blt").mkdir(parents=True)
+    ward = Profile.build(
+        4,
+        default_names(4),
+        [((0, 1, 2, 3), 100), ((1, 0, 2, 3), 90), ((2, 3, 0, 1), 40), ((3, 2, 1, 0), 65)],
+        2,
+    )
+    (d / "ward.blt").write_bytes(emit_blt(ward, title="ward"))
+    code, out, err = run_cli(capsys, argv[0], str(d), *argv[1:])
+    assert code == 0
+    assert out.startswith("method,")
+    warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 1
+    assert warnings[0].startswith(f"warning: {d / 'sub.blt'}: ")
+    if used:
+        assert used in err
+    else:
+        assert out.splitlines()[1].startswith("SNTV,")
+
+
 def test_spoilers_detail_table_keeps_failed_audits(tmp_path, capsys):
     # Exact CC cannot search the C(24, 12) committees of the large election.
     d = tmp_path / "corpus"

@@ -143,3 +143,6 @@ def test_config_validation():
         ExtensionConfig(stop_ratio=0.0)
     with pytest.raises(ValueError):
         ExtensionConfig(stop_ratio=1.5)
+    for length in (0, -1):
+        with pytest.raises(ValueError, match="max_length must be at least 1"):
+            ExtensionConfig(max_length=length)

@@ -34,6 +34,7 @@ from oracles import (
     cc_enumeration,
     naive_borda,
     srcv_by_removal,
+    stv_by_parcels,
     stv_reference,
     top_k_irv_reference,
 )
@@ -116,9 +117,9 @@ def test_stv_trace_invariants_on_random_profiles():
 
 
 def test_stv_engine_matches_paper_by_paper_reference():
-    # The library engine moves grouped parcels with position pointers; the
-    # reference walks every ballot paper individually. Winners, stage counts,
-    # and every displayed total must agree exactly.
+    # The library engine keeps parcels of equal-valued papers on the pile
+    # count; the reference walks every ballot paper individually. Winners,
+    # stage counts, and every displayed total must agree exactly.
     small = seeded_profiles(1111, 200)
     # Heavier elections force interleaved surplus transfers and exclusions.
     rng = np.random.default_rng(1212)
@@ -239,7 +240,7 @@ def test_top_k_irv_single_seat_agrees_with_stv():
 
 
 # ---------------------------------------------------------------------------
-# SRCV and top-k IRV on the pile count
+# STV, SRCV and top-k IRV on the pile count
 
 
 @st.composite
@@ -263,6 +264,14 @@ def ranked_profiles(draw):
 
 @given(ranked_profiles(), st.sampled_from(TiePolicy))
 @settings(max_examples=400, deadline=None)
+def test_stv_matches_its_former_parcel_count(p, tie):
+    # The whole trace (every round's totals, surpluses, transfers,
+    # eliminations and exhausted units) and the text of any refused tie.
+    assert outcome_or_tie(stv, p, tie) == outcome_or_tie(stv_by_parcels, p, tie)
+
+
+@given(ranked_profiles(), st.sampled_from(TiePolicy))
+@settings(max_examples=400, deadline=None)
 def test_srcv_and_top_k_irv_match_their_former_implementations(p, tie):
     assert outcome_or_tie(srcv, p, tie) == outcome_or_tie(srcv_by_removal, p, tie)
     assert outcome_or_tie(top_k_irv, p, tie) == outcome_or_tie(top_k_irv_reference, p, tie)
@@ -272,6 +281,7 @@ def test_srcv_and_top_k_irv_match_their_former_implementations(p, tie):
 def test_srcv_and_top_k_irv_match_their_former_implementations_on_a_ward(ward, tie):
     # The ward and each of its single-candidate removals, as an audit re-runs them.
     for p in [ward] + [remove_candidate(ward, c) for c in range(ward.m)]:
+        assert outcome_or_tie(stv, p, tie) == outcome_or_tie(stv_by_parcels, p, tie)
         assert outcome_or_tie(srcv, p, tie) == outcome_or_tie(srcv_by_removal, p, tie)
         assert outcome_or_tie(top_k_irv, p, tie) == outcome_or_tie(top_k_irv_reference, p, tie)
 

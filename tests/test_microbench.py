@@ -20,7 +20,7 @@ from mwspoilers.core import (
     remove_candidate,
     top_k_counts,
 )
-from mwspoilers.methods import TiePolicy, chamberlin_courant, greedy_cc, srcv, top_k_irv
+from mwspoilers.methods import TiePolicy, chamberlin_courant, greedy_cc, srcv, stv, top_k_irv
 
 from oracles import (
     _profile_without,
@@ -29,6 +29,7 @@ from oracles import (
     greedy_cc_reference,
     naive_margin,
     srcv_by_removal,
+    stv_by_parcels,
     top_k_counts_reference,
     top_k_irv_reference,
 )
@@ -64,6 +65,12 @@ def test_bench_pairwise_matrix(benchmark, ward):
 def test_bench_remove_candidate(benchmark, ward):
     reduced = benchmark.pedantic(remove_candidate, args=(ward, 3), rounds=5, iterations=1)
     assert reduced == _profile_without(ward, 3)
+
+
+def test_bench_stv(benchmark, ward):
+    tie = TiePolicy.ALPHABETICAL
+    got = benchmark.pedantic(stv, args=(ward, tie), rounds=5, iterations=1)
+    assert got == stv_by_parcels(ward, tie)
 
 
 def test_bench_srcv(benchmark, ward):
