@@ -23,10 +23,12 @@ downstream machinery.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .core import Profile
+from .core import _MAX_CANDIDATES, Profile
 
 
 class BltParseError(ValueError):
@@ -48,11 +50,13 @@ class BltDocument:
     title: str
 
     def to_profile(self) -> Profile:
-        zero_based = (
-            (tuple(i - 1 for i in ranking), weight)
-            for weight, ranking in self.ballot_lines
-        )
-        return Profile.build(self.m, self.names, zero_based, self.k)
+        rankings = tuple(map(operator.itemgetter(1), self.ballot_lines))
+        weights = map(operator.itemgetter(0), self.ballot_lines)
+        # Every index shifted to zero-based in one pass, then cut back into rankings.
+        shifted = tuple(map((-1).__add__, itertools.chain.from_iterable(rankings)))
+        ends = tuple(itertools.accumulate(map(len, rankings)))
+        zero_based = map(shifted.__getitem__, map(slice, (0, *ends), ends))
+        return Profile.build(self.m, self.names, zip(zero_based, weights), self.k)
 
 
 def _decode(data: bytes | str) -> list[str]:
@@ -113,6 +117,8 @@ def parse_blt_document(data: bytes | str) -> BltDocument:
     m, k = numbers
     if m < 2:
         raise BltParseError(line_no, f"need at least 2 candidates, got m={m}")
+    if m > _MAX_CANDIDATES:
+        raise BltParseError(line_no, f"at most {_MAX_CANDIDATES} candidates supported, got m={m}")
     if not 1 <= k < m:
         raise BltParseError(line_no, f"seat count k={k} must satisfy 1 <= k < m={m}")
 

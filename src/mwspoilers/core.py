@@ -14,6 +14,19 @@ keeps the surviving names, so reports always print original names.
 that keeps a sorted set of candidates; removal keeps all but one.  Scores
 are plain tuples indexed by candidate.
 
+Every profile also has a private key per ballot type: the ranking as
+``bytes``, one byte per candidate index, so a profile has at most 256
+candidates (``m <= 256`` is checked with the shape).  Keys sort exactly as
+their rankings do (prefixes first), so one canonicalizer, :func:`_canonical`,
+merges and sorts ballot types on their keys for both :meth:`Profile.build`
+and restriction, and hands back the keys of the ballots it makes.
+Restriction re-indexes and drops candidates with one ``bytes.translate`` per
+ballot type, in C, and a restriction of a restricted profile never encodes
+again.  Like the universe index below, the keys are not a dataclass field:
+they are outside ``==``, ``repr`` and ``hash``.  Every constructor that has
+them at hand stores them; a profile derived through its universe index
+(below) encodes them on first use, which the samplers' removals never need.
+
 The positional scores (first-place, top-k and Borda counts) all come from
 one :attr:`Profile.tally`, built in one exact-integer pass over the ballots
 on the first score query and cached on the profile: for every depth ``d``,
@@ -24,9 +37,11 @@ the sum of its top-``d`` counts over ``d = 1..m-1``.
 
 Ballots are validated once, where they enter the program: the plain
 constructor and :meth:`Profile.build` (used by the ballot-file parser, ballot
-extension and the samplers) check every ballot, in one pass with a set per
-ballot.  ``build`` merges and sorts its input unless it is already canonical,
-as the samplers emit it.  Profiles derived from a valid profile
+extension and the samplers) check every ballot.  The checks run as C-level
+passes over the keys (weights, lengths, repeated and out-of-range indices,
+order); only a profile that fails them is walked ballot by ballot to name the
+first fault.  ``build`` merges and sorts its input unless it is already
+canonical, as the samplers emit it.  Profiles derived from a valid profile
 (:func:`remove_candidate`, :func:`restrict_to_subset`,
 :meth:`Profile.with_seats`) cannot break a ballot invariant, so they are made
 by :meth:`Profile._derived`, which keeps only the O(1) shape checks.  This
@@ -40,7 +55,7 @@ index, the U(m) position of every ballot type; removal and restriction of
 such a profile project those positions through a table per kept candidate
 set and pass the index on to the result.  Parsed, extended and hand-built
 profiles, and any with m > ``MAX_ENUMERATED_M``, carry none and take the
-tuple path.  The index is private and not a dataclass field: it is outside
+key path.  The index is private and not a dataclass field: it is outside
 ``==``, ``repr`` and ``hash``, so a sampled profile equals the same ballots
 built any other way, and ``Profile.ballots`` stays the one representation
 the rules read.  It is set once, before the profile is handed out.
@@ -48,10 +63,10 @@ the rules read.  It is set once, before the profile is handed out.
 The array-based rules (exact and greedy Chamberlin-Courant, committee
 satisfaction, pairwise margins) read :attr:`Profile.arrays`: the rank
 position of every candidate on every ballot type and the int64 weights,
-built on first use and cached on the profile.  Both arrays are read-only,
-the tally is made of tuples, and both lazy builds are idempotent (two
-threads racing to build one compute equal values), so profiles stay
-shareable.  All arithmetic on the arrays is integer;
+built from the keys on first use and cached on the profile.  Both arrays
+are read-only, the tally is made of tuples, and the lazy builds are
+idempotent (two threads racing to build one compute equal values), so
+profiles stay shareable.  All arithmetic on the arrays is integer;
 a profile whose ``n * m`` does not fit in int64 is rejected with
 :class:`ProfileError` rather than summed with wraparound.
 """
@@ -63,7 +78,7 @@ import itertools
 import operator
 from array import array
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import ClassVar, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -92,6 +107,15 @@ class Ballot(NamedTuple):
     ranking: tuple[int, ...]
     weight: int
 
+
+# Ballots made without the NamedTuple's Python-level __new__: the same tuples, in C.
+_new_ballot = partial(tuple.__new__, Ballot)
+_ranking = operator.itemgetter(0)
+_weight = operator.itemgetter(1)
+
+# A ballot key stores each candidate index in one byte.
+_MAX_CANDIDATES = 256
+_INDEX_BYTES = bytes(range(_MAX_CANDIDATES))
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -127,6 +151,7 @@ class PositionTally(NamedTuple):
     unranked_shares: tuple[int, ...]
 
 
+@lru_cache(maxsize=None)
 def default_names(m: int) -> tuple[str, ...]:
     """Roster of placeholder names: letters for small m, C10, C11, ... beyond."""
     if m <= 26:
@@ -222,26 +247,22 @@ class Profile:
 
     def __post_init__(self) -> None:
         self._check_shape()
-        m = self.m
-        candidates = frozenset(range(m))
-        prev: tuple[int, ...] | None = None
-        for ranking, weight in self.ballots:
-            if weight < 1:
-                raise ProfileError(f"ballot {ranking} has non-positive weight {weight}")
-            if not 1 <= len(ranking) <= m:
-                raise ProfileError(f"ballot length {len(ranking)} out of range 1..{m}")
-            ranked = set(ranking)
-            if len(ranked) != len(ranking):
-                raise ProfileError(f"duplicate candidate in ballot {ranking}")
-            if not ranked <= candidates:
-                raise ProfileError(f"candidate index out of range in ballot {ranking}")
-            if prev is not None and not prev < ranking:
-                raise ProfileError("ballots must be sorted by ranking and deduplicated")
-            prev = ranking
+        try:
+            keys: tuple[bytes, ...] | None = tuple(map(bytes, map(_ranking, self.ballots)))
+        except (TypeError, ValueError):  # an index outside 0..255 or not an integer
+            keys = None
+        _check_ballots(self.m, self.ballots, keys)
+        if not all(map(operator.lt, keys, keys[1:])):
+            raise ProfileError("ballots must be sorted by ranking and deduplicated")
+        object.__setattr__(self, "_keys", keys)
 
     def _check_shape(self) -> None:
         if self.m < 2:
             raise ProfileError(f"need at least 2 candidates, got m={self.m}")
+        if self.m > _MAX_CANDIDATES:
+            raise ProfileError(
+                f"at most {_MAX_CANDIDATES} candidates fit a ballot, got m={self.m}"
+            )
         if len(self.names) != self.m:
             raise ProfileError(f"expected {self.m} names, got {len(self.names)}")
         if not 1 <= self.k < self.m:
@@ -262,13 +283,22 @@ class Profile:
         Input already in canonical order (strictly increasing rankings, as the
         samplers emit it) is taken as it is; anything else is merged and sorted.
         """
-        pairs = [(tuple(ranking), weight) for ranking, weight in weighted_rankings]
-        rankings = [ranking for ranking, _ in pairs]
-        if all(map(operator.lt, rankings, rankings[1:])):
-            ballots = tuple([Ballot(ranking, weight) for ranking, weight in pairs])
+        rankings, weights = tuple(zip(*weighted_rankings)) or ((), ())
+        rankings = tuple(map(tuple, rankings))
+        try:
+            keys = tuple(map(bytes, rankings))
+        except (TypeError, ValueError):
+            # Only an invalid ballot fails to encode: the constructor checks
+            # the shape, then names the first faulty ballot.
+            return cls(m, tuple(names), tuple(map(_new_ballot, zip(rankings, weights))), k)
+        if all(map(operator.lt, keys, keys[1:])):
+            ballots = tuple(map(_new_ballot, zip(rankings, weights)))
         else:
-            ballots = _canonical(pairs)
-        return cls(m=m, names=tuple(names), ballots=ballots, k=k)
+            ballots, keys = _canonical(keys, weights)
+        # The shape is checked first, as the constructor does, then the ballots.
+        profile = cls._derived(m, tuple(names), ballots, k, keys)
+        _check_ballots(m, ballots, keys)
+        return profile
 
     @classmethod
     def _from_universe(
@@ -276,11 +306,17 @@ class Profile:
     ) -> "Profile":
         """The profile with ``weights[j]`` ballots of U(m) type ``index[j]``, default names.
 
-        ``index`` must be strictly increasing.  The ballots go through
-        :meth:`build` like any others, and the profile keeps ``index``.
+        Only what a caller can get wrong is checked here: ``index`` must be
+        strictly increasing positions in U(m), so its rankings are canonical.
+        They go through :meth:`build`, whose C-level key checks are all they
+        cost (the rankings themselves cannot fail), and the profile keeps
+        ``index``.
         """
         universe = ranking_universe(m)
-        profile = cls.build(m, default_names(m), zip([universe[i] for i in index], weights), k)
+        if not all(map(operator.lt, (-1, *index), (*index, len(universe)))):
+            raise ProfileError(f"universe index must be strictly increasing positions in U({m})")
+        rankings = map(universe.__getitem__, index)
+        profile = cls.build(m, default_names(m), zip(rankings, weights), k)
         object.__setattr__(profile, "_universe_index", tuple(index))
         return profile
 
@@ -291,21 +327,34 @@ class Profile:
         names: tuple[str, ...],
         ballots: tuple[Ballot, ...],
         k: int,
+        keys: tuple[bytes, ...] | None,
         universe_index: tuple[int, ...] | None = None,
     ) -> "Profile":
         """A profile whose canonical ballots come from a valid profile.
 
         Checks only the shape (m, names, k, at least one ballot); the caller
-        guarantees every ballot is a valid, sorted, deduplicated ranking, and
-        that ``universe_index``, if given, holds their U(m) positions.
+        guarantees every ballot is a valid, sorted, deduplicated ranking, that
+        ``keys``, if given, are their keys, and that ``universe_index``, if
+        given, holds their U(m) positions.
         """
         profile = object.__new__(cls)
         for attr, value in (("m", m), ("names", names), ("ballots", ballots), ("k", k)):
             object.__setattr__(profile, attr, value)
         profile._check_shape()
+        if keys is not None:
+            object.__setattr__(profile, "_keys", keys)
         if universe_index is not None:
             object.__setattr__(profile, "_universe_index", universe_index)
         return profile
+
+    @cached_property
+    def _keys(self) -> tuple[bytes, ...]:
+        """``bytes(ranking)`` of each ballot type; not a field, like the universe index.
+
+        Every constructor that has the keys at hand stores them here; only a
+        profile derived through its universe index computes them, on first use.
+        """
+        return tuple(map(bytes, map(_ranking, self.ballots)))
 
     @cached_property
     def n(self) -> int:
@@ -325,17 +374,16 @@ class Profile:
             raise ProfileError(
                 f"n={self.n} voters x m={m} candidates overflows 64-bit integer scores"
             )
-        rankings, weights = zip(*self.ballots)
-        lengths = np.fromiter(map(len, rankings), np.int64, len(rankings))
-        ranked = np.fromiter(
-            itertools.chain.from_iterable(rankings), np.int64, int(lengths.sum())
-        )
+        keys = self._keys
+        types = len(keys)
+        lengths = np.fromiter(map(len, keys), np.int64, types)
+        ranked = np.frombuffer(b"".join(keys), np.uint8).astype(np.int64)
         # One scatter for every (ballot type, ranked candidate) pair.
         starts = np.cumsum(lengths) - lengths
-        rows = np.repeat(np.arange(len(rankings)), lengths)
-        positions = np.full((len(rankings), m), m, dtype=np.int64, order="F")
+        rows = np.repeat(np.arange(types), lengths)
+        positions = np.full((types, m), m, dtype=np.int64, order="F")
         positions[rows, ranked] = np.arange(len(ranked)) - np.repeat(starts, lengths)
-        weight_array = np.array(weights, dtype=np.int64)
+        weight_array = np.fromiter(map(_weight, self.ballots), np.int64, types)
         positions.flags.writeable = False
         weight_array.flags.writeable = False
         return BallotArrays(positions, weight_array)
@@ -369,18 +417,59 @@ class Profile:
 
     def with_seats(self, k: int) -> "Profile":
         """Same ballots, different seat count."""
-        return Profile._derived(self.m, self.names, self.ballots, k, self._universe_index)
+        return Profile._derived(
+            self.m, self.names, self.ballots, k, self._keys, self._universe_index
+        )
+
+
+def _check_ballots(m: int, ballots: tuple[Ballot, ...], keys: tuple[bytes, ...] | None) -> None:
+    """Raise :class:`ProfileError` naming the first invalid ballot, if any.
+
+    ``keys`` are the ballots' keys, or None when one of them does not encode.
+    The checks run as C-level passes over the keys; only a failing profile is
+    walked ballot by ballot, to name its first fault.  Order is the caller's
+    to check.
+    """
+    if keys is not None:
+        joined = b"".join(keys)
+        if (
+            min(map(_weight, ballots)) >= 1
+            and b"" not in keys
+            and not joined.translate(None, _INDEX_BYTES[:m])  # all indices below m
+            and sum(map(len, map(set, keys))) == len(joined)  # none repeated in a ballot
+        ):
+            return
+    candidates = frozenset(range(m))
+    for ranking, weight in ballots:
+        if weight < 1:
+            raise ProfileError(f"ballot {ranking} has non-positive weight {weight}")
+        if not 1 <= len(ranking) <= m:
+            raise ProfileError(f"ballot length {len(ranking)} out of range 1..{m}")
+        ranked = set(ranking)
+        if len(ranked) != len(ranking):
+            raise ProfileError(f"duplicate candidate in ballot {ranking}")
+        if not ranked <= candidates:
+            raise ProfileError(f"candidate index out of range in ballot {ranking}")
+        try:
+            bytes(ranking)
+        except (TypeError, ValueError):
+            raise ProfileError(f"candidate index not an integer in ballot {ranking}") from None
 
 
 def _canonical(
-    weighted_rankings: Iterable[tuple[Sequence[int], int]],
-) -> tuple[Ballot, ...]:
-    """Merge duplicate ballot types and sort by ranking."""
-    merged: dict[tuple[int, ...], int] = {}
-    for ranking, weight in weighted_rankings:
-        key = tuple(ranking)
+    keys: Iterable[bytes], weights: Iterable[int]
+) -> tuple[tuple[Ballot, ...], tuple[bytes, ...]]:
+    """Merge ballot types on their keys and sort them: the ballots, and their keys.
+
+    Bytes compare as their rankings do for indices 0..255, prefixes first, so
+    sorted keys are the canonical ballot order.
+    """
+    merged: dict[bytes, int] = {}
+    for key, weight in zip(keys, weights):
         merged[key] = merged.get(key, 0) + weight
-    return tuple(Ballot(r, w) for r, w in sorted(merged.items()))
+    ordered = tuple(sorted(merged))
+    rankings = map(tuple, ordered)
+    return tuple(map(_new_ballot, zip(rankings, map(merged.__getitem__, ordered)))), ordered
 
 
 @dataclass(frozen=True)
@@ -472,8 +561,9 @@ def _restricted(profile: Profile, keep: list[int], k: int, empty_message: str) -
     not).  With an index, each ballot type's U(m) position is looked up in the
     projection table of ``keep`` and the weights are summed per U(t) position,
     whose order is the canonical ballot order; the result keeps those
-    positions as its index.  Without one, each ranking is re-indexed and the
-    reduced ballots are merged and sorted.
+    positions as its index.  Without one, the key path: each key is
+    re-indexed with the dropped candidates deleted in one ``bytes.translate``
+    call, and :func:`_canonical` merges and sorts the reduced keys.
     """
     names = tuple(profile.names[c] for c in keep)
     index = profile._universe_index
@@ -488,20 +578,21 @@ def _restricted(profile: Profile, keep: list[int], k: int, empty_message: str) -
             raise ProfileError(empty_message)
         universe = ranking_universe(len(keep))
         positions = tuple(sorted(merged))
-        ballots = tuple([Ballot(universe[j], merged[j]) for j in positions])
-        return Profile._derived(len(keep), names, ballots, k, positions)
-    new_index: list[int | None] = [None] * profile.m
+        rankings = map(universe.__getitem__, positions)
+        ballots = tuple(map(_new_ballot, zip(rankings, map(merged.__getitem__, positions))))
+        return Profile._derived(len(keep), names, ballots, k, None, positions)
+    new_index = bytearray(_MAX_CANDIDATES)
     for i, c in enumerate(keep):
         new_index[c] = i
-    remaining: list[tuple[tuple[int, ...], int]] = []
-    for ranking, weight in profile.ballots:
-        # A list index map and tuple([...]) timed faster than a dict and a generator.
-        reduced = tuple([new_index[x] for x in ranking if new_index[x] is not None])
-        if reduced:
-            remaining.append((reduced, weight))
-    if not remaining:
+    dropped = bytes(set(range(profile.m)).difference(keep))
+    repeat = itertools.repeat
+    reduced = map(bytes.translate, profile._keys, repeat(new_index), repeat(dropped))
+    ballots, keys = _canonical(reduced, map(_weight, profile.ballots))
+    if not keys[0]:  # the empty key sorts first: ballots that ranked only dropped candidates
+        ballots, keys = ballots[1:], keys[1:]
+    if not keys:
         raise ProfileError(empty_message)
-    return Profile._derived(len(keep), names, _canonical(remaining), k)
+    return Profile._derived(len(keep), names, ballots, k, keys)
 
 
 def first_place_counts(profile: Profile) -> tuple[int, ...]:

@@ -36,7 +36,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import MAX_ENUMERATED_M, Profile, _ranking_positions, default_names, ranking_universe
+from .core import (
+    _MAX_CANDIDATES,
+    MAX_ENUMERATED_M,
+    Profile,
+    _ranking_positions,
+    default_names,
+    ranking_universe,
+)
 
 MODELS = ("ic", "iac", "spatial1d")
 REGIMES = ("complete", "partial")
@@ -60,6 +67,8 @@ class CultureSpec:
             raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
         if self.m < 2:
             raise ValueError("need at least 2 candidates")
+        if self.m > _MAX_CANDIDATES:
+            raise ValueError(f"at most {_MAX_CANDIDATES} candidates supported, got m={self.m}")
         if not 1 <= self.k < self.m:
             raise ValueError(f"k={self.k} must satisfy 1 <= k < m={self.m}")
         if self.n < 1:

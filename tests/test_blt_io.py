@@ -49,6 +49,7 @@ def test_trailing_metadata_lines_are_kept_but_ignored():
     [
         ("3\n0\n", 1),  # malformed header
         ("3 3\n0\n", 1),  # k >= m
+        ("257 2\n1 257 0\n0\n", 1),  # more candidates than a ballot key holds
         ("3 1\n5 2 2 1 0\n0\n", 2),  # duplicate candidate
         ("3 1\n5 4 0\n0\n", 2),  # index out of range
         ("3 1\n5 1 2\n0\n", 2),  # missing 0 terminator on ballot line
@@ -60,6 +61,12 @@ def test_parse_errors_carry_line_numbers(text, line_no):
     with pytest.raises(BltParseError) as err:
         parse_blt(text)
     assert err.value.line_no == line_no
+
+
+def test_256_candidates_parse_with_zero_based_indices():
+    names = "".join(f'"C{i}"\n' for i in range(256))
+    profile = parse_blt(f"256 2\n3 256 1 0\n2 1 0\n0\n{names}\"t\"\n")
+    assert profile.ballots == (Ballot((0,), 2), Ballot((255, 0), 3))
 
 
 def test_missing_sentinel_is_an_error():

@@ -39,6 +39,19 @@ def test_invalid_profiles_rejected():
         Profile.build(3, "ABC", [], 1)  # no ballots
 
 
+def test_at_most_256_candidates():
+    ballots = [((255, 0), 1)]
+    assert Profile.build(256, default_names(256), ballots, 2).m == 256
+    match = "^at most 256 candidates fit a ballot, got m=257$"
+    with pytest.raises(ProfileError, match=match):
+        Profile.build(257, default_names(257), ballots, 2)
+    # The shape is checked first, also when a ranking does not fit a byte.
+    with pytest.raises(ProfileError, match=match):
+        Profile.build(257, default_names(257), [((256,), 1)], 2)
+    with pytest.raises(ProfileError, match=match):
+        Profile(257, default_names(257), (Ballot((256,), 1),), 2)
+
+
 # One invalid ballot each, after a valid one, with the message it must raise.
 # Where a ballot breaks several invariants, the earlier check in this list wins.
 INVALID_BALLOTS = [
@@ -51,6 +64,9 @@ INVALID_BALLOTS = [
     (((5, 5), 1), "duplicate candidate in ballot (5, 5)"),
     (((3,), 1), "candidate index out of range in ballot (3,)"),
     (((1, -1), 1), "candidate index out of range in ballot (1, -1)"),
+    (((1, 300), 1), "candidate index out of range in ballot (1, 300)"),
+    (((0.5,), 1), "candidate index out of range in ballot (0.5,)"),
+    (((1.0,), 1), "candidate index not an integer in ballot (1.0,)"),
 ]
 
 

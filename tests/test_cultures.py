@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from mwspoilers.core import Profile
+from mwspoilers.core import Profile, ProfileError, ranking_universe
 from mwspoilers.cultures import (
     CultureSpec,
     complete_universe,
@@ -46,6 +46,9 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="enumerates"):
         CultureSpec("iac", "partial", 9, 2, 10)
     CultureSpec("spatial1d", "partial", 9, 2, 10)  # ranks voters, enumerates nothing
+    CultureSpec("spatial1d", "partial", 256, 2, 10)
+    with pytest.raises(ValueError, match="^at most 256 candidates supported, got m=257$"):
+        CultureSpec("spatial1d", "partial", 257, 2, 10)
 
 
 @pytest.mark.parametrize("model", ["ic", "iac", "spatial1d"])
@@ -158,19 +161,35 @@ def test_different_seeds_differ():
     assert a != b
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from(["ic", "iac", "spatial1d"]),
-    st.sampled_from(["complete", "partial"]),
-    st.integers(2, 6),
-    st.data(),
-)
+@pytest.mark.parametrize("model", ["ic", "iac", "spatial1d"])
+@pytest.mark.parametrize("regime", ["complete", "partial"])
+@pytest.mark.parametrize("m", range(2, 9))
+@settings(max_examples=10, deadline=None)
+@given(st.data())
 def test_sampled_profiles_pass_full_validation(model, regime, m, data):
     k = data.draw(st.integers(1, m - 1))
     n = data.draw(st.integers(1, 300))
     s = spec(model, regime, m=m, k=k, n=n, seed=data.draw(st.integers(0, 2**32)))
     p = sample_profile(s, data.draw(st.integers(0, 1000)))
-    assert Profile(m=p.m, names=p.names, ballots=p.ballots, k=p.k) == p
+    validated = Profile(m=p.m, names=p.names, ballots=p.ballots, k=p.k)
+    assert validated == p
+    assert validated._keys == p._keys
+
+
+@pytest.mark.parametrize(
+    "index, weights",
+    [([3, 3], [1, 1]), ([4, 2], [1, 1]), ([-1, 2], [1, 1]), ([2, 64], [1, 1])],
+)
+def test_universe_index_must_be_increasing_positions_in_the_universe(index, weights):
+    # U(4) holds 64 rankings.
+    with pytest.raises(ProfileError, match="^universe index must be strictly increasing"):
+        Profile._from_universe(4, index, weights, 2)
+
+
+def test_universe_weights_must_be_positive():
+    assert ranking_universe(4)[40] == (2, 1, 0, 3)
+    with pytest.raises(ProfileError, match="^ballot \\(2, 1, 0, 3\\) has non-positive weight 0$"):
+        Profile._from_universe(4, [2, 40], [1, 0], 2)
 
 
 @pytest.mark.parametrize("regime", ["complete", "partial"])

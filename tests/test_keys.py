@@ -1,0 +1,130 @@
+"""Ballot keys and the key path of removal and restriction.
+
+Every profile holds ``bytes(ranking)`` per ballot type, and removal and
+restriction of a profile without a universe index re-index those keys with
+``bytes.translate`` and merge and sort them.  The tests here hold that path
+to rankings restricted one at a time by name (``oracles.restricted_ranking``)
+and merged and sorted as tuples, and check the keys every derived profile
+carries.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mwspoilers.core import (
+    Ballot,
+    Profile,
+    ProfileError,
+    default_names,
+    remove_candidate,
+    restrict_to_subset,
+)
+from mwspoilers.cultures import CultureSpec, sample_profile
+
+from oracles import restricted_ranking
+
+
+def assert_keys(profile: Profile) -> None:
+    assert profile._keys == tuple(bytes(ranking) for ranking, _ in profile.ballots)
+
+
+def restricted_by_oracle(profile: Profile, keep: tuple[int, ...], k: int) -> Profile | None:
+    """The election on the sorted original candidates ``keep``; None if no ballot is left."""
+    merged: dict[tuple[int, ...], int] = {}
+    for ranking, weight in profile.ballots:
+        reduced = restricted_ranking(ranking, keep)
+        if reduced:
+            merged[reduced] = merged.get(reduced, 0) + weight
+    if not merged:
+        return None
+    ballots = sorted(merged.items())  # canonical already: build takes it as it is
+    expected = Profile.build(len(keep), [profile.names[c] for c in keep], ballots, k)
+    assert expected.ballots == tuple(ballots)
+    return expected
+
+
+@st.composite
+def profiles(draw, max_m: int = 12):
+    m = draw(st.integers(2, max_m))
+    ranking = st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True)
+    ballots = draw(st.lists(st.tuples(ranking, st.integers(1, 9)), min_size=1, max_size=25))
+    return Profile.build(m, default_names(m), ballots, draw(st.integers(1, m - 1)))
+
+
+@given(profiles(), st.data())
+@settings(max_examples=200)
+def test_chains_of_removal_restriction_and_seats_match_the_oracle(p, data):
+    assert_keys(p)
+    keep = tuple(range(p.m))  # original indices of the current candidates
+    current = p
+    for _ in range(data.draw(st.integers(1, 4))):
+        step = data.draw(st.sampled_from(["remove", "restrict", "seats"]))
+        if step == "remove":
+            if current.m - 1 <= current.k:
+                continue
+            c = data.draw(st.integers(0, current.m - 1))
+            keep, k = keep[:c] + keep[c + 1 :], current.k
+            operation = lambda q: remove_candidate(q, c)  # noqa: E731
+        elif step == "restrict":
+            subset = sorted(data.draw(st.sets(st.integers(0, current.m - 1), min_size=2)))
+            keep, k = tuple(keep[i] for i in subset), data.draw(st.integers(1, len(subset) - 1))
+            operation = lambda q: restrict_to_subset(q, subset, k)  # noqa: E731
+        else:
+            k = data.draw(st.integers(1, current.m - 1))
+            operation = lambda q: q.with_seats(k)  # noqa: E731
+        expected = restricted_by_oracle(p, keep, k)
+        if expected is None:
+            with pytest.raises(ProfileError, match="leaves no ballots$"):
+                operation(current)
+            return
+        current = operation(current)
+        assert current == expected
+        assert current._universe_index is None
+        assert_keys(current)
+
+
+def test_ward_removals_match_the_oracle(ward):
+    assert_keys(ward)
+    for c in range(ward.m):
+        reduced = remove_candidate(ward, c)
+        assert reduced == restricted_by_oracle(ward, tuple(x for x in range(ward.m) if x != c), 4)
+        assert_keys(reduced)
+
+
+def test_256_candidates():
+    m = 256
+    ballots = [((255, 0, 128), 2), ((0,), 3), ((7, 255), 1), ((255,), 4), ((128, 255), 5)]
+    p = Profile.build(m, default_names(m), ballots, 3)
+    assert_keys(p)
+    assert p._keys[-1] == b"\xff\x00\x80"
+    for c in (0, 128, 254, 255):
+        reduced = remove_candidate(p, c)
+        assert reduced == restricted_by_oracle(p, tuple(x for x in range(m) if x != c), 3)
+        assert_keys(reduced)
+    subset = (0, 7, 128, 255)
+    restricted = restrict_to_subset(p, subset, 2)
+    assert restricted.ballots == (
+        Ballot((0,), 3),
+        Ballot((1, 3), 1),
+        Ballot((2, 3), 5),
+        Ballot((3,), 4),
+        Ballot((3, 0, 2), 2),
+    )
+    assert_keys(restricted)
+    assert_keys(restricted.with_seats(1))
+
+
+@pytest.mark.parametrize("model", ["ic", "iac", "spatial1d"])
+@pytest.mark.parametrize("regime", ["complete", "partial"])
+def test_index_path_results_encode_their_keys_on_first_use(model, regime):
+    p = sample_profile(CultureSpec(model, regime, 5, 2, 40, seed=3), 0)
+    assert p._universe_index is not None
+    assert_keys(p)
+    derived = [remove_candidate(p, c) for c in range(p.m)] + [restrict_to_subset(p, [0, 2, 4], 1)]
+    assert not any("_keys" in vars(result) for result in derived)  # not encoded yet
+    for result in derived + [p.with_seats(3)]:
+        assert_keys(result)
+        free = Profile(result.m, result.names, result.ballots, result.k)
+        for got, expected in zip(result.arrays, free.arrays):
+            assert (got == expected).all()

@@ -2,14 +2,17 @@
 
 One seeded m=10, k=4 partial-ballot election of about 2,000 ballot types,
 the size of a large ward (the ``ward`` fixture of ``conftest.py``).  Each
-bench times five single calls (``benchmark.pedantic``); the first call on a
-fresh profile pays for building its cached array form, as the first rule run
-on a reduced profile does in an audit.  The positional-score bench gets a
-fresh profile every round, so each round also builds the position tally.
-Print the timings with
-``pytest tests/test_microbench.py``; compare runs with pytest-benchmark's
-``--benchmark-autosave`` and ``--benchmark-compare``.
+bench times five single calls (``benchmark.pedantic``); the build bench
+gets the ward's ballot types in shuffled order, so it merges and sorts them
+as it does a parsed ballot file's.  The first call on a fresh profile pays
+for building its cached array form, as the first rule run on a reduced
+profile does in an audit.  The positional-score bench gets a fresh profile
+every round, so each round also builds the position tally.  Print the
+timings with ``pytest tests/test_microbench.py``; compare runs with
+pytest-benchmark's ``--benchmark-autosave`` and ``--benchmark-compare``.
 """
+
+import random
 
 from mwspoilers.core import (
     Profile,
@@ -18,6 +21,7 @@ from mwspoilers.core import (
     first_place_counts,
     pairwise_matrix,
     remove_candidate,
+    restrict_to_subset,
     top_k_counts,
 )
 from mwspoilers.methods import TiePolicy, chamberlin_courant, greedy_cc, srcv, stv, top_k_irv
@@ -28,6 +32,7 @@ from oracles import (
     cc_enumeration,
     greedy_cc_reference,
     naive_margin,
+    restricted_ranking,
     srcv_by_removal,
     stv_by_parcels,
     top_k_counts_reference,
@@ -65,6 +70,23 @@ def test_bench_pairwise_matrix(benchmark, ward):
 def test_bench_remove_candidate(benchmark, ward):
     reduced = benchmark.pedantic(remove_candidate, args=(ward, 3), rounds=5, iterations=1)
     assert reduced == _profile_without(ward, 3)
+
+
+def test_bench_restrict_to_subset(benchmark, ward):
+    keep = (0, 2, 3, 5, 7, 9)
+    args = (ward, keep, 3)
+    restricted = benchmark.pedantic(restrict_to_subset, args=args, rounds=5, iterations=1)
+    reduced = [(restricted_ranking(r, keep), w) for r, w in ward.ballots]
+    names = [ward.names[c] for c in keep]
+    assert restricted == Profile.build(len(keep), names, [b for b in reduced if b[0]], 3)
+
+
+def test_bench_profile_build(benchmark, ward):
+    shuffled = list(ward.ballots)
+    random.Random(11).shuffle(shuffled)
+    args = (ward.m, ward.names, shuffled, ward.k)
+    built = benchmark.pedantic(Profile.build, args=args, rounds=5, iterations=1)
+    assert built == Profile(ward.m, ward.names, tuple(sorted(shuffled)), ward.k)
 
 
 def test_bench_stv(benchmark, ward):
