@@ -210,6 +210,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         args.usage_error(str(exc))
     if args.trials < 0:
         args.usage_error("--trials must be non-negative")
+    if args.workers < 1:
+        args.usage_error("--workers must be at least 1")
     result = run_simulation(
         spec,
         _resolve_methods(args.methods),
@@ -242,12 +244,13 @@ def _cmd_subelections(args: argparse.Namespace) -> int:
     if not 1 <= args.k < args.t:
         args.usage_error(f"--k {args.k} must satisfy 1 <= k < t={args.t}")
     path = _existing(args, args.path)
-    skipped_empty = 0
+    too_small = skipped_empty = 0
 
     def stream() -> Iterator[tuple[str, Profile]]:
-        nonlocal skipped_empty
+        nonlocal too_small, skipped_empty
         for name, profile in _load_elections(path):
             if profile.m < args.t:
+                too_small += 1
                 continue
             for sub in enumerate_subelections(profile, args.t, args.k):
                 if sub.profile is None:
@@ -266,7 +269,7 @@ def _cmd_subelections(args: argparse.Namespace) -> int:
     )
     print(
         f"sub-elections used: {result.elections_used}, "
-        f"skipped: {result.elections_skipped}, empty: {skipped_empty}",
+        f"skipped: {result.elections_skipped}, empty: {skipped_empty}, too small: {too_small}",
         file=sys.stderr,
     )
     return 0

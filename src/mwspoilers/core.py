@@ -22,10 +22,8 @@ merges and sorts ballot types on their keys for both :meth:`Profile.build`
 and restriction, and hands back the keys of the ballots it makes.
 Restriction re-indexes and drops candidates with one ``bytes.translate`` per
 ballot type, in C, and a restriction of a restricted profile never encodes
-again.  Like the universe index below, the keys are not a dataclass field:
-they are outside ``==``, ``repr`` and ``hash``.  Every constructor that has
-them at hand stores them; a profile derived through its universe index
-(below) encodes them on first use, which the samplers' removals never need.
+again.  Every constructor stores the keys; they are not a dataclass field,
+so they are outside ``==``, ``repr`` and ``hash``.
 
 The positional scores (first-place, top-k and Borda counts) all come from
 one :attr:`Profile.tally`, built in one exact-integer pass over the ballots
@@ -41,24 +39,11 @@ extension and the samplers) check every ballot.  The checks run as C-level
 passes over the keys (weights, lengths, repeated and out-of-range indices,
 order); only a profile that fails them is walked ballot by ballot to name the
 first fault.  ``build`` merges and sorts its input unless it is already
-canonical, as the samplers emit it.  Profiles derived from a valid profile
+canonical, as the IC and IAC samplers emit it.  Profiles derived from a valid profile
 (:func:`remove_candidate`, :func:`restrict_to_subset`,
 :meth:`Profile.with_seats`) cannot break a ballot invariant, so they are made
 by :meth:`Profile._derived`, which keeps only the O(1) shape checks.  This
 matters on the audit hot path, which derives a profile per removed candidate.
-
-For m up to ``MAX_ENUMERATED_M``, :func:`ranking_universe` lists every strict
-ranking of length 1..m in lexicographic order: U(m), built on first use for
-each m.  A canonical profile's ballot types appear in U(m) in order.  The
-samplers emit their profiles in this order and give each one a universe
-index, the U(m) position of every ballot type; removal and restriction of
-such a profile project those positions through a table per kept candidate
-set and pass the index on to the result.  Parsed, extended and hand-built
-profiles, and any with m > ``MAX_ENUMERATED_M``, carry none and take the
-key path.  The index is private and not a dataclass field: it is outside
-``==``, ``repr`` and ``hash``, so a sampled profile equals the same ballots
-built any other way, and ``Profile.ballots`` stays the one representation
-the rules read.  It is set once, before the profile is handed out.
 
 The array-based rules (exact and greedy Chamberlin-Courant, committee
 satisfaction, pairwise margins) read :attr:`Profile.arrays`: the rank
@@ -76,10 +61,9 @@ from __future__ import annotations
 import enum
 import itertools
 import operator
-from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from typing import ClassVar, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -159,73 +143,6 @@ def default_names(m: int) -> tuple[str, ...]:
     return tuple(f"C{i}" for i in range(m))
 
 
-# Ballot universes are enumerated explicitly, which is only sane for small m;
-# the simulation campaigns use m in {4, 5}.
-MAX_ENUMERATED_M = 8
-
-
-@lru_cache(maxsize=None)
-def ranking_universe(m: int) -> tuple[tuple[int, ...], ...]:
-    """U(m): every strict ranking of length 1..m of ``range(m)``, lexicographic.
-
-    Each ranking comes right after its own proper prefixes, so the ballot
-    types of a canonical profile on m candidates appear in U(m) in order.
-    """
-    if not 1 <= m <= MAX_ENUMERATED_M:
-        raise ValueError(f"ranking universe needs 1 <= m <= {MAX_ENUMERATED_M}, got m={m}")
-    lengths = range(1, m + 1)
-    return tuple(
-        sorted(itertools.chain.from_iterable(itertools.permutations(range(m), n) for n in lengths))
-    )
-
-
-@lru_cache(maxsize=None)
-def _ranking_positions(m: int) -> dict[tuple[int, ...], int]:
-    """The U(m) position of every ranking of length 1..m."""
-    return {ranking: i for i, ranking in enumerate(ranking_universe(m))}
-
-
-@lru_cache(maxsize=None)
-def _universe_tree(m: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """U(m) as a prefix tree: each ranking's parent, its last entry, and the levels.
-
-    The parent of a ranking is its position without the last entry (-1 for
-    length 1); level ``l - 1`` holds the positions of the rankings of length ``l``.
-    """
-    universe = ranking_universe(m)
-    position = _ranking_positions(m)
-    parent = np.array([position.get(ranking[:-1], -1) for ranking in universe])
-    last = np.array([ranking[-1] for ranking in universe])
-    lengths = np.array([len(ranking) for ranking in universe])
-    return parent, last, [np.flatnonzero(lengths == n) for n in range(1, m + 1)]
-
-
-# At m = 8 one table holds 109,600 entries (438 kB), so only recent ones stay.
-@lru_cache(maxsize=64)
-def _projection(m: int, keep: tuple[int, ...]) -> array:
-    """For each U(m) ranking, the U(t) position of its restriction to ``keep``.
-
-    ``keep`` is sorted and becomes ``0..t-1``; a ranking naming none of it
-    maps to -1.  A ranking's restriction is its parent's, extended by its
-    last entry if that is kept, so the table fills one length at a time.
-    """
-    t = len(keep)
-    new_index = np.full(m, -1, dtype=np.int64)
-    new_index[list(keep)] = np.arange(t)
-    parent_t, last_t, _ = _universe_tree(t)
-    # child[p + 1, c]: position in U(t) of ranking p extended by c (p = -1: the empty one).
-    child = np.full((len(parent_t) + 1, t), -1, dtype=np.int64)
-    child[parent_t + 1, last_t] = np.arange(len(parent_t))
-    parent, last, levels = _universe_tree(m)
-    # The extra last slot, read through parent -1, stands for the empty ranking.
-    position = np.full(len(parent) + 1, -1, dtype=np.int64)
-    for rows in levels:
-        above = position[parent[rows]]
-        kept = new_index[last[rows]]
-        position[rows] = np.where(kept >= 0, child[above + 1, kept], above)
-    return array("i", position[:-1].astype(np.intc).tobytes())
-
-
 @dataclass(frozen=True)
 class Profile:
     """An election: ``m`` candidates, weighted ballot types, ``k`` seats.
@@ -241,9 +158,8 @@ class Profile:
     ballots: tuple[Ballot, ...]
     k: int
 
-    # U(m) position of each ballot type, on sampled profiles and those derived
-    # from them; None elsewhere.  Not a field: outside ==, repr and hash.
-    _universe_index: ClassVar[tuple[int, ...] | None] = None
+    # Every constructor also stores ``_keys``, ``bytes(ranking)`` of each
+    # ballot type.  Not a field: outside ==, repr and hash.
 
     def __post_init__(self) -> None:
         self._check_shape()
@@ -281,7 +197,8 @@ class Profile:
         """Merge duplicate ballot types, sort, and validate.
 
         Input already in canonical order (strictly increasing rankings, as the
-        samplers emit it) is taken as it is; anything else is merged and sorted.
+        IC and IAC samplers emit it) is taken as it is; anything else is
+        merged and sorted.
         """
         rankings, weights = tuple(zip(*weighted_rankings)) or ((), ())
         rankings = tuple(map(tuple, rankings))
@@ -301,60 +218,26 @@ class Profile:
         return profile
 
     @classmethod
-    def _from_universe(
-        cls, m: int, index: Sequence[int], weights: Sequence[int], k: int
-    ) -> "Profile":
-        """The profile with ``weights[j]`` ballots of U(m) type ``index[j]``, default names.
-
-        Only what a caller can get wrong is checked here: ``index`` must be
-        strictly increasing positions in U(m), so its rankings are canonical.
-        They go through :meth:`build`, whose C-level key checks are all they
-        cost (the rankings themselves cannot fail), and the profile keeps
-        ``index``.
-        """
-        universe = ranking_universe(m)
-        if not all(map(operator.lt, (-1, *index), (*index, len(universe)))):
-            raise ProfileError(f"universe index must be strictly increasing positions in U({m})")
-        rankings = map(universe.__getitem__, index)
-        profile = cls.build(m, default_names(m), zip(rankings, weights), k)
-        object.__setattr__(profile, "_universe_index", tuple(index))
-        return profile
-
-    @classmethod
     def _derived(
         cls,
         m: int,
         names: tuple[str, ...],
         ballots: tuple[Ballot, ...],
         k: int,
-        keys: tuple[bytes, ...] | None,
-        universe_index: tuple[int, ...] | None = None,
+        keys: tuple[bytes, ...],
     ) -> "Profile":
         """A profile whose canonical ballots come from a valid profile.
 
         Checks only the shape (m, names, k, at least one ballot); the caller
-        guarantees every ballot is a valid, sorted, deduplicated ranking, that
-        ``keys``, if given, are their keys, and that ``universe_index``, if
-        given, holds their U(m) positions.
+        guarantees every ballot is a valid, sorted, deduplicated ranking and
+        that ``keys`` are their keys, which the profile stores.
         """
         profile = object.__new__(cls)
         for attr, value in (("m", m), ("names", names), ("ballots", ballots), ("k", k)):
             object.__setattr__(profile, attr, value)
+        object.__setattr__(profile, "_keys", keys)
         profile._check_shape()
-        if keys is not None:
-            object.__setattr__(profile, "_keys", keys)
-        if universe_index is not None:
-            object.__setattr__(profile, "_universe_index", universe_index)
         return profile
-
-    @cached_property
-    def _keys(self) -> tuple[bytes, ...]:
-        """``bytes(ranking)`` of each ballot type; not a field, like the universe index.
-
-        Every constructor that has the keys at hand stores them here; only a
-        profile derived through its universe index computes them, on first use.
-        """
-        return tuple(map(bytes, map(_ranking, self.ballots)))
 
     @cached_property
     def n(self) -> int:
@@ -417,9 +300,7 @@ class Profile:
 
     def with_seats(self, k: int) -> "Profile":
         """Same ballots, different seat count."""
-        return Profile._derived(
-            self.m, self.names, self.ballots, k, self._keys, self._universe_index
-        )
+        return Profile._derived(self.m, self.names, self.ballots, k, self._keys)
 
 
 def _check_ballots(m: int, ballots: tuple[Ballot, ...], keys: tuple[bytes, ...] | None) -> None:
@@ -555,32 +436,11 @@ def _restricted(profile: Profile, keep: list[int], k: int, empty_message: str) -
     Ballots ranking none of ``keep`` are dropped; if none remain, raises
     :class:`ProfileError` with ``empty_message``.
 
-    Two paths give the same ballots, chosen by whether the profile carries a
-    universe index (sampled profiles and those derived from them do; parsed,
-    extended and hand-built ones, and any with m > ``MAX_ENUMERATED_M``, do
-    not).  With an index, each ballot type's U(m) position is looked up in the
-    projection table of ``keep`` and the weights are summed per U(t) position,
-    whose order is the canonical ballot order; the result keeps those
-    positions as its index.  Without one, the key path: each key is
-    re-indexed with the dropped candidates deleted in one ``bytes.translate``
-    call, and :func:`_canonical` merges and sorts the reduced keys.
+    Each key is re-indexed with the dropped candidates deleted in one
+    ``bytes.translate`` call, and :func:`_canonical` merges and sorts the
+    reduced keys; the result stores the keys it returns.
     """
     names = tuple(profile.names[c] for c in keep)
-    index = profile._universe_index
-    if index is not None:
-        table = _projection(profile.m, tuple(keep))
-        merged: dict[int, int] = {}
-        for i, (_, weight) in zip(index, profile.ballots):
-            j = table[i]
-            if j >= 0:
-                merged[j] = merged.get(j, 0) + weight
-        if not merged:
-            raise ProfileError(empty_message)
-        universe = ranking_universe(len(keep))
-        positions = tuple(sorted(merged))
-        rankings = map(universe.__getitem__, positions)
-        ballots = tuple(map(_new_ballot, zip(rankings, map(merged.__getitem__, positions))))
-        return Profile._derived(len(keep), names, ballots, k, None, positions)
     new_index = bytearray(_MAX_CANDIDATES)
     for i, c in enumerate(keep):
         new_index[c] = i

@@ -16,12 +16,11 @@ Three models, each in a complete-ballot and a partial-ballot regime:
 
 Every sampler draws its counts in its own order, which the draws depend on
 and which never changes (IC and IAC over :func:`complete_universe` or
-:func:`partial_universe`, spatial per occupied bin), and emits the nonzero
-ones through :meth:`Profile.build` in U(m) order, the lexicographic order of
-:func:`mwspoilers.core.ranking_universe`.  That is the canonical ballot
-order, so build need not re-sort, and the profile keeps each ballot type's
-U(m) position for cheap removals.  Spatial profiles with
-m > ``MAX_ENUMERATED_M`` are built from their rankings alone.
+:func:`partial_universe`, spatial per occupied bin).  IC and IAC emit their
+nonzero counts through :meth:`Profile.build` in canonical ballot order, via
+one cached permutation of the draw universe, so build need not re-sort; the
+spatial sampler hands build its rankings as they come, and build merges and
+sorts them.
 
 Determinism contract: every sampler is a pure function of (spec, trial).
 Trial ``t`` uses the numpy stream seeded with the entropy pair
@@ -33,20 +32,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, permutations
 
 import numpy as np
 
-from .core import (
-    _MAX_CANDIDATES,
-    MAX_ENUMERATED_M,
-    Profile,
-    _ranking_positions,
-    default_names,
-    ranking_universe,
-)
+from .core import _MAX_CANDIDATES, Profile, default_names
 
 MODELS = ("ic", "iac", "spatial1d")
 REGIMES = ("complete", "partial")
+
+# IC and IAC enumerate their ballot types, which is only sane for small m;
+# the simulation campaigns use m in {4, 5}.
+MAX_ENUMERATED_M = 8
 
 
 @dataclass(frozen=True)
@@ -89,15 +86,15 @@ def complete_universe(m: int) -> tuple[tuple[int, ...], ...]:
     """All m! full rankings, lexicographic."""
     if m > MAX_ENUMERATED_M:
         raise ValueError(f"refusing to enumerate {m}! rankings (m > {MAX_ENUMERATED_M})")
-    return tuple(r for r in ranking_universe(m) if len(r) == m)
+    return tuple(permutations(range(m)))
 
 
 @lru_cache(maxsize=None)
 def partial_universe(m: int) -> tuple[tuple[int, ...], ...]:
-    """All strict partial rankings of length 1..m-1, shortest first."""
+    """All strict partial rankings of length 1..m-1, shortest first, then lexicographic."""
     if m > MAX_ENUMERATED_M:
         raise ValueError(f"partial ranking universe too large (m > {MAX_ENUMERATED_M})")
-    return tuple(sorted((r for r in ranking_universe(m) if len(r) < m), key=len))
+    return tuple(chain.from_iterable(permutations(range(m), n) for n in range(1, m)))
 
 
 def _universe(regime: str, m: int) -> tuple[tuple[int, ...], ...]:
@@ -108,20 +105,20 @@ def _universe(regime: str, m: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _emission(m: int, regime: str) -> tuple[np.ndarray, np.ndarray]:
-    """The draw universe's indices in U(m) order, and their U(m) positions."""
-    position = _ranking_positions(m)
-    drawn = np.array([position[r] for r in _universe(regime, m)])
-    order = np.argsort(drawn)
-    return order, drawn[order]
+def _emission(m: int, regime: str) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+    """The draw universe's indices in canonical ballot order, and its rankings in that order."""
+    universe = _universe(regime, m)
+    order = sorted(range(len(universe)), key=universe.__getitem__)
+    return np.array(order), tuple(map(universe.__getitem__, order))
 
 
 def _from_counts(spec: CultureSpec, counts: np.ndarray) -> Profile:
     """The profile with ``counts[i]`` ballots of draw-universe type ``i``."""
-    order, positions = _emission(spec.m, spec.regime)
+    order, rankings = _emission(spec.m, spec.regime)
     counts = counts[order]
     held = np.flatnonzero(counts)
-    return Profile._from_universe(spec.m, positions[held].tolist(), counts[held].tolist(), spec.k)
+    ballots = zip(map(rankings.__getitem__, held.tolist()), counts[held].tolist())
+    return Profile.build(spec.m, default_names(spec.m), ballots, spec.k)
 
 
 def sample_ic(spec: CultureSpec, trial: int = 0) -> Profile:
@@ -193,15 +190,7 @@ def sample_spatial1d(spec: CultureSpec, trial: int = 0) -> Profile:
     order = np.argsort(np.abs(representative[gap_of, None] - cands[None, :]), axis=1)
     rankings = [tuple(row[:length]) for row, length in zip(order.tolist(), length_of.tolist())]
     weights = counts[occupied].tolist()
-    if m > MAX_ENUMERATED_M:
-        return Profile.build(m, default_names(m), zip(rankings, weights), spec.k)
-    position = _ranking_positions(m)
-    merged: dict[int, int] = {}
-    for ranking, weight in zip(rankings, weights):
-        i = position[ranking]
-        merged[i] = merged.get(i, 0) + weight
-    index = sorted(merged)
-    return Profile._from_universe(m, index, [merged[i] for i in index], spec.k)
+    return Profile.build(m, default_names(m), zip(rankings, weights), spec.k)
 
 
 _SAMPLERS = {"ic": sample_ic, "iac": sample_iac, "spatial1d": sample_spatial1d}

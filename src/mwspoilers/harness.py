@@ -197,7 +197,9 @@ def run_simulation(
     tallies = _new_tallies(method_ids)
     if trials < 0:
         raise ValueError("trials must be non-negative")
-    if workers <= 1 or trials == 0:
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    if workers == 1 or trials == 0:
         tallies = _simulate_block((spec, tuple(method_ids), tie, 0, trials))
     else:
         chunk = max(1, -(-trials // (workers * 8)))
@@ -205,7 +207,8 @@ def run_simulation(
             (spec, tuple(method_ids), tie, start, min(start + chunk, trials))
             for start in range(0, trials, chunk)
         ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # A pool starts all its processes at once, so none is left without a block.
+        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
             for result in pool.map(_simulate_block, blocks):
                 for mid, tally in result.items():
                     tallies[mid].merge(tally)
@@ -256,11 +259,12 @@ def run_corpus_audit(
     given, is applied before the filter).  Besides the simulation-style
     fractions this collects stability summaries, clone-similarity statistics,
     and one detail row per election and method.  A failed audit gets a detail
-    row with empty statistics and an entry in ``failures``.
+    row with empty statistics and an entry in ``failures``.  Clone statistics
+    are folded in as each audit finishes, so no profile outlives its audit.
     """
     tallies = _new_tallies(method_ids)
     stability = {mid: StabilityAggregate() for mid in tallies}
-    clone_inputs: dict[str, list[tuple[SpoilerReport, Profile]]] = {mid: [] for mid in tallies}
+    clones = {mid: CloneStats(0, 0, 0, 0, ()) for mid in tallies}
     details: list[dict] = []
     failures: list[tuple[str, str, str]] = []
     used = skipped = 0
@@ -291,7 +295,7 @@ def run_corpus_audit(
                         s.multi_alt_set_elections += 1
                 s.greatest_num_spoilers = max(s.greatest_num_spoilers, summary.num_spoilers)
                 s.greatest_num_alt_sets = max(s.greatest_num_alt_sets, summary.num_alternate_sets)
-                clone_inputs[mid].append((report, profile))
+                clones[mid] += clone_statistics([(report, profile)])
             row.update(
                 tie=report.has_tie,
                 num_spoilers=summary.num_spoilers,
@@ -307,7 +311,7 @@ def run_corpus_audit(
         elections_skipped=skipped,
         methods=_results(tallies),
         stability=stability,
-        clones={mid: clone_statistics(pairs) for mid, pairs in clone_inputs.items()},
+        clones=clones,
         details=details,
         failures=failures,
     )

@@ -14,7 +14,7 @@ indices, so committees before and after a removal compare directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable
 
@@ -238,6 +238,11 @@ class CloneStats:
         if self.closer_to_retained == 0:
             return None
         return self.closer_to_would_be / self.closer_to_retained
+
+    def __add__(self, other: "CloneStats") -> "CloneStats":
+        """Both aggregates as one: counters summed, triples concatenated."""
+        values = {f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)}
+        return CloneStats(**values)
 
 
 def adjacent_pair_weight(profile: Profile, x: int, y: int) -> int:

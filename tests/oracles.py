@@ -638,7 +638,3 @@ def restricted_ranking(ranking: tuple[int, ...], keep: tuple[int, ...]) -> tuple
     """``ranking`` without the candidates outside the sorted ``keep``, re-indexed by name."""
     return tuple(keep.index(c) for c in ranking if c in keep)
 
-
-def index_free(profile: Profile) -> Profile:
-    """An equal profile without a universe index, so restriction takes the tuple path."""
-    return Profile(m=profile.m, names=profile.names, ballots=profile.ballots, k=profile.k)

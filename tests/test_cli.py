@@ -135,7 +135,8 @@ def test_subelections_command(corpus_dir, capsys):
     )
     assert code == 0
     assert out.startswith("method,spoiler")
-    assert "sub-elections used: 1" in err
+    # b.blt has 3 candidates, too few for a size-4 subset.
+    assert "sub-elections used: 1, skipped: 0, empty: 0, too small: 1\n" in err
 
 
 def test_clones_command(corpus_dir, capsys):
@@ -238,6 +239,10 @@ def test_spoilers_detail_table_has_a_header_when_every_election_is_filtered(tmp_
          "--trials", "3"],
         ["simulate", "--model", "ic", "--regime", "complete", "--m", "4", "--k", "2",
          "--trials", "-1"],
+        ["simulate", "--model", "ic", "--regime", "complete", "--m", "4", "--k", "2",
+         "--trials", "3", "--workers", "0"],
+        ["simulate", "--model", "ic", "--regime", "complete", "--m", "4", "--k", "2",
+         "--trials", "3", "--workers", "-2"],
         ["simulate", "--model", "ic", "--regime", "complete", "--m", "9", "--k", "2",
          "--trials", "3"],
         ["simulate", "--model", "spatial1d", "--regime", "complete", "--m", "257", "--k", "2",
@@ -247,8 +252,9 @@ def test_spoilers_detail_table_has_a_header_when_every_election_is_filtered(tmp_
         ["extend", "{corpus}/a.blt", "--stop-ratio", "nan"],
     ],
     ids=["subelections-k-not-below-t", "simulate-k-not-below-m", "simulate-negative-trials",
-         "simulate-ic-m-too-large", "simulate-m-above-256", "extend-stop-ratio-above-1",
-         "extend-stop-ratio-0", "extend-stop-ratio-nan"],
+         "simulate-no-workers", "simulate-negative-workers", "simulate-ic-m-too-large",
+         "simulate-m-above-256", "extend-stop-ratio-above-1", "extend-stop-ratio-0",
+         "extend-stop-ratio-nan"],
 )  # fmt: skip
 def test_invalid_arguments_are_usage_errors(argv, corpus_dir, tmp_path, capsys):
     out_csv = tmp_path / "out.csv"

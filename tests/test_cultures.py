@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from mwspoilers.core import Profile, ProfileError, ranking_universe
+from mwspoilers.core import Profile
 from mwspoilers.cultures import (
     CultureSpec,
     complete_universe,
@@ -174,22 +174,6 @@ def test_sampled_profiles_pass_full_validation(model, regime, m, data):
     validated = Profile(m=p.m, names=p.names, ballots=p.ballots, k=p.k)
     assert validated == p
     assert validated._keys == p._keys
-
-
-@pytest.mark.parametrize(
-    "index, weights",
-    [([3, 3], [1, 1]), ([4, 2], [1, 1]), ([-1, 2], [1, 1]), ([2, 64], [1, 1])],
-)
-def test_universe_index_must_be_increasing_positions_in_the_universe(index, weights):
-    # U(4) holds 64 rankings.
-    with pytest.raises(ProfileError, match="^universe index must be strictly increasing"):
-        Profile._from_universe(4, index, weights, 2)
-
-
-def test_universe_weights_must_be_positive():
-    assert ranking_universe(4)[40] == (2, 1, 0, 3)
-    with pytest.raises(ProfileError, match="^ballot \\(2, 1, 0, 3\\) has non-positive weight 0$"):
-        Profile._from_universe(4, [2, 40], [1, 0], 2)
 
 
 @pytest.mark.parametrize("regime", ["complete", "partial"])

@@ -1,8 +1,11 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mwspoilers import harness
 from mwspoilers.blt_io import emit_blt, emit_results_csv, parse_blt
 from mwspoilers.core import Profile, default_names
 from mwspoilers.cultures import MODELS, REGIMES, CultureSpec, sample_profile
@@ -76,6 +79,42 @@ def test_workers_do_not_change_results():
     parallel = run_simulation(spec, ["sntv", "bloc", "stv"], trials=200, workers=2)
     for mid in serial.methods:
         assert serial.methods[mid].tally == parallel.methods[mid].tally
+
+
+def test_pool_starts_no_more_workers_than_blocks(monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        """Stands in for ProcessPoolExecutor: records its size and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    spec = CultureSpec("ic", "complete", 4, 2, 51, seed=3)
+    serial = run_simulation(spec, ["sntv"], trials=3)
+    # Three trials make three one-trial blocks, so four workers would leave one idle.
+    pooled = run_simulation(spec, ["sntv"], trials=3, workers=4)
+    assert sizes == [3]
+    assert pooled.methods["sntv"].tally == serial.methods["sntv"].tally
+    run_simulation(spec, ["sntv"], trials=40, workers=2)
+    assert sizes == [3, 2]
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_below_one_are_rejected(workers):
+    spec = CultureSpec("ic", "complete", 4, 2, 51, seed=3)
+    with pytest.raises(ValueError, match="^workers must be at least 1$"):
+        run_simulation(spec, ["sntv"], trials=3, workers=workers)
 
 
 def test_lenient_policy_counts_flagged_ties():
@@ -200,6 +239,22 @@ def test_corpus_round_trip_through_blt():
     result = run_corpus_audit([("x", parse_blt(blob))], ["sntv"])
     assert result.elections_used == 1
     assert result.methods["sntv"].tally.spoiler == 1
+
+
+def test_no_profile_outlives_its_corpus_audit():
+    dead: set[int] = set()
+
+    def elections():
+        for i in range(6):
+            if i >= 2:
+                assert i - 2 in dead, f"election {i - 2} is still alive while {i} is audited"
+            profile = sample_profile(CultureSpec("ic", "complete", 5, 2, 31, seed=i), 0)
+            weakref.finalize(profile, dead.add, i)
+            yield f"e{i}", profile
+
+    result = run_corpus_audit(elections(), list(METHODS), tie=TiePolicy.ALPHABETICAL)
+    assert result.elections_used == 6
+    assert all(r.tally.used == 6 for r in result.methods.values())
 
 
 # ---------------------------------------------------------------------------

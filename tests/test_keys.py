@@ -1,12 +1,13 @@
 """Ballot keys and the key path of removal and restriction.
 
 Every profile holds ``bytes(ranking)`` per ballot type, and removal and
-restriction of a profile without a universe index re-index those keys with
-``bytes.translate`` and merge and sort them.  The tests here hold that path
-to rankings restricted one at a time by name (``oracles.restricted_ranking``)
-and merged and sorted as tuples, and check the keys every derived profile
-carries.
+restriction re-index those keys with ``bytes.translate`` and merge and sort
+them.  The tests here hold that path to rankings restricted one at a time by
+name (``oracles.restricted_ranking``) and merged and sorted as tuples, and
+check the keys that every profile, built, sampled or derived, stores.
 """
+
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -80,7 +81,6 @@ def test_chains_of_removal_restriction_and_seats_match_the_oracle(p, data):
             return
         current = operation(current)
         assert current == expected
-        assert current._universe_index is None
         assert_keys(current)
 
 
@@ -115,16 +115,31 @@ def test_256_candidates():
     assert_keys(restricted.with_seats(1))
 
 
+@pytest.mark.parametrize("m", range(2, 7))
+def test_restriction_of_every_ranking_matches_the_oracle(m):
+    # Every strict ranking of length 1..m once, so each kept set meets every reduction.
+    rankings = [r for n in range(1, m + 1) for r in itertools.permutations(range(m), n)]
+    p = Profile.build(m, default_names(m), [(r, 1 + i % 3) for i, r in enumerate(rankings)], 1)
+    for size in range(2, m + 1):
+        for keep in itertools.combinations(range(m), size):
+            restricted = restrict_to_subset(p, keep, 1)
+            assert restricted == restricted_by_oracle(p, keep, 1)
+            assert_keys(restricted)
+    if m > 2:  # removal must leave more than k = 1 candidates
+        for c in range(m):
+            removed = remove_candidate(p, c)
+            assert removed == restricted_by_oracle(p, tuple(x for x in range(m) if x != c), 1)
+            assert_keys(removed)
+
+
 @pytest.mark.parametrize("model", ["ic", "iac", "spatial1d"])
 @pytest.mark.parametrize("regime", ["complete", "partial"])
-def test_index_path_results_encode_their_keys_on_first_use(model, regime):
+def test_sampled_profiles_and_their_derivations_store_their_keys(model, regime):
     p = sample_profile(CultureSpec(model, regime, 5, 2, 40, seed=3), 0)
-    assert p._universe_index is not None
-    assert_keys(p)
     derived = [remove_candidate(p, c) for c in range(p.m)] + [restrict_to_subset(p, [0, 2, 4], 1)]
-    assert not any("_keys" in vars(result) for result in derived)  # not encoded yet
-    for result in derived + [p.with_seats(3)]:
+    for result in [p, *derived, p.with_seats(3)]:
+        assert "_keys" in vars(result)  # stored at construction, not encoded on use
         assert_keys(result)
-        free = Profile(result.m, result.names, result.ballots, result.k)
-        for got, expected in zip(result.arrays, free.arrays):
+        fresh = Profile(result.m, result.names, result.ballots, result.k)
+        for got, expected in zip(result.arrays, fresh.arrays):
             assert (got == expected).all()

@@ -3,6 +3,7 @@ import numpy as np
 from mwspoilers.core import Profile
 from mwspoilers.methods import METHODS, TiePolicy
 from mwspoilers.spoilers import (
+    CloneStats,
     StabilitySummary,
     adjacent_pair_weight,
     analyze_spoilers,
@@ -162,3 +163,6 @@ def test_clone_statistics_skips_multi_seat_swings():
     assert clean + stats.skipped == total_spoilers
     for t in stats.triples:
         assert len({t.retained, t.would_be, t.spoiler}) == 3
+    # Folded one report at a time, as a corpus audit does, the aggregate is the same.
+    assert stats.triples and stats.skipped
+    assert sum((clone_statistics([pair]) for pair in pairs), CloneStats(0, 0, 0, 0, ())) == stats
