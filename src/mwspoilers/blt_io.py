@@ -52,8 +52,8 @@ class BltDocument:
     def to_profile(self) -> Profile:
         rankings = tuple(map(operator.itemgetter(1), self.ballot_lines))
         weights = map(operator.itemgetter(0), self.ballot_lines)
-        # Every index shifted to zero-based in one pass, then cut back into rankings.
-        shifted = tuple(map((-1).__add__, itertools.chain.from_iterable(rankings)))
+        # Every index shifted to zero-based into one bytes object, then cut into rankings.
+        shifted = bytes(map((-1).__add__, itertools.chain.from_iterable(rankings)))
         ends = tuple(itertools.accumulate(map(len, rankings)))
         zero_based = map(shifted.__getitem__, map(slice, (0, *ends), ends))
         return Profile.build(self.m, self.names, zip(zero_based, weights), self.k)

@@ -14,16 +14,13 @@ keeps the surviving names, so reports always print original names.
 that keeps a sorted set of candidates; removal keeps all but one.  Scores
 are plain tuples indexed by candidate.
 
-Every profile also has a private key per ballot type: the ranking as
-``bytes``, one byte per candidate index, so a profile has at most 256
-candidates (``m <= 256`` is checked with the shape).  Keys sort exactly as
-their rankings do (prefixes first), so one canonicalizer, :func:`_canonical`,
-merges and sorts ballot types on their keys for both :meth:`Profile.build`
-and restriction, and hands back the keys of the ballots it makes.
-Restriction re-indexes and drops candidates with one ``bytes.translate`` per
-ballot type, in C, and a restriction of a restricted profile never encodes
-again.  Every constructor stores the keys; they are not a dataclass field,
-so they are outside ``==``, ``repr`` and ``hash``.
+A ranking is ``bytes``, one byte per 0-based candidate index in order of
+preference, so a profile has at most 256 candidates (``m <= 256`` is checked
+with the shape).  Bytes sort exactly as the rankings they encode (prefixes
+first), so one canonicalizer, :func:`_canonical`, merges and sorts ballot
+types for both :meth:`Profile.build` and restriction.  Restriction
+re-indexes and drops candidates with one ``bytes.translate`` per ballot
+type, in C.
 
 The positional scores (first-place, top-k and Borda counts) all come from
 one :attr:`Profile.tally`, built in one exact-integer pass over the ballots
@@ -36,11 +33,11 @@ the sum of its top-``d`` counts over ``d = 1..m-1``.
 Ballots are validated once, where they enter the program: the plain
 constructor and :meth:`Profile.build` (used by the ballot-file parser, ballot
 extension and the samplers) check every ballot.  The checks run as C-level
-passes over the keys (weights, lengths, repeated and out-of-range indices,
-order); only a profile that fails them is walked ballot by ballot to name the
-first fault.  ``build`` merges and sorts its input unless it is already
-canonical, as the IC and IAC samplers emit it.  Profiles derived from a valid profile
-(:func:`remove_candidate`, :func:`restrict_to_subset`,
+passes over the rankings (weights, lengths, repeated and out-of-range
+indices, order); only a profile that fails them is walked ballot by ballot to
+name the first fault.  ``build`` encodes each ranking, then merges and sorts
+its input; the plain constructor takes canonical data only.  Profiles
+derived from a valid profile (:func:`remove_candidate`, :func:`restrict_to_subset`,
 :meth:`Profile.with_seats`) cannot break a ballot invariant, so they are made
 by :meth:`Profile._derived`, which keeps only the O(1) shape checks.  This
 matters on the audit hot path, which derives a profile per removed candidate.
@@ -48,7 +45,7 @@ matters on the audit hot path, which derives a profile per removed candidate.
 The array-based rules (exact and greedy Chamberlin-Courant, committee
 satisfaction, pairwise margins) read :attr:`Profile.arrays`: the rank
 position of every candidate on every ballot type and the int64 weights,
-built from the keys on first use and cached on the profile.  Both arrays
+built from the rankings on first use and cached on the profile.  Both arrays
 are read-only, the tally is made of tuples, and the lazy builds are
 idempotent (two threads racing to build one compute equal values), so
 profiles stay shareable.  All arithmetic on the arrays is integer;
@@ -86,9 +83,13 @@ class UnrankedModel(str, enum.Enum):
 
 
 class Ballot(NamedTuple):
-    """One ballot type: a strict partial ranking with a positive multiplicity."""
+    """One ballot type: a strict partial ranking with a positive multiplicity.
 
-    ranking: tuple[int, ...]
+    ``ranking`` is ``bytes``, one byte per 0-based candidate index, most
+    preferred first: ``b"\\x02\\x00"`` ranks candidate 2 over candidate 0.
+    """
+
+    ranking: bytes
     weight: int
 
 
@@ -97,7 +98,7 @@ _new_ballot = partial(tuple.__new__, Ballot)
 _ranking = operator.itemgetter(0)
 _weight = operator.itemgetter(1)
 
-# A ballot key stores each candidate index in one byte.
+# A ranking stores each candidate index in one byte.
 _MAX_CANDIDATES = 256
 _INDEX_BYTES = bytes(range(_MAX_CANDIDATES))
 
@@ -150,7 +151,8 @@ class Profile:
     Ballot types are stored deduplicated with integer weights and sorted by
     ranking; all rules here are anonymous, so this is purely a size/speed
     measure.  Use :meth:`build` to construct from raw ballots; the plain
-    constructor requires already-canonical data.
+    constructor requires already-canonical data: ``bytes`` rankings, sorted
+    and deduplicated.
     """
 
     m: int
@@ -158,19 +160,17 @@ class Profile:
     ballots: tuple[Ballot, ...]
     k: int
 
-    # Every constructor also stores ``_keys``, ``bytes(ranking)`` of each
-    # ballot type.  Not a field: outside ==, repr and hash.
-
     def __post_init__(self) -> None:
         self._check_shape()
-        try:
-            keys: tuple[bytes, ...] | None = tuple(map(bytes, map(_ranking, self.ballots)))
-        except (TypeError, ValueError):  # an index outside 0..255 or not an integer
-            keys = None
-        _check_ballots(self.m, self.ballots, keys)
-        if not all(map(operator.lt, keys, keys[1:])):
+        rankings = tuple(map(_ranking, self.ballots))
+        for ranking in rankings:
+            if type(ranking) is not bytes:
+                raise ProfileError(
+                    f"ballot {ranking!r} is not a bytes ranking; use Profile.build to encode it"
+                )
+        _check_ballots(self.m, self.ballots)
+        if not all(map(operator.lt, rankings, rankings[1:])):
             raise ProfileError("ballots must be sorted by ranking and deduplicated")
-        object.__setattr__(self, "_keys", keys)
 
     def _check_shape(self) -> None:
         if self.m < 2:
@@ -194,48 +194,40 @@ class Profile:
         weighted_rankings: Iterable[tuple[Sequence[int], int]],
         k: int,
     ) -> "Profile":
-        """Merge duplicate ballot types, sort, and validate.
+        """Encode each ranking as ``bytes``, merge duplicate ballot types, sort, and validate.
 
-        Input already in canonical order (strictly increasing rankings, as the
-        IC and IAC samplers emit it) is taken as it is; anything else is
-        merged and sorted.
+        A ranking may be any sequence of candidate indices; it is encoded by
+        value, so a numpy row gives the same ballot as a tuple.
         """
         rankings, weights = tuple(zip(*weighted_rankings)) or ((), ())
-        rankings = tuple(map(tuple, rankings))
         try:
-            keys = tuple(map(bytes, rankings))
+            # Never bytes(r) on a buffer: a numpy row would give its raw bytes.
+            encoded = [r if type(r) is bytes else bytes(tuple(r)) for r in rankings]
         except (TypeError, ValueError):
-            # Only an invalid ballot fails to encode: the constructor checks
-            # the shape, then names the first faulty ballot.
-            return cls(m, tuple(names), tuple(map(_new_ballot, zip(rankings, weights))), k)
-        if all(map(operator.lt, keys, keys[1:])):
-            ballots = tuple(map(_new_ballot, zip(rankings, weights)))
-        else:
-            ballots, keys = _canonical(keys, weights)
+            # Only an invalid ballot fails to encode: check the shape, then
+            # name the first faulty ballot in input order.
+            ballots = tuple(zip(map(tuple, rankings), weights))
+            cls._derived(m, tuple(names), ballots, k)
+            _check_ballots(m, ballots)
+            raise AssertionError("unreachable: an unencodable ballot is invalid") from None
+        ballots = _canonical(encoded, weights)
         # The shape is checked first, as the constructor does, then the ballots.
-        profile = cls._derived(m, tuple(names), ballots, k, keys)
-        _check_ballots(m, ballots, keys)
+        profile = cls._derived(m, tuple(names), ballots, k)
+        _check_ballots(m, ballots)
         return profile
 
     @classmethod
     def _derived(
-        cls,
-        m: int,
-        names: tuple[str, ...],
-        ballots: tuple[Ballot, ...],
-        k: int,
-        keys: tuple[bytes, ...],
+        cls, m: int, names: tuple[str, ...], ballots: tuple[Ballot, ...], k: int
     ) -> "Profile":
         """A profile whose canonical ballots come from a valid profile.
 
         Checks only the shape (m, names, k, at least one ballot); the caller
-        guarantees every ballot is a valid, sorted, deduplicated ranking and
-        that ``keys`` are their keys, which the profile stores.
+        guarantees every ballot is a valid, sorted, deduplicated ranking.
         """
         profile = object.__new__(cls)
         for attr, value in (("m", m), ("names", names), ("ballots", ballots), ("k", k)):
             object.__setattr__(profile, attr, value)
-        object.__setattr__(profile, "_keys", keys)
         profile._check_shape()
         return profile
 
@@ -257,10 +249,10 @@ class Profile:
             raise ProfileError(
                 f"n={self.n} voters x m={m} candidates overflows 64-bit integer scores"
             )
-        keys = self._keys
-        types = len(keys)
-        lengths = np.fromiter(map(len, keys), np.int64, types)
-        ranked = np.frombuffer(b"".join(keys), np.uint8).astype(np.int64)
+        rankings = tuple(map(_ranking, self.ballots))
+        types = len(rankings)
+        lengths = np.fromiter(map(len, rankings), np.int64, types)
+        ranked = np.frombuffer(b"".join(rankings), np.uint8).astype(np.int64)
         # One scatter for every (ballot type, ranked candidate) pair.
         starts = np.cumsum(lengths) - lengths
         rows = np.repeat(np.arange(types), lengths)
@@ -300,28 +292,32 @@ class Profile:
 
     def with_seats(self, k: int) -> "Profile":
         """Same ballots, different seat count."""
-        return Profile._derived(self.m, self.names, self.ballots, k, self._keys)
+        return Profile._derived(self.m, self.names, self.ballots, k)
 
 
-def _check_ballots(m: int, ballots: tuple[Ballot, ...], keys: tuple[bytes, ...] | None) -> None:
+def _check_ballots(m: int, ballots: tuple[Ballot, ...]) -> None:
     """Raise :class:`ProfileError` naming the first invalid ballot, if any.
 
-    ``keys`` are the ballots' keys, or None when one of them does not encode.
-    The checks run as C-level passes over the keys; only a failing profile is
-    walked ballot by ballot, to name its first fault.  Order is the caller's
-    to check.
+    The checks run as C-level passes over the ``bytes`` rankings; only a
+    failing profile, or rankings that did not encode, are walked ballot by
+    ballot to name the first fault.  Order is the caller's to check.
     """
-    if keys is not None:
-        joined = b"".join(keys)
-        if (
-            min(map(_weight, ballots)) >= 1
-            and b"" not in keys
-            and not joined.translate(None, _INDEX_BYTES[:m])  # all indices below m
-            and sum(map(len, map(set, keys))) == len(joined)  # none repeated in a ballot
-        ):
-            return
+    rankings = tuple(map(_ranking, ballots))
+    try:
+        joined = b"".join(rankings)
+    except TypeError:  # rankings that did not encode, handed on by build
+        joined = None
+    if (
+        joined is not None
+        and min(map(_weight, ballots)) >= 1
+        and b"" not in rankings
+        and not joined.translate(None, _INDEX_BYTES[:m])  # all indices below m
+        and sum(map(len, map(set, rankings))) == len(joined)  # none repeated in a ballot
+    ):
+        return
     candidates = frozenset(range(m))
     for ranking, weight in ballots:
+        ranking = tuple(ranking)
         if weight < 1:
             raise ProfileError(f"ballot {ranking} has non-positive weight {weight}")
         if not 1 <= len(ranking) <= m:
@@ -337,20 +333,17 @@ def _check_ballots(m: int, ballots: tuple[Ballot, ...], keys: tuple[bytes, ...] 
             raise ProfileError(f"candidate index not an integer in ballot {ranking}") from None
 
 
-def _canonical(
-    keys: Iterable[bytes], weights: Iterable[int]
-) -> tuple[tuple[Ballot, ...], tuple[bytes, ...]]:
-    """Merge ballot types on their keys and sort them: the ballots, and their keys.
+def _canonical(rankings: Iterable[bytes], weights: Iterable[int]) -> tuple[Ballot, ...]:
+    """Merge ballot types with equal rankings and sort them.
 
     Bytes compare as their rankings do for indices 0..255, prefixes first, so
-    sorted keys are the canonical ballot order.
+    sorted rankings are the canonical ballot order.
     """
     merged: dict[bytes, int] = {}
-    for key, weight in zip(keys, weights):
-        merged[key] = merged.get(key, 0) + weight
-    ordered = tuple(sorted(merged))
-    rankings = map(tuple, ordered)
-    return tuple(map(_new_ballot, zip(rankings, map(merged.__getitem__, ordered)))), ordered
+    for ranking, weight in zip(rankings, weights):
+        merged[ranking] = merged.get(ranking, 0) + weight
+    ordered = sorted(merged)
+    return tuple(map(_new_ballot, zip(ordered, map(merged.__getitem__, ordered))))
 
 
 @dataclass(frozen=True)
@@ -436,9 +429,9 @@ def _restricted(profile: Profile, keep: list[int], k: int, empty_message: str) -
     Ballots ranking none of ``keep`` are dropped; if none remain, raises
     :class:`ProfileError` with ``empty_message``.
 
-    Each key is re-indexed with the dropped candidates deleted in one
+    Each ranking is re-indexed with the dropped candidates deleted in one
     ``bytes.translate`` call, and :func:`_canonical` merges and sorts the
-    reduced keys; the result stores the keys it returns.
+    reduced rankings.
     """
     names = tuple(profile.names[c] for c in keep)
     new_index = bytearray(_MAX_CANDIDATES)
@@ -446,13 +439,14 @@ def _restricted(profile: Profile, keep: list[int], k: int, empty_message: str) -
         new_index[c] = i
     dropped = bytes(set(range(profile.m)).difference(keep))
     repeat = itertools.repeat
-    reduced = map(bytes.translate, profile._keys, repeat(new_index), repeat(dropped))
-    ballots, keys = _canonical(reduced, map(_weight, profile.ballots))
-    if not keys[0]:  # the empty key sorts first: ballots that ranked only dropped candidates
-        ballots, keys = ballots[1:], keys[1:]
-    if not keys:
+    rankings = map(_ranking, profile.ballots)
+    reduced = map(bytes.translate, rankings, repeat(new_index), repeat(dropped))
+    ballots = _canonical(reduced, map(_weight, profile.ballots))
+    if not ballots[0].ranking:  # the empty ranking sorts first: it ranked only dropped candidates
+        ballots = ballots[1:]
+    if not ballots:
         raise ProfileError(empty_message)
-    return Profile._derived(len(keep), names, ballots, k, keys)
+    return Profile._derived(len(keep), names, ballots, k)
 
 
 def first_place_counts(profile: Profile) -> tuple[int, ...]:

@@ -16,11 +16,9 @@ Three models, each in a complete-ballot and a partial-ballot regime:
 
 Every sampler draws its counts in its own order, which the draws depend on
 and which never changes (IC and IAC over :func:`complete_universe` or
-:func:`partial_universe`, spatial per occupied bin).  IC and IAC emit their
-nonzero counts through :meth:`Profile.build` in canonical ballot order, via
-one cached permutation of the draw universe, so build need not re-sort; the
-spatial sampler hands build its rankings as they come, and build merges and
-sorts them.
+:func:`partial_universe`, spatial per occupied bin), and hands its nonzero
+counts to :meth:`Profile.build` in that order as ``bytes`` rankings; build
+merges and sorts them.
 
 Determinism contract: every sampler is a pure function of (spec, trial).
 Trial ``t`` uses the numpy stream seeded with the entropy pair
@@ -82,42 +80,34 @@ def trial_rng(spec: CultureSpec, trial: int) -> np.random.Generator:
 
 
 @lru_cache(maxsize=None)
-def complete_universe(m: int) -> tuple[tuple[int, ...], ...]:
+def complete_universe(m: int) -> tuple[bytes, ...]:
     """All m! full rankings, lexicographic."""
     if m > MAX_ENUMERATED_M:
         raise ValueError(f"refusing to enumerate {m}! rankings (m > {MAX_ENUMERATED_M})")
-    return tuple(permutations(range(m)))
+    return tuple(map(bytes, permutations(range(m))))
 
 
 @lru_cache(maxsize=None)
-def partial_universe(m: int) -> tuple[tuple[int, ...], ...]:
+def partial_universe(m: int) -> tuple[bytes, ...]:
     """All strict partial rankings of length 1..m-1, shortest first, then lexicographic."""
     if m > MAX_ENUMERATED_M:
         raise ValueError(f"partial ranking universe too large (m > {MAX_ENUMERATED_M})")
-    return tuple(chain.from_iterable(permutations(range(m), n) for n in range(1, m)))
+    rankings = chain.from_iterable(permutations(range(m), n) for n in range(1, m))
+    return tuple(map(bytes, rankings))
 
 
-def _universe(regime: str, m: int) -> tuple[tuple[int, ...], ...]:
+def _universe(regime: str, m: int) -> tuple[bytes, ...]:
     """The ballot types IC and IAC draw over, in draw order."""
     if regime == "complete":
         return complete_universe(m)
     return partial_universe(m)
 
 
-@lru_cache(maxsize=None)
-def _emission(m: int, regime: str) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
-    """The draw universe's indices in canonical ballot order, and its rankings in that order."""
-    universe = _universe(regime, m)
-    order = sorted(range(len(universe)), key=universe.__getitem__)
-    return np.array(order), tuple(map(universe.__getitem__, order))
-
-
 def _from_counts(spec: CultureSpec, counts: np.ndarray) -> Profile:
     """The profile with ``counts[i]`` ballots of draw-universe type ``i``."""
-    order, rankings = _emission(spec.m, spec.regime)
-    counts = counts[order]
+    universe = _universe(spec.regime, spec.m)
     held = np.flatnonzero(counts)
-    ballots = zip(map(rankings.__getitem__, held.tolist()), counts[held].tolist())
+    ballots = zip(map(universe.__getitem__, held.tolist()), counts[held].tolist())
     return Profile.build(spec.m, default_names(spec.m), ballots, spec.k)
 
 
@@ -188,7 +178,7 @@ def sample_spatial1d(spec: CultureSpec, trial: int = 0) -> Profile:
     representative[gaps] = voters
     gap_of, length_of = np.divmod(occupied, m)
     order = np.argsort(np.abs(representative[gap_of, None] - cands[None, :]), axis=1)
-    rankings = [tuple(row[:length]) for row, length in zip(order.tolist(), length_of.tolist())]
+    rankings = [bytes(row[:length]) for row, length in zip(order.tolist(), length_of.tolist())]
     weights = counts[occupied].tolist()
     return Profile.build(m, default_names(m), zip(rankings, weights), spec.k)
 

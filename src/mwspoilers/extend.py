@@ -72,7 +72,7 @@ def extend_profile(profile: Profile, config: ExtensionConfig | None = None) -> P
     """
     cfg = config or ExtensionConfig()
     limit = min(cfg.max_length or profile.m, profile.m - 1)
-    state: dict[tuple[int, ...], int] = {r: w for r, w in profile.ballots}
+    state: dict[bytes, int] = {r: w for r, w in profile.ballots}
 
     for length in range(1, limit):
         weight_at = sum(w for r, w in state.items() if len(r) == length)
@@ -83,15 +83,15 @@ def extend_profile(profile: Profile, config: ExtensionConfig | None = None) -> P
             continue
 
         # Continuation statistics frozen before any ballot of this pass moves.
-        continuations: dict[tuple[int, ...], dict[int, int]] = {}
+        continuations: dict[bytes, dict[int, int]] = {}
         for ranking, weight in state.items():
             if len(ranking) >= length + 1:
                 nxt = continuations.setdefault(ranking[:length], {})
                 nxt[ranking[length]] = nxt.get(ranking[length], 0) + weight
 
-        next_state: dict[tuple[int, ...], int] = {}
+        next_state: dict[bytes, int] = {}
 
-        def put(ranking: tuple[int, ...], weight: int) -> None:
+        def put(ranking: bytes, weight: int) -> None:
             next_state[ranking] = next_state.get(ranking, 0) + weight
 
         for ranking, weight in state.items():
@@ -108,7 +108,7 @@ def extend_profile(profile: Profile, config: ExtensionConfig | None = None) -> P
             shares = hamilton_apportion(quotas, weight)
             for c, share in zip(followers, shares):
                 if share:
-                    put(ranking + (c,), share)
+                    put(ranking + bytes((c,)), share)
         state = next_state
 
     return Profile.build(

@@ -76,7 +76,10 @@ class TieError(RuntimeError):
 
 
 class SearchBudgetError(RuntimeError):
-    """Exhaustive committee search would exceed its budget; use greedy_cc."""
+    """A rule would enumerate more committees than :data:`_SEARCH_BUDGET`."""
+
+
+_SEARCH_BUDGET = 1_000_000  # most committees a rule will enumerate
 
 
 def droop_quota(n: int, k: int) -> int:
@@ -370,7 +373,8 @@ def _top_k_outcome(profile: Profile, scores: tuple[int, ...], tie: TiePolicy) ->
     because such an election genuinely has several winning sets), or is
     resolved to the single lowest-index completion (``lowest_index``, the
     fully resolute mode that large simulation campaigns need so that tied
-    trials neither drop out nor multiply).
+    trials neither drop out nor multiply).  Listing more completions than
+    the search budget raises :class:`SearchBudgetError`.
     """
     k = profile.k
     ordered = sorted(range(profile.m), key=lambda c: (-scores[c], c))
@@ -385,6 +389,12 @@ def _top_k_outcome(profile: Profile, scores: tuple[int, ...], tie: TiePolicy) ->
         raise TieError(f"score tie at committee boundary between {names}")
     if tie is TiePolicy.LOWEST_INDEX:
         return OutcomeSet.single(ordered[:k], tie_flag=True)
+    count = comb(len(tied), seats_left)
+    if count > _SEARCH_BUDGET:
+        raise SearchBudgetError(
+            f"C({len(tied)}, {seats_left}) = {count} tied committees exceeds budget "
+            f"{_SEARCH_BUDGET}; use tie policy lowest_index"
+        )
     committees = frozenset(
         frozenset(certain) | frozenset(combo)
         for combo in itertools.combinations(tied, seats_left)
@@ -411,8 +421,6 @@ def k_borda(
 
 # ---------------------------------------------------------------------------
 # Chamberlin-Courant
-
-_SEARCH_BUDGET = 1_000_000  # most committees exact CC will enumerate
 
 
 def committee_satisfaction(
@@ -505,22 +513,26 @@ def greedy_cc(
 # Minimax Condorcet committee
 
 
-def _condorcet_committee(
-    margins: tuple[tuple[int, ...], ...], m: int, size: int
-) -> frozenset[int] | None:
-    if size == m:
-        return frozenset(range(m))
-    # need[a]: candidates a fails to beat; any committee containing a must
-    # contain them all.
-    need = [
-        frozenset(b for b in range(m) if b != a and margins[a][b] <= 0)
-        for a in range(m)
-    ]
-    for combo in itertools.combinations(range(m), size):
-        members = frozenset(combo)
-        if all(need[a] <= members for a in combo):
-            return members
-    return None
+def _condorcet_committees(margins: tuple[tuple[int, ...], ...], m: int) -> list[frozenset[int]]:
+    """The Condorcet committees: each candidate's closure under ``need``, in candidate order.
+
+    ``need[a]`` holds the candidates ``a`` fails to beat; a set is a
+    Condorcet committee exactly when it is closed under ``need``.  Of any two
+    candidates one is in the other's ``need``, so the closed sets form a
+    chain, and each is the largest closure of its members.  The full
+    candidate set is the largest closure.
+    """
+    need = [[b for b in range(m) if b != a and margins[a][b] <= 0] for a in range(m)]
+    closures = []
+    for a in range(m):
+        members, stack = {a}, [a]
+        while stack:
+            for b in need[stack.pop()]:
+                if b not in members:
+                    members.add(b)
+                    stack.append(b)
+        closures.append(frozenset(members))
+    return closures
 
 
 def condorcet_committee(profile: Profile, size: int) -> frozenset[int] | None:
@@ -530,7 +542,8 @@ def condorcet_committee(profile: Profile, size: int) -> frozenset[int] | None:
     non-member.  Two distinct committees of one size would need candidates
     beating each other both ways, so the committee is unique per size.
     """
-    return _condorcet_committee(pairwise_matrix(profile), profile.m, size)
+    committees = _condorcet_committees(pairwise_matrix(profile), profile.m)
+    return next((c for c in committees if len(c) == size), None)
 
 
 def mcc(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> OutcomeSet:
@@ -539,16 +552,13 @@ def mcc(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> OutcomeSet:
     Finds the smallest Condorcet committee of size at least k (the full
     candidate set always qualifies), then, if it is oversized, drops the
     members with the lowest minimum pairwise margin against the rest of the
-    committee until k remain.
+    committee until k remain.  The Condorcet committees are the closures of
+    single candidates under "every candidate a member fails to beat is a
+    member", so the search takes polynomial time in m.
     """
     m, k = profile.m, profile.k
     margins = pairwise_matrix(profile)
-    committee: frozenset[int] = frozenset(range(m))
-    for size in range(k, m + 1):
-        found = _condorcet_committee(margins, m, size)
-        if found is not None:
-            committee = found
-            break
+    committee = min((c for c in _condorcet_committees(margins, m) if len(c) >= k), key=len)
     if len(committee) == k:
         return OutcomeSet.single(committee, tie_flag=False)
     members = sorted(committee)

@@ -17,6 +17,7 @@ from mwspoilers.core import (
     ProfileError,
     UnrankedModel,
     default_names,
+    pairwise_matrix,
     remove_candidate,
 )
 from mwspoilers.cultures import CultureSpec, trial_rng
@@ -200,6 +201,50 @@ def all_condorcet_committees(profile: Profile, size: int) -> list[frozenset[int]
         if all(naive_margin(profile, a, b) > 0 for a in inside for b in outside):
             out.append(frozenset(subset))
     return out
+
+
+def condorcet_committee_by_subsets(
+    margins: tuple[tuple[int, ...], ...], m: int, size: int
+) -> frozenset[int] | None:
+    """The library's former Condorcet committee search: every size-``size`` subset in turn."""
+    if size == m:
+        return frozenset(range(m))
+    # need[a]: candidates a fails to beat; any committee containing a must
+    # contain them all.
+    need = [frozenset(b for b in range(m) if b != a and margins[a][b] <= 0) for a in range(m)]
+    for combo in itertools.combinations(range(m), size):
+        members = frozenset(combo)
+        if all(need[a] <= members for a in combo):
+            return members
+    return None
+
+
+def mcc_by_subsets(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> OutcomeSet:
+    """The library's former MCC: subset search for each size from k up, then the cut."""
+    m, k = profile.m, profile.k
+    margins = pairwise_matrix(profile)
+    committee = next(
+        found
+        for size in range(k, m + 1)
+        if (found := condorcet_committee_by_subsets(margins, m, size)) is not None
+    )
+    if len(committee) == k:
+        return OutcomeSet.single(committee, tie_flag=False)
+    members = sorted(committee)
+    score = {a: min(margins[a][b] for b in members if b != a) for a in members}
+    ordered = sorted(members, key=lambda c: (-score[c], c))
+    threshold = score[ordered[k - 1]]
+    certain = [c for c in members if score[c] > threshold]
+    tied = [c for c in members if score[c] == threshold]
+    seats_left = k - len(certain)
+    if seats_left == len(tied):
+        return OutcomeSet.single(certain + tied, tie_flag=False)
+    if tie is TiePolicy.ERROR:
+        names = ", ".join(profile.names[c] for c in tied)
+        raise TieError(f"margin-score tie at committee cut between {names}")
+    if tie is TiePolicy.ALPHABETICAL:
+        tied.sort(key=lambda c: (profile.names[c], c))
+    return OutcomeSet.single(certain + tied[len(tied) - seats_left :], tie_flag=True)
 
 
 def _committees_by_name(profile: Profile, outcome: OutcomeSet) -> frozenset[frozenset[str]]:

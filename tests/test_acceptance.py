@@ -164,9 +164,9 @@ def test_criterion_3_extension_rounding():
     )
     out = extend_profile(p, ExtensionConfig(max_length=4))
     weights = {b.ranking: b.weight for b in out.ballots}
-    assert weights[(0, 1, 2, 3)] - 9 == 2
-    assert weights[(0, 1, 2, 4)] - 12 == 3
-    assert weights[(0, 1, 2, 5)] - 17 == 5
+    assert weights[b"\x00\x01\x02\x03"] - 9 == 2
+    assert weights[b"\x00\x01\x02\x04"] - 12 == 3
+    assert weights[b"\x00\x01\x02\x05"] - 17 == 5
     report("3 extension rounding")
 
 

@@ -36,7 +36,7 @@ def test_parse_accepts_bytes_crlf_and_trailing_whitespace():
 def test_parse_merges_duplicate_ballot_lines():
     doc = '2 1\n1 1 2 0\n1 1 2 0\n3 2 0\n0\n"A"\n"B"\n"t"\n'
     p = parse_blt(doc)
-    assert p.ballots == (Ballot((0, 1), 2), Ballot((1,), 3))
+    assert p.ballots == (Ballot(b"\x00\x01", 2), Ballot(b"\x01", 3))
 
 
 def test_trailing_metadata_lines_are_kept_but_ignored():
@@ -66,7 +66,7 @@ def test_parse_errors_carry_line_numbers(text, line_no):
 def test_256_candidates_parse_with_zero_based_indices():
     names = "".join(f'"C{i}"\n' for i in range(256))
     profile = parse_blt(f"256 2\n3 256 1 0\n2 1 0\n0\n{names}\"t\"\n")
-    assert profile.ballots == (Ballot((0,), 2), Ballot((255, 0), 3))
+    assert profile.ballots == (Ballot(b"\x00", 2), Ballot(b"\xff\x00", 3))
 
 
 def test_missing_sentinel_is_an_error():

@@ -330,6 +330,24 @@ def test_tabulate_reports_an_exceeded_search_budget_on_one_line(tmp_path, capsys
     )
 
 
+def test_a_boundary_tie_past_the_search_budget_is_one_error(tmp_path, capsys):
+    # One bullet vote among 40 candidates: 39 tie for 19 seats, C(39, 19) committees.
+    m = 40
+    path = tmp_path / "bullet.blt"
+    path.write_bytes(emit_blt(Profile.build(m, default_names(m), [((0,), 1)], 20), title="b"))
+    code, out, err = run_cli(
+        capsys, "tabulate", str(path), "--method", "sntv", "--tie", "alphabetical"
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: C(39, 19) = 68923264410 tied committees exceeds budget 1000000; "
+        "use tie policy lowest_index\n"
+    )
+    code, _, err = run_cli(capsys, "spoilers", str(path), "--methods", "sntv", "--k", "20")
+    assert code == 0
+    assert "bullet.blt: sntv: SearchBudgetError" in err
+
+
 def test_tabulate_reports_a_profile_error_on_one_line(tmp_path, capsys):
     # n * m overflows the int64 scores of the array rules.
     heavy = Profile.build(3, default_names(3), [((0, 1, 2), 2**62 + 1)], 1)

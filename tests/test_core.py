@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +29,7 @@ from oracles import _profile_without, naive_borda, naive_first_place, naive_marg
 
 def test_build_merges_duplicate_ballot_types():
     p = Profile.build(3, "ABC", [((0, 1), 1), ((0, 1), 1), ((2,), 3)], 1)
-    assert p.ballots == (Ballot((0, 1), 2), Ballot((2,), 3))
+    assert p.ballots == (Ballot(b"\x00\x01", 2), Ballot(b"\x02", 3))
     assert p.n == 5
 
 
@@ -74,8 +75,13 @@ INVALID_BALLOTS = [
 def test_invalid_ballot_messages(ballot, message):
     ranking, weight = ballot
     match = f"^{re.escape(message)}$"
-    with pytest.raises(ProfileError, match=match):
-        Profile(3, ("A", "B", "C"), (Ballot((0,), 1), Ballot(ranking, weight)), 1)
+    try:
+        encoded = bytes(ranking)
+    except (TypeError, ValueError):
+        pass  # no bytes ranking holds it, so only build can be handed it
+    else:
+        with pytest.raises(ProfileError, match=match):
+            Profile(3, ("A", "B", "C"), (Ballot(b"\x00", 1), Ballot(encoded, weight)), 1)
     with pytest.raises(ProfileError, match=match):
         Profile.build(3, "ABC", [((0,), 1), (ranking, weight)], 1)
     # Build sorts before it checks, so the invalid ballot can come first too.
@@ -86,9 +92,9 @@ def test_invalid_ballot_messages(ballot, message):
 @pytest.mark.parametrize(
     "ballots",
     [
-        (Ballot((1,), 1), Ballot((0,), 1)),  # unsorted
-        (Ballot((0, 1), 1), Ballot((0,), 1)),  # a prefix sorts first
-        (Ballot((0,), 1), Ballot((0,), 2)),  # duplicate ballot type
+        (Ballot(b"\x01", 1), Ballot(b"\x00", 1)),  # unsorted
+        (Ballot(b"\x00\x01", 1), Ballot(b"\x00", 1)),  # a prefix sorts first
+        (Ballot(b"\x00", 1), Ballot(b"\x00", 2)),  # duplicate ballot type
     ],
 )
 def test_unsorted_or_duplicate_ballot_types(ballots):
@@ -98,6 +104,22 @@ def test_unsorted_or_duplicate_ballot_types(ballots):
     # Build merges and sorts the same input instead.
     built = Profile.build(3, "ABC", ballots, 1)
     assert built.ballots == tuple(sorted(_merged(ballots).items()))
+
+
+def test_rankings_are_encoded_by_value():
+    rows = [(2, 0), [2, 0], np.array([2, 0]), b"\x02\x00"]
+    assert bytes(np.array([2, 0])) != b"\x02\x00"  # a buffer's raw bytes: never the ranking
+    profiles = [Profile.build(3, "ABC", [(row, 4), ((1,), 1)], 1) for row in rows]
+    assert all(p == profiles[0] for p in profiles)
+    assert profiles[0].ballots == (Ballot(b"\x01", 1), Ballot(b"\x02\x00", 4))
+    assert all(type(b.ranking) is bytes for p in profiles for b in p.ballots)
+
+
+@pytest.mark.parametrize("ranking", [(0, 1), [0, 1], bytearray(b"\x00\x01")])
+def test_plain_constructor_rejects_rankings_that_are_not_bytes(ranking):
+    match = f"^ballot {re.escape(repr(ranking))} is not a bytes ranking; use Profile.build"
+    with pytest.raises(ProfileError, match=match):
+        Profile(3, ("A", "B", "C"), (Ballot(b"\x00", 1), Ballot(ranking, 1)), 1)
 
 
 def _merged(ballots):
@@ -115,13 +137,13 @@ def test_removal_preserves_order_of_rest():
     p = Profile.build(3, ("S", "W", "A"), [((0, 1, 2), 1)], 1)
     out = remove_candidate(p, 0)
     assert out.names == ("W", "A")
-    assert out.ballots == (Ballot((0, 1), 1),)
+    assert out.ballots == (Ballot(b"\x00\x01", 1),)
 
 
 def test_removal_on_vote_splitting_profile(table_profile):
     out = remove_candidate(table_profile, 2)  # drop S
     assert out.names == ("A", "W")
-    assert out.ballots == (Ballot((0, 1), 100), Ballot((1, 0), 130))
+    assert out.ballots == (Ballot(b"\x00\x01", 100), Ballot(b"\x01\x00", 130))
     assert out.n == 230
 
 
@@ -150,7 +172,7 @@ def test_removal_rejected_when_seats_would_not_fit():
 def test_restriction_matches_hand_deletion(table_profile):
     out = restrict_to_subset(table_profile, {0, 1}, 1)
     assert out.names == ("A", "W")
-    assert out.ballots == (Ballot((0, 1), 100), Ballot((1, 0), 130))
+    assert out.ballots == (Ballot(b"\x00\x01", 100), Ballot(b"\x01\x00", 130))
 
 
 def test_restriction_to_full_set_is_identity(table_profile):

@@ -68,17 +68,17 @@ def test_extension_follows_observed_continuations():
     )
     out = extend_profile(p, ExtensionConfig(max_length=4))
     weights = {b.ranking: b.weight for b in out.ballots}
-    assert weights[(0, 1, 2, 3)] == 9 + 2
-    assert weights[(0, 1, 2, 4)] == 12 + 3
-    assert weights[(0, 1, 2, 5)] == 17 + 5
-    assert (0, 1, 2) not in weights
+    assert weights[b"\x00\x01\x02\x03"] == 9 + 2
+    assert weights[b"\x00\x01\x02\x04"] == 12 + 3
+    assert weights[b"\x00\x01\x02\x05"] == 17 + 5
+    assert b"\x00\x01\x02" not in weights
     assert out.n == p.n
 
 
 def test_prefix_without_continuations_is_left_alone():
     p = seat_profile([((0, 1), 5), ((2, 3, 4), 40)], m=5)
     out = extend_profile(p)
-    assert {b.ranking for b in out.ballots} >= {(0, 1)}
+    assert {b.ranking for b in out.ballots} >= {b"\x00\x01"}
 
 
 def test_already_complete_profile_is_identity():
@@ -97,7 +97,7 @@ def test_stop_ratio_blocks_thin_evidence():
     p = seat_profile([((0, 1), 100), ((0, 1, 2), 1)], m=4)
     assert extend_profile(p) == p
     out = extend_profile(p, ExtensionConfig(stop_ratio=0.005))
-    assert {b.ranking for b in out.ballots} == {(0, 1, 2)}
+    assert {b.ranking for b in out.ballots} == {b"\x00\x01\x02"}
     assert out.n == 101
 
 
@@ -106,7 +106,7 @@ def test_extension_iterates_passes():
     out = extend_profile(p)
     # Bullet votes ride the observed chain up to length m-1, which already
     # determines a complete ranking and is not extended further.
-    assert {b.ranking for b in out.ballots} == {(0, 1, 2), (0, 1, 2, 3)}
+    assert {b.ranking for b in out.ballots} == {b"\x00\x01\x02", b"\x00\x01\x02\x03"}
     assert out.n == 6
 
 

@@ -1,10 +1,11 @@
-"""Ballot keys and the key path of removal and restriction.
+"""Bytes rankings and the byte path of removal and restriction.
 
-Every profile holds ``bytes(ranking)`` per ballot type, and removal and
-restriction re-index those keys with ``bytes.translate`` and merge and sort
-them.  The tests here hold that path to rankings restricted one at a time by
-name (``oracles.restricted_ranking``) and merged and sorted as tuples, and
-check the keys that every profile, built, sampled or derived, stores.
+A ballot's ranking is its key: ``bytes``, one byte per candidate index.
+Removal and restriction re-index the rankings with ``bytes.translate`` and
+merge and sort them.  The tests here hold that path to rankings restricted
+one at a time by name (``oracles.restricted_ranking``), encoded with
+``bytes(...)`` and merged and sorted, and check that every profile, built,
+sampled or derived, holds ``bytes`` rankings.
 """
 
 import itertools
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mwspoilers.blt_io import emit_blt, parse_blt
 from mwspoilers.core import (
     Ballot,
     Profile,
@@ -22,27 +24,26 @@ from mwspoilers.core import (
     restrict_to_subset,
 )
 from mwspoilers.cultures import CultureSpec, sample_profile
+from mwspoilers.extend import ExtensionConfig, extend_profile
 
 from oracles import restricted_ranking
 
 
 def assert_keys(profile: Profile) -> None:
-    assert profile._keys == tuple(bytes(ranking) for ranking, _ in profile.ballots)
+    assert all(type(ranking) is bytes for ranking, _ in profile.ballots)
 
 
 def restricted_by_oracle(profile: Profile, keep: tuple[int, ...], k: int) -> Profile | None:
     """The election on the sorted original candidates ``keep``; None if no ballot is left."""
-    merged: dict[tuple[int, ...], int] = {}
+    merged: dict[bytes, int] = {}
     for ranking, weight in profile.ballots:
-        reduced = restricted_ranking(ranking, keep)
+        reduced = bytes(restricted_ranking(ranking, keep))
         if reduced:
             merged[reduced] = merged.get(reduced, 0) + weight
     if not merged:
         return None
-    ballots = sorted(merged.items())  # canonical already: build takes it as it is
-    expected = Profile.build(len(keep), [profile.names[c] for c in keep], ballots, k)
-    assert expected.ballots == tuple(ballots)
-    return expected
+    ballots = tuple(sorted(merged.items()))
+    return Profile(len(keep), tuple(profile.names[c] for c in keep), ballots, k)
 
 
 @st.composite
@@ -97,7 +98,7 @@ def test_256_candidates():
     ballots = [((255, 0, 128), 2), ((0,), 3), ((7, 255), 1), ((255,), 4), ((128, 255), 5)]
     p = Profile.build(m, default_names(m), ballots, 3)
     assert_keys(p)
-    assert p._keys[-1] == b"\xff\x00\x80"
+    assert p.ballots[-1].ranking == b"\xff\x00\x80"
     for c in (0, 128, 254, 255):
         reduced = remove_candidate(p, c)
         assert reduced == restricted_by_oracle(p, tuple(x for x in range(m) if x != c), 3)
@@ -105,11 +106,11 @@ def test_256_candidates():
     subset = (0, 7, 128, 255)
     restricted = restrict_to_subset(p, subset, 2)
     assert restricted.ballots == (
-        Ballot((0,), 3),
-        Ballot((1, 3), 1),
-        Ballot((2, 3), 5),
-        Ballot((3,), 4),
-        Ballot((3, 0, 2), 2),
+        Ballot(b"\x00", 3),
+        Ballot(b"\x01\x03", 1),
+        Ballot(b"\x02\x03", 5),
+        Ballot(b"\x03", 4),
+        Ballot(b"\x03\x00\x02", 2),
     )
     assert_keys(restricted)
     assert_keys(restricted.with_seats(1))
@@ -138,8 +139,16 @@ def test_sampled_profiles_and_their_derivations_store_their_keys(model, regime):
     p = sample_profile(CultureSpec(model, regime, 5, 2, 40, seed=3), 0)
     derived = [remove_candidate(p, c) for c in range(p.m)] + [restrict_to_subset(p, [0, 2, 4], 1)]
     for result in [p, *derived, p.with_seats(3)]:
-        assert "_keys" in vars(result)  # stored at construction, not encoded on use
         assert_keys(result)
         fresh = Profile(result.m, result.names, result.ballots, result.k)
         for got, expected in zip(result.arrays, fresh.arrays):
             assert (got == expected).all()
+
+
+def test_parsed_and_extended_profiles_hold_bytes_rankings(ward):
+    parsed = parse_blt(emit_blt(ward))
+    assert parsed == ward
+    assert_keys(parsed)
+    extended = extend_profile(parsed, ExtensionConfig(stop_ratio=0.01))
+    assert extended != parsed
+    assert_keys(extended)

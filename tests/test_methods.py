@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from mwspoilers.core import OutcomeSet, Profile, UnrankedModel
@@ -184,6 +186,23 @@ def test_boundary_tie_policies():
     resolved = sntv(p, TiePolicy.LOWEST_INDEX)
     assert resolved.sole_committee() == frozenset([0, 1])
     assert resolved.tie_flag
+
+
+def test_boundary_tie_enumeration_is_bounded(monkeypatch):
+    # One bullet vote for C0: the other 39 candidates tie for 19 seats.
+    m = 40
+    p = Profile.build(m, [f"C{i}" for i in range(m)], [((0,), 1)], 20)
+    message = "C(39, 19) = 68923264410 tied committees exceeds budget 1000000; use tie policy"
+    with pytest.raises(SearchBudgetError, match=f"^{re.escape(message)} lowest_index$"):
+        sntv(p, TiePolicy.ALPHABETICAL)
+    assert len(sntv(p, TiePolicy.LOWEST_INDEX).sole_committee()) == 20
+    # Five tied for two seats: C(5, 2) = 10 completions, listed at the budget, refused past it.
+    small = Profile.build(6, "ABCDEF", [((0,), 1)], 3)
+    monkeypatch.setattr("mwspoilers.methods._SEARCH_BUDGET", 10)
+    assert len(sntv(small, TiePolicy.ALPHABETICAL).committees) == 10
+    monkeypatch.setattr("mwspoilers.methods._SEARCH_BUDGET", 9)
+    with pytest.raises(SearchBudgetError, match=r"^C\(5, 2\) = 10 tied committees exceeds"):
+        sntv(small, TiePolicy.ALPHABETICAL)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ gets the ward's ballot types in shuffled order, so it merges and sorts them
 as it does a parsed ballot file's.  The first call on a fresh profile pays
 for building its cached array form, as the first rule run on a reduced
 profile does in an audit.  The positional-score bench gets a fresh profile
-every round, so each round also builds the position tally.  Print the
+every round, so each round also builds the position tally.  The sampler
+benches draw one campaign trial (n=1001, as in the benchmark's campaigns)
+100 times, since a draw takes a fraction of a millisecond.  Print the
 timings with ``pytest tests/test_microbench.py``; compare runs with
 pytest-benchmark's ``--benchmark-autosave`` and ``--benchmark-compare``.
 """
@@ -24,6 +26,7 @@ from mwspoilers.core import (
     restrict_to_subset,
     top_k_counts,
 )
+from mwspoilers.cultures import CultureSpec, sample_iac, sample_ic, sample_spatial1d
 from mwspoilers.methods import TiePolicy, chamberlin_courant, greedy_cc, srcv, stv, top_k_irv
 
 from oracles import (
@@ -33,6 +36,8 @@ from oracles import (
     greedy_cc_reference,
     naive_margin,
     restricted_ranking,
+    sample_in_draw_order,
+    spatial1d_by_sorting,
     srcv_by_removal,
     stv_by_parcels,
     top_k_counts_reference,
@@ -124,3 +129,23 @@ def test_bench_positional_scores(benchmark, ward):
         borda_scores_reference(ward, UnrankedModel.OPTIMISTIC),
         borda_scores_reference(ward, UnrankedModel.PESSIMISTIC),
     )
+
+
+def bench_sampler(benchmark, sampler, spec, oracle):
+    got = benchmark.pedantic(sampler, args=(spec, 7), rounds=100, iterations=1)
+    assert got == oracle(spec, 7)
+
+
+def test_bench_sample_ic(benchmark):
+    spec = CultureSpec("ic", "complete", 4, 2, 1001, seed=5)
+    bench_sampler(benchmark, sample_ic, spec, sample_in_draw_order)
+
+
+def test_bench_sample_iac(benchmark):
+    spec = CultureSpec("iac", "complete", 5, 3, 1001, seed=5)
+    bench_sampler(benchmark, sample_iac, spec, sample_in_draw_order)
+
+
+def test_bench_sample_spatial1d(benchmark):
+    spec = CultureSpec("spatial1d", "complete", 5, 3, 1001, seed=5)
+    bench_sampler(benchmark, sample_spatial1d, spec, spatial1d_by_sorting)
