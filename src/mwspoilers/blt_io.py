@@ -12,23 +12,32 @@ dataset; it is not vendored here):
 * ``m`` quoted candidate names, one per line,
 * a quoted election title.
 
-Windows line endings and trailing whitespace are tolerated; anything else
-malformed is rejected with the offending line number, since a quietly
-mis-parsed ballot file would poison every audit downstream.  Lines after the
-title (present in a handful of corpus files) are skipped.  Other ballot
-formats are out of scope; to add one, produce a
+A number is a run of ASCII decimal digits (leading zeros allowed); signs,
+underscores and other scripts' digits are rejected.  Numbers are separated
+by whitespace, and Windows line endings and trailing whitespace are
+tolerated; anything else malformed is rejected with the offending line
+number, since a quietly mis-parsed ballot file would poison every audit
+downstream.  Lines after the title (present in a handful of corpus files)
+are skipped.  Other ballot formats are out of scope; to add one, produce a
 :class:`~mwspoilers.core.Profile` by any means and feed it to the same
 downstream machinery.
+
+The ballot section is read in bulk: one compiled pattern checks every line's
+grammar, the numbers are converted in one pass, the zero-based rankings are
+cut as slices of one ``bytes`` object and checked as
+:meth:`~mwspoilers.core.Profile.build` checks them.  Only a section that
+fails is walked line by line, to name its first fault.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NoReturn, Sequence
 
-from .core import _MAX_CANDIDATES, Profile
+from .core import _MAX_CANDIDATES, Profile, ProfileError, _check_ballots
 
 
 class BltParseError(ValueError):
@@ -45,30 +54,36 @@ class BltDocument:
 
     m: int
     k: int
-    ballot_lines: tuple[tuple[int, tuple[int, ...]], ...]  # weight, 1-based indices
+    # One (zero-based ranking, weight) pair per ballot line, in file order.
+    ballot_lines: tuple[tuple[bytes, int], ...]
     names: tuple[str, ...]
     title: str
 
     def to_profile(self) -> Profile:
-        rankings = tuple(map(operator.itemgetter(1), self.ballot_lines))
-        weights = map(operator.itemgetter(0), self.ballot_lines)
-        # Every index shifted to zero-based into one bytes object, then cut into rankings.
-        shifted = bytes(map((-1).__add__, itertools.chain.from_iterable(rankings)))
-        ends = tuple(itertools.accumulate(map(len, rankings)))
-        zero_based = map(shifted.__getitem__, map(slice, (0, *ends), ends))
-        return Profile.build(self.m, self.names, zip(zero_based, weights), self.k)
+        return Profile.build(self.m, self.names, self.ballot_lines, self.k)
 
 
-def _decode(data: bytes | str) -> list[str]:
-    # utf-8-sig strips a BOM when present and is plain UTF-8 otherwise.
-    text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
-    return text.split("\n")
+# Whitespace within a line: every character str.split() splits on but the line
+# break, listed so that a ballot's numbers and gaps form one character class.
+_GAPS = "\t\x0b\x0c\r\x1c-\x1f \x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000"
+# A whole ballot line: the weight, the indices after a gap, then a gap and the 0.
+_BALLOT_LINE = re.compile(
+    f"^[{_GAPS}]*([0-9]+)([{_GAPS}][0-9{_GAPS}]*)[{_GAPS}]+0+[{_GAPS}]*\n", re.M
+)
+# The line ending the ballot section, matched with the line break before it.
+_SENTINEL = re.compile(f"\n0[{_GAPS}]*$", re.M)
+# An index token, leading zeros stripped, to its zero-based candidate.
+_ZERO_BASED = {str(i): i - 1 for i in range(1, _MAX_CANDIDATES + 1)}
+_NUMBER = re.compile("[0-9]+")
 
 
 def _integers(fields: list[str]) -> list[int] | None:
+    """The fields as integers, or None unless every one is a number."""
+    if not all(map(_NUMBER.fullmatch, fields)):
+        return None
     try:
-        return [int(f) for f in fields]
-    except ValueError:
+        return list(map(int, fields))
+    except ValueError:  # more digits than int() converts
         return None
 
 
@@ -96,45 +111,61 @@ def _quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def parse_blt_document(data: bytes | str) -> BltDocument:
-    """Parse a ``.blt`` byte stream into its document structure."""
-    lines = _decode(data)
-    pos = 0
-
-    def next_line() -> tuple[str, int]:
-        nonlocal pos
-        if pos >= len(lines):
-            raise BltParseError(len(lines), "unexpected end of file")
-        raw = lines[pos].rstrip("\r").rstrip()
-        pos += 1
-        return raw, pos
-
-    header, line_no = next_line()
-    parts = header.split()
-    numbers = _integers(parts)
+def _header(raw: str) -> tuple[int, int]:
+    raw = raw.rstrip()
+    numbers = _integers(raw.split())
     if numbers is None or len(numbers) != 2:
-        raise BltParseError(line_no, f"header must be 'm k', got {header!r}")
+        raise BltParseError(1, f"header must be 'm k', got {raw!r}")
     m, k = numbers
     if m < 2:
-        raise BltParseError(line_no, f"need at least 2 candidates, got m={m}")
+        raise BltParseError(1, f"need at least 2 candidates, got m={m}")
     if m > _MAX_CANDIDATES:
-        raise BltParseError(line_no, f"at most {_MAX_CANDIDATES} candidates supported, got m={m}")
+        raise BltParseError(1, f"at most {_MAX_CANDIDATES} candidates supported, got m={m}")
     if not 1 <= k < m:
-        raise BltParseError(line_no, f"seat count k={k} must satisfy 1 <= k < m={m}")
+        raise BltParseError(1, f"seat count k={k} must satisfy 1 <= k < m={m}")
+    return m, k
 
-    ballot_lines: list[tuple[int, tuple[int, ...]]] = []
-    saw_sentinel = False
-    while True:
-        raw, line_no = next_line()
+
+def _ballot_lines(section: str, m: int) -> tuple[tuple[bytes, int], ...] | None:
+    """The ballot lines of ``section`` (whole lines, each ending in a line
+    break), or None when it holds none or any line is faulty."""
+    found = _BALLOT_LINE.findall(section)
+    # Each match ends at a line break and starts a line, so as many matches as
+    # line breaks means every line matched on its own.
+    if not found or len(found) != section.count("\n"):
+        return None
+    indices = list(map(str.split, map(operator.itemgetter(1), found)))
+    tokens = map(str.lstrip, itertools.chain.from_iterable(indices), itertools.repeat("0"))
+    try:
+        weights = list(map(int, map(operator.itemgetter(0), found)))
+        # Every index zero-based in one bytes object, then cut into rankings.
+        shifted = bytes(map(_ZERO_BASED.__getitem__, tokens))
+    except (KeyError, ValueError):  # an index of 0 or above 256, a weight too long for int()
+        return None
+    bounds = list(itertools.accumulate(map(len, indices), initial=0))
+    rankings = map(shifted.__getitem__, map(slice, bounds, bounds[1:]))
+    ballot_lines = tuple(zip(rankings, weights))
+    try:
+        _check_ballots(m, ballot_lines)
+    except ProfileError:
+        return None
+    return ballot_lines
+
+
+def _name_fault(lines: list[str], m: int) -> NoReturn:
+    """Raise the first fault of the ballot section that starts at line 2."""
+    for line_no, raw in enumerate(lines[1:], 2):
+        raw = raw.rstrip()
         if raw == "0":
-            saw_sentinel = True
-            break
+            if line_no == 2:
+                raise BltParseError(line_no, "file contains no ballots")
+            raise AssertionError("unreachable: the bulk pass rejected a valid ballot section")
         numbers = _integers(raw.split())
         if not numbers:
             raise BltParseError(line_no, f"expected a ballot line, got {raw!r}")
         if numbers[-1] != 0:
             raise BltParseError(line_no, "ballot line must end with 0")
-        weight, ranking = numbers[0], tuple(numbers[1:-1])
+        weight, ranking = numbers[0], numbers[1:-1]
         if weight <= 0:
             raise BltParseError(line_no, f"ballot weight must be positive, got {weight}")
         if not ranking:
@@ -143,25 +174,27 @@ def parse_blt_document(data: bytes | str) -> BltDocument:
             raise BltParseError(line_no, f"candidate index out of range 1..{m}")
         if len(set(ranking)) != len(ranking):
             raise BltParseError(line_no, "duplicate candidate on ballot")
-        ballot_lines.append((weight, ranking))
-    if not saw_sentinel:  # pragma: no cover - next_line raises first
-        raise BltParseError(line_no, "missing ballot sentinel line '0'")
-    if not ballot_lines:
-        raise BltParseError(line_no, "file contains no ballots")
+    raise BltParseError(len(lines), "unexpected end of file")
 
-    names: list[str] = []
-    for _ in range(m):
-        raw, line_no = next_line()
-        names.append(_unquote(raw, line_no))
-    raw, line_no = next_line()
-    title = _unquote(raw, line_no)
-    return BltDocument(
-        m=m,
-        k=k,
-        ballot_lines=tuple(ballot_lines),
-        names=tuple(names),
-        title=title,
-    )
+
+def parse_blt_document(data: bytes | str) -> BltDocument:
+    """Parse a ``.blt`` byte stream into its document structure."""
+    # utf-8-sig strips a BOM when present and is plain UTF-8 otherwise.
+    text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
+    header = text.partition("\n")[0]
+    m, k = _header(header)
+    start = len(header)  # the header's line break, if any
+    sentinel = _SENTINEL.search(text, start)
+    ballot_lines = sentinel and _ballot_lines(text[start + 1 : sentinel.start() + 1], m)
+    if not ballot_lines:
+        _name_fault(text.split("\n"), m)
+    # The names and the title follow the sentinel line, numbered from first.
+    first = len(ballot_lines) + 3
+    tail = text[sentinel.end() :].split("\n", m + 2)[1 : m + 2]
+    quoted = [_unquote(raw.rstrip(), no) for no, raw in enumerate(tail, first)]
+    if len(quoted) <= m:
+        raise BltParseError(first + len(tail) - 1, "unexpected end of file")
+    return BltDocument(m, k, ballot_lines, names=tuple(quoted[:m]), title=quoted[m])
 
 
 def parse_blt(data: bytes | str) -> Profile:

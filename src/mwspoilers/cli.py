@@ -176,6 +176,7 @@ def _cmd_spoilers(args: argparse.Namespace) -> int:
         methods,
         k_override=args.k,
         tie=TiePolicy(args.tie),
+        keep_details=bool(args.detail_out),
     )
     _warn_failures(result)
     _write(
@@ -260,7 +261,7 @@ def _cmd_subelections(args: argparse.Namespace) -> int:
                 yield f"{name}[{tag}]", sub.profile
 
     result = run_corpus_audit(
-        stream(), _resolve_methods(args.methods), tie=TiePolicy(args.tie)
+        stream(), _resolve_methods(args.methods), tie=TiePolicy(args.tie), keep_details=False
     )
     _warn_failures(result)
     _write(
@@ -281,6 +282,7 @@ def _cmd_clones(args: argparse.Namespace) -> int:
         [args.method],
         k_override=args.k,
         tie=TiePolicy(args.tie),
+        keep_details=False,
     )
     _warn_failures(result)
     _write(blt_io.emit_results_csv(clone_rows(result), ()), args.out)

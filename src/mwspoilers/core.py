@@ -234,7 +234,7 @@ class Profile:
     @cached_property
     def n(self) -> int:
         """Total ballot weight (number of voters)."""
-        return sum(b.weight for b in self.ballots)
+        return sum(map(_weight, self.ballots))
 
     @cached_property
     def arrays(self) -> BallotArrays:

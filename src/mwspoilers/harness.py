@@ -252,15 +252,18 @@ def run_corpus_audit(
     method_ids: Sequence[str],
     k_override: int | None = None,
     tie: TiePolicy = TiePolicy.ALPHABETICAL,
+    keep_details: bool = True,
 ) -> CorpusResult:
     """Audit a corpus of real elections for spoilers, method by method.
 
     Elections are kept when ``m > k + 1`` and ``k > 1`` (a seat override, if
     given, is applied before the filter).  Besides the simulation-style
     fractions this collects stability summaries, clone-similarity statistics,
-    and one detail row per election and method.  A failed audit gets a detail
-    row with empty statistics and an entry in ``failures``.  Clone statistics
-    are folded in as each audit finishes, so no profile outlives its audit.
+    and, when ``keep_details`` is set, one detail row per election and
+    method.  A failed audit gets a detail row with empty statistics and an
+    entry in ``failures``.  Clone statistics are folded in as each audit
+    finishes, so no profile outlives its audit, and without detail rows the
+    memory held does not grow with the number of elections.
     """
     tallies = _new_tallies(method_ids)
     stability = {mid: StabilityAggregate() for mid in tallies}
@@ -280,7 +283,8 @@ def run_corpus_audit(
         for mid, (report, counted) in _audit(profile, tallies, tie).items():
             row = dict.fromkeys(DETAIL_COLUMNS)
             row.update(election=name, method=mid, m=profile.m, k=profile.k, n=profile.n)
-            details.append(row)
+            if keep_details:
+                details.append(row)
             if isinstance(report, str):
                 failures.append((name, mid, report))
                 continue

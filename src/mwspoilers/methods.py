@@ -13,12 +13,14 @@ tables reproducible digit for digit.
 
 The ranked rules share one pile count: each ballot sits on the pile of
 its first-ranked candidate still in, and taking a candidate out hands only
-that pile on.  SRCV and top-k IRV only ever transfer at full value, so
-their piles hold the profile's own ballot types.  STV's piles hold parcels
-whose papers each carry a value, which a surplus transfer truncates, and
-STV records an official round table.  Top-k IRV eliminates until k
-candidates remain; SRCV runs one single-seat count per seat, with the past
-winners out from the start.
+that pile on.  With every candidate still in, the piles are slices of the
+profile's sorted ballots, which come grouped by first choice, so a count
+starts without placing any ballot.  SRCV and top-k IRV only ever transfer
+at full value, so their piles hold the profile's own ballot types.  STV's
+piles hold parcels whose papers each carry a value, which a surplus
+transfer truncates, and STV records an official round table.  Top-k IRV
+eliminates until k candidates remain; SRCV runs one single-seat count per
+seat, with the past winners out from the start.
 
 The score-based rules (SNTV, Bloc, k-Borda) are committee scoring rules:
 each takes the k best of one score per candidate.  They read their scores
@@ -36,17 +38,21 @@ from __future__ import annotations
 
 import enum
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import (
+    _MAX_CANDIDATES,
     OutcomeSet,
     Profile,
     ProfileError,
     UnrankedModel,
+    _ranking,
     borda_scores,
     first_place_counts,
     pairwise_matrix,
@@ -56,6 +62,12 @@ from .core import (
 )
 
 UNIT = 100_000  # integer vote units of 1e-5
+
+_value = itemgetter(1)  # the value a pile entry carries
+# Where candidate c's pile ends in sorted rankings: the least ranking above
+# every ranking that starts with c.  A ranking's indices are distinct, so
+# b"\xff\xff" is above every ranking that starts with 255.
+_PILE_ENDS = (*(bytes((c + 1,)) for c in range(_MAX_CANDIDATES - 1)), b"\xff\xff")
 
 
 class TiePolicy(str, enum.Enum):
@@ -179,12 +191,24 @@ def _lowest(
 def _first_preferences(
     m: int, entries: Sequence[tuple]
 ) -> tuple[list[list[tuple]], list[int], list[bool]]:
-    """Piles, totals and out flags with every candidate in."""
-    piles: list[list[tuple]] = [[] for _ in range(m)]
-    totals = [0] * m
-    out = [False] * m
-    _hand_on(entries, piles, totals, out)
-    return piles, totals, out
+    """Piles, totals and out flags with every candidate in.
+
+    ``entries`` must be sorted by ranking, as a profile's ballots are, so
+    the entries whose ranking starts with ``c`` form one slice: candidate
+    ``c``'s pile, whose end is found by bisection.  Each total is a sum over
+    its pile.
+    """
+    entries = list(entries)
+    piles = []
+    totals = []
+    lo = 0
+    for end in _PILE_ENDS[:m]:
+        hi = bisect_left(entries, end, lo, key=_ranking)
+        pile = entries[lo:hi]
+        piles.append(pile)
+        totals.append(sum(map(_value, pile)))
+        lo = hi
+    return piles, totals, [False] * m
 
 
 def stv(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> tuple[OutcomeSet, TabulationTrace]:

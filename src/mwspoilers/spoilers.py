@@ -14,11 +14,21 @@ indices, so committees before and after a removal compare directly.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import compress
 from typing import Iterable
 
-from .core import OutcomeSet, Profile, first_place_counts, remove_candidate, top_k_counts
+from .core import (
+    OutcomeSet,
+    Profile,
+    _ranking,
+    _weight,
+    first_place_counts,
+    remove_candidate,
+    top_k_counts,
+)
 from .methods import TieError, TiePolicy, run_method
 
 
@@ -246,16 +256,14 @@ class CloneStats:
 
 
 def adjacent_pair_weight(profile: Profile, x: int, y: int) -> int:
-    """Weight of ballots ranking both x and y in consecutive positions."""
-    total = 0
-    for ranking, weight in profile.ballots:
-        try:
-            px, py = ranking.index(x), ranking.index(y)
-        except ValueError:
-            continue
-        if abs(px - py) == 1:
-            total += weight
-    return total
+    """Weight of ballots ranking both x and y in consecutive positions.
+
+    A ranking lists each candidate once, so x and y are adjacent on it
+    exactly when it holds the two bytes ``xy`` or ``yx``.
+    """
+    pair = re.compile(re.escape(bytes((x, y))) + b"|" + re.escape(bytes((y, x))))
+    adjacent = map(pair.search, map(_ranking, profile.ballots))
+    return sum(compress(map(_weight, profile.ballots), adjacent))
 
 
 def clone_statistics(pairs: Iterable[tuple[SpoilerReport, Profile]]) -> CloneStats:

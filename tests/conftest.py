@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -41,6 +42,25 @@ def random_profile(
         ranking = tuple(int(c) for c in rng.permutation(m)[:length])
         ballots.append((ranking, int(rng.integers(1, max_weight + 1))))
     return Profile.build(m, default_names(m), ballots, k)
+
+
+@st.composite
+def ranked_profiles(draw):
+    """Elections of m 2-8 on partial or complete ballots.
+
+    Few, often short ballots make ties and exhausted ballots common.  Names
+    run backwards half of the time, so that name order and index order
+    disagree.
+    """
+    m = draw(st.integers(2, 8))
+    k = draw(st.integers(1, m - 1))
+    lengths = st.integers(1, m) if draw(st.booleans()) else st.just(m)
+    ballot = st.tuples(st.permutations(range(m)), lengths, st.integers(1, 4))
+    ballots = draw(st.lists(ballot, min_size=1, max_size=10))
+    names = default_names(m)
+    if draw(st.booleans()):
+        names = names[::-1]
+    return Profile.build(m, names, [(order[:n], w) for order, n, w in ballots], k)
 
 
 def outcome_or_tie(rule, *args):

@@ -11,6 +11,7 @@ import itertools
 
 import numpy as np
 
+from mwspoilers.blt_io import BltParseError, _unquote
 from mwspoilers.core import (
     OutcomeSet,
     Profile,
@@ -27,6 +28,7 @@ from mwspoilers.methods import (
     TieError,
     TiePolicy,
     _break_tie,
+    _hand_on,
     droop_quota,
     run_method,
 )
@@ -683,3 +685,96 @@ def restricted_ranking(ranking: tuple[int, ...], keep: tuple[int, ...]) -> tuple
     """``ranking`` without the candidates outside the sorted ``keep``, re-indexed by name."""
     return tuple(keep.index(c) for c in ranking if c in keep)
 
+
+
+def parse_blt_by_lines(data: bytes | str) -> Profile:
+    """The ``.blt`` parser as it was: every line walked and checked on its own.
+
+    One change from its former self: a number must be ASCII decimal digits,
+    where ``int()`` also took signs, underscores and other scripts' digits.
+    """
+    text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
+    lines = text.split("\n")
+    pos = 0
+
+    def next_line() -> tuple[str, int]:
+        nonlocal pos
+        if pos >= len(lines):
+            raise BltParseError(len(lines), "unexpected end of file")
+        raw = lines[pos].rstrip("\r").rstrip()
+        pos += 1
+        return raw, pos
+
+    def integers(fields: list[str]) -> list[int] | None:
+        if not all(f.isascii() and f.isdigit() for f in fields):
+            return None
+        try:
+            return [int(f) for f in fields]
+        except ValueError:
+            return None
+
+    header, line_no = next_line()
+    numbers = integers(header.split())
+    if numbers is None or len(numbers) != 2:
+        raise BltParseError(line_no, f"header must be 'm k', got {header!r}")
+    m, k = numbers
+    if m < 2:
+        raise BltParseError(line_no, f"need at least 2 candidates, got m={m}")
+    if m > 256:
+        raise BltParseError(line_no, f"at most 256 candidates supported, got m={m}")
+    if not 1 <= k < m:
+        raise BltParseError(line_no, f"seat count k={k} must satisfy 1 <= k < m={m}")
+
+    ballot_lines: list[tuple[int, tuple[int, ...]]] = []
+    while True:
+        raw, line_no = next_line()
+        if raw == "0":
+            break
+        numbers = integers(raw.split())
+        if not numbers:
+            raise BltParseError(line_no, f"expected a ballot line, got {raw!r}")
+        if numbers[-1] != 0:
+            raise BltParseError(line_no, "ballot line must end with 0")
+        weight, ranking = numbers[0], tuple(numbers[1:-1])
+        if weight <= 0:
+            raise BltParseError(line_no, f"ballot weight must be positive, got {weight}")
+        if not ranking:
+            raise BltParseError(line_no, "ballot ranks no candidates")
+        if any(not 1 <= i <= m for i in ranking):
+            raise BltParseError(line_no, f"candidate index out of range 1..{m}")
+        if len(set(ranking)) != len(ranking):
+            raise BltParseError(line_no, "duplicate candidate on ballot")
+        ballot_lines.append((weight, ranking))
+    if not ballot_lines:
+        raise BltParseError(line_no, "file contains no ballots")
+
+    names = []
+    for _ in range(m):
+        raw, line_no = next_line()
+        names.append(_unquote(raw, line_no))
+    raw, line_no = next_line()
+    _unquote(raw, line_no)
+    zero_based = [(tuple(i - 1 for i in ranking), weight) for weight, ranking in ballot_lines]
+    return Profile.build(m, names, zero_based, k)
+
+
+def first_preferences_by_placing(m: int, entries) -> tuple[list[list], list[int], list[bool]]:
+    """The pile count's former start: each entry placed on its first choice's pile in turn."""
+    piles: list[list] = [[] for _ in range(m)]
+    totals = [0] * m
+    out = [False] * m
+    _hand_on(entries, piles, totals, out)
+    return piles, totals, out
+
+
+def adjacent_pair_weight_by_scan(profile: Profile, x: int, y: int) -> int:
+    """The clone statistics' former adjacency scan: both positions looked up per ballot."""
+    total = 0
+    for ranking, weight in profile.ballots:
+        try:
+            px, py = ranking.index(x), ranking.index(y)
+        except ValueError:
+            continue
+        if abs(px - py) == 1:
+            total += weight
+    return total

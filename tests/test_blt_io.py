@@ -1,6 +1,12 @@
+import re
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwspoilers.blt_io import (
+    _GAPS,
     BltParseError,
     emit_blt,
     emit_results_csv,
@@ -10,6 +16,7 @@ from mwspoilers.blt_io import (
 from mwspoilers.core import Ballot
 
 from conftest import vote_splitting_profile
+from oracles import parse_blt_by_lines
 
 TABLE_DOC = (
     "3 1\n"
@@ -55,6 +62,12 @@ def test_trailing_metadata_lines_are_kept_but_ignored():
         ("3 1\n5 1 2\n0\n", 2),  # missing 0 terminator on ballot line
         ("3 1\n0 1 0\n0\n", 2),  # zero weight
         ("3 1\n5 0\n0\n", 2),  # empty ballot
+        # A number is ASCII decimal digits, and nothing else int() takes.
+        ('3 1\n+5 1 0\n0\n"A"\n"B"\n"C"\n"t"\n', 2),  # signed weight
+        ('3 1\n1_0 1 0\n0\n"A"\n"B"\n"C"\n"t"\n', 2),  # underscore
+        ('3 1\n5 \u0661 0\n0\n"A"\n"B"\n"C"\n"t"\n', 2),  # Arabic-Indic digit one
+        ('3 1\n5 1 -0\n0\n"A"\n"B"\n"C"\n"t"\n', 2),  # signed terminator
+        ('+3 1\n5 1 0\n0\n"A"\n"B"\n"C"\n"t"\n', 1),  # signed header
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line_no):
@@ -63,10 +76,116 @@ def test_parse_errors_carry_line_numbers(text, line_no):
     assert err.value.line_no == line_no
 
 
+def test_document_holds_zero_based_rankings_in_file_order():
+    text = '3 1\n2 3 1 0\n1 1 0\n2 3 1 0\n0\n"A"\n"B"\n"C"\n"t"\n'
+    document = parse_blt_document(text)
+    assert document.ballot_lines == ((b"\x02\x00", 2), (b"\x00", 1), (b"\x02\x00", 2))
+
+
+def test_gaps_are_every_whitespace_character_but_the_line_break():
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    whitespace = set(everything) - set("".join(everything.split()))
+    assert set(re.findall(f"[{_GAPS}]", everything)) == whitespace - {"\n"}
+
+
 def test_256_candidates_parse_with_zero_based_indices():
     names = "".join(f'"C{i}"\n' for i in range(256))
     profile = parse_blt(f"256 2\n3 256 1 0\n2 1 0\n0\n{names}\"t\"\n")
     assert profile.ballots == (Ballot(b"\x00", 2), Ballot(b"\xff\x00", 3))
+
+
+# ---------------------------------------------------------------------------
+# The bulk pass against the line walker
+
+SEPARATORS = [" ", "  ", "\t", "\x0c", "\x1f", "\xa0", "\u2009", "\u3000"]
+BAD_NUMBERS = ["+5", "1_0", "\u0661", "-0", "-5", "x", "0", "00", "257", "5.0", "0x1"]
+
+
+@st.composite
+def ballot_lines(draw, m):
+    """One ballot line's numbers as text, sometimes zero-padded."""
+    weight = draw(st.one_of(st.integers(1, 9), st.integers(2**63 - 2, 2**70)))
+    ranking = draw(st.lists(st.integers(1, m), min_size=1, max_size=min(m, 6), unique=True))
+    pad = st.sampled_from(["", "", "", "0", "00"])
+    return [draw(pad) + str(x) for x in (weight, *ranking)] + [draw(st.sampled_from(["0", "00"]))]
+
+
+def faulty(draw, tokens, m):
+    """A ballot line's numbers with one fault."""
+    tokens = list(tokens)
+    kinds = ["number", "weight", "duplicate", "no terminator", "no ranking", "index"]
+    fault = draw(st.sampled_from(kinds))
+    if fault == "weight":
+        tokens[0] = draw(st.sampled_from(["0", "00"]))
+    elif fault == "number":
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(BAD_NUMBERS))
+    elif fault == "duplicate":
+        tokens.insert(-1, tokens[1])
+    elif fault == "no terminator":
+        tokens.pop()
+    elif fault == "no ranking":
+        tokens = [tokens[0], tokens[-1]]
+    else:
+        index = draw(st.sampled_from([0, m + 1, m + 1, 257]))
+        tokens[draw(st.integers(1, len(tokens) - 2))] = str(index)
+    return tokens
+
+
+@st.composite
+def blt_files(draw):
+    """A ``.blt`` file as bytes or str: CRLF or LF, any gaps, unsorted and
+    repeated ballot lines, weights above int64, m up to 256, trailing
+    metadata; most of the time one fault at a random line."""
+    m = draw(st.sampled_from([2, 3, 4, 5, 8, 256]))
+    k = draw(st.integers(1, m - 1))
+    lines = draw(st.lists(ballot_lines(m), min_size=1, max_size=8))
+    lines += draw(st.lists(st.sampled_from(lines), max_size=3))  # repeated lines
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+
+    def join(tokens):
+        gaps = [draw(st.sampled_from(SEPARATORS)) for _ in tokens]
+        lead = draw(st.sampled_from(["", "", " "]))
+        trail = draw(st.sampled_from(["", "", " ", "\t ", "\r"]))
+        return lead + "".join(g + t for g, t in zip(["", *gaps], tokens)) + trail
+
+    text = [join([str(m), str(k)]), *map(join, lines), "0" + draw(st.sampled_from(["", " "]))]
+    text += [f'"C{i}"' for i in range(m)] + ['"title"']
+    text += draw(st.sampled_from([[], ["source: somewhere", ""], [""]]))
+    kinds = ["none", "ballot", "ballot", "header", "no ballots", "noise", "drop", "cut"]
+    kind = draw(st.sampled_from(kinds))
+    at = draw(st.integers(0, len(text) - 1))
+    if kind == "ballot":
+        at = draw(st.integers(1, len(lines)))
+        text[at] = join(faulty(draw, lines[at - 1], m))
+    elif kind == "header":
+        headers = [["257", "2"], ["3", "3"], ["3", "0"], ["1", "1"], ["3"]]
+        text[0] = join(draw(st.sampled_from(headers)))
+    elif kind == "no ballots":
+        del text[1 : len(lines) + 1]
+    elif kind == "noise":
+        text[at] = draw(st.text(alphabet="0123456789 \t\r+-_\u0661x\"", max_size=12))
+    elif kind == "drop":
+        del text[at]
+    elif kind == "cut":
+        del text[at:]
+    document = eol.join(text) + draw(st.sampled_from(["", eol]))
+    form = draw(st.sampled_from(["str", "bytes", "bom"]))
+    if form == "str":
+        return document
+    return ("\ufeff" if form == "bom" else "").encode() + document.encode()
+
+
+def parsed_or_error(parse, data):
+    try:
+        return parse(data)
+    except BltParseError as exc:
+        return str(exc), exc.line_no
+
+
+@given(blt_files())
+@settings(max_examples=600, deadline=None)
+def test_bulk_parse_matches_the_line_walker(data):
+    assert parsed_or_error(parse_blt, data) == parsed_or_error(parse_blt_by_lines, data)
 
 
 def test_missing_sentinel_is_an_error():
@@ -134,7 +253,7 @@ def test_whole_corpus_parses_and_round_trips():
     for file in sorted(root.rglob("*.blt")):
         document = parse_blt_document(file.read_bytes())
         profile = document.to_profile()
-        declared = sum(weight for weight, _ in document.ballot_lines)
+        declared = sum(weight for _, weight in document.ballot_lines)
         assert profile.n == declared, file
         assert parse_blt(emit_blt(profile)) == profile, file
         count += 1

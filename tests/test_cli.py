@@ -5,6 +5,7 @@ import pytest
 from mwspoilers.blt_io import emit_blt
 from mwspoilers.cli import main
 from mwspoilers.core import Profile, default_names
+from mwspoilers.harness import run_corpus_audit
 
 from conftest import vote_splitting_profile
 
@@ -147,6 +148,26 @@ def test_clones_command(corpus_dir, capsys):
     header, row = out.splitlines()[:2]
     assert header.startswith("method,closer_to_retained")
     assert row.startswith("SNTV,")
+
+
+def test_only_a_detail_table_keeps_detail_rows(corpus_dir, tmp_path, monkeypatch, capsys):
+    from mwspoilers import cli
+
+    asked = []
+
+    def recording(*args, **kwargs):
+        asked.append(kwargs["keep_details"])
+        return run_corpus_audit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_corpus_audit", recording)
+    detail_csv = tmp_path / "detail.csv"
+    detail_out = ("--detail-out", str(detail_csv))
+    run_cli(capsys, "spoilers", str(corpus_dir), "--methods", "sntv", *detail_out)
+    run_cli(capsys, "spoilers", str(corpus_dir), "--methods", "sntv")
+    run_cli(capsys, "subelections", str(corpus_dir), "--t", "4", "--k", "2", "--methods", "sntv")
+    run_cli(capsys, "clones", str(corpus_dir), "--method", "sntv")
+    assert asked == [True, False, False, False]
+    assert "a.blt,sntv," in detail_csv.read_text()
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -202,6 +203,15 @@ def test_corpus_filtering_and_details():
     spoiled_row = next(d for d in result.details if d["election"] == "spoiled")
     assert spoiled_row["num_spoilers"] == 2
     assert spoiled_row["spoilers"] == "C;D"
+
+
+def test_corpus_audit_keeps_detail_rows_only_when_asked():
+    kept = run_corpus_audit(corpus(), ["sntv", "stv"], tie=TiePolicy.ALPHABETICAL)
+    bare = run_corpus_audit(
+        corpus(), ["sntv", "stv"], tie=TiePolicy.ALPHABETICAL, keep_details=False
+    )
+    assert len(kept.details) == 4 and bare.details == []
+    assert replace(bare, details=kept.details) == kept
 
 
 def test_corpus_k_override_filters_before_replacing():

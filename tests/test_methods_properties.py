@@ -20,6 +20,7 @@ from mwspoilers.methods import (
     UNIT,
     TieError,
     TiePolicy,
+    _first_preferences,
     chamberlin_courant,
     committee_satisfaction,
     condorcet_committee,
@@ -31,11 +32,12 @@ from mwspoilers.methods import (
     top_k_irv,
 )
 
-from conftest import outcome_or_tie, random_profile
+from conftest import outcome_or_tie, random_profile, ranked_profiles
 from oracles import (
     all_condorcet_committees,
     cc_enumeration,
     condorcet_committee_by_subsets,
+    first_preferences_by_placing,
     mcc_by_subsets,
     naive_borda,
     srcv_by_removal,
@@ -248,23 +250,29 @@ def test_top_k_irv_single_seat_agrees_with_stv():
 # STV, SRCV and top-k IRV on the pile count
 
 
-@st.composite
-def ranked_profiles(draw):
-    """Elections of m 2-8 on partial or complete ballots.
+def pile_entries(p):
+    """The entries each rule's count starts from: SRCV's and top-k IRV's ballots, STV's parcels."""
+    return p.ballots, [(ranking, w * UNIT, w, UNIT) for ranking, w in p.ballots]
 
-    Few, often short ballots make ties and exhausted ballots common.  Names
-    run backwards half of the time, so that name order and index order
-    disagree.
-    """
-    m = draw(st.integers(2, 8))
-    k = draw(st.integers(1, m - 1))
-    lengths = st.integers(1, m) if draw(st.booleans()) else st.just(m)
-    ballot = st.tuples(st.permutations(range(m)), lengths, st.integers(1, 4))
-    ballots = draw(st.lists(ballot, min_size=1, max_size=10))
-    names = default_names(m)
-    if draw(st.booleans()):
-        names = names[::-1]
-    return Profile.build(m, names, [(order[:n], w) for order, n, w in ballots], k)
+
+@given(ranked_profiles())
+@settings(max_examples=400, deadline=None)
+def test_first_preferences_are_the_piles_placing_each_ballot_builds(p):
+    for entries in pile_entries(p):
+        assert _first_preferences(p.m, entries) == first_preferences_by_placing(p.m, entries)
+
+
+def test_first_preferences_of_256_candidates_end_with_the_last_candidate():
+    rankings = [(255,), (255, 0), (255, 254, 3), (0, 255), (254,), (254, 255)]
+    p = Profile.build(256, default_names(256), [(r, 2) for r in rankings], 3)
+    for entries in pile_entries(p):
+        assert _first_preferences(p.m, entries) == first_preferences_by_placing(p.m, entries)
+
+
+def test_first_preferences_are_the_piles_placing_each_ballot_builds_on_a_ward(ward):
+    for p in [ward] + [remove_candidate(ward, c) for c in range(ward.m)]:
+        for entries in pile_entries(p):
+            assert _first_preferences(p.m, entries) == first_preferences_by_placing(p.m, entries)
 
 
 @given(ranked_profiles(), st.sampled_from(TiePolicy))

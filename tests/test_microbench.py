@@ -9,13 +9,16 @@ for building its cached array form, as the first rule run on a reduced
 profile does in an audit.  The positional-score bench gets a fresh profile
 every round, so each round also builds the position tally.  The sampler
 benches draw one campaign trial (n=1001, as in the benchmark's campaigns)
-100 times, since a draw takes a fraction of a millisecond.  Print the
+100 times, since a draw takes a fraction of a millisecond; the
+first-preference bench places the ward and a 24-type IC m=4 sample, the
+campaigns' profile size, 100 times each.  Print the
 timings with ``pytest tests/test_microbench.py``; compare runs with
 pytest-benchmark's ``--benchmark-autosave`` and ``--benchmark-compare``.
 """
 
 import random
 
+from mwspoilers.blt_io import emit_blt, parse_blt
 from mwspoilers.core import (
     Profile,
     UnrankedModel,
@@ -27,14 +30,24 @@ from mwspoilers.core import (
     top_k_counts,
 )
 from mwspoilers.cultures import CultureSpec, sample_iac, sample_ic, sample_spatial1d
-from mwspoilers.methods import TiePolicy, chamberlin_courant, greedy_cc, srcv, stv, top_k_irv
+from mwspoilers.methods import (
+    TiePolicy,
+    _first_preferences,
+    chamberlin_courant,
+    greedy_cc,
+    srcv,
+    stv,
+    top_k_irv,
+)
 
 from oracles import (
     _profile_without,
     borda_scores_reference,
     cc_enumeration,
+    first_preferences_by_placing,
     greedy_cc_reference,
     naive_margin,
+    parse_blt_by_lines,
     restricted_ranking,
     sample_in_draw_order,
     spatial1d_by_sorting,
@@ -92,6 +105,24 @@ def test_bench_profile_build(benchmark, ward):
     args = (ward.m, ward.names, shuffled, ward.k)
     built = benchmark.pedantic(Profile.build, args=args, rounds=5, iterations=1)
     assert built == Profile(ward.m, ward.names, tuple(sorted(shuffled)), ward.k)
+
+
+def test_bench_parse_blt(benchmark, ward):
+    data = emit_blt(ward, title="ward")
+    parsed = benchmark.pedantic(parse_blt, args=(data,), rounds=5, iterations=1)
+    assert parsed == parse_blt_by_lines(data) == ward
+
+
+def test_bench_first_preferences(benchmark, ward):
+    small = sample_ic(CultureSpec("ic", "complete", 4, 2, 1001, seed=5), 7)
+    assert len(small.ballots) == 24
+
+    def place():
+        return [_first_preferences(p.m, p.ballots) for p in (ward, small) for _ in range(100)]
+
+    placed = benchmark.pedantic(place, rounds=5, iterations=1)
+    assert placed[0] == first_preferences_by_placing(ward.m, ward.ballots)
+    assert placed[-1] == first_preferences_by_placing(small.m, small.ballots)
 
 
 def test_bench_stv(benchmark, ward):

@@ -1,4 +1,5 @@
 import numpy as np
+from hypothesis import given, settings
 
 from mwspoilers.core import Profile
 from mwspoilers.methods import METHODS, TiePolicy
@@ -12,8 +13,8 @@ from mwspoilers.spoilers import (
     weakness_flags,
 )
 
-from conftest import random_profile, vote_splitting_profile
-from oracles import spoiler_verdicts_by_definition
+from conftest import random_profile, ranked_profiles, vote_splitting_profile
+from oracles import adjacent_pair_weight_by_scan, spoiler_verdicts_by_definition
 
 
 def test_vote_splitting_spoilers_under_sntv(table_profile):
@@ -135,6 +136,14 @@ def test_adjacent_pair_weight(table_profile):
 def test_adjacency_requires_both_ranked_and_consecutive():
     p = Profile.build(3, "AXS", [((0, 2), 4), ((0, 1, 2), 3)], 1)
     assert adjacent_pair_weight(p, 0, 2) == 4  # [A, X, S] is not adjacent
+
+
+@given(ranked_profiles())
+@settings(max_examples=200, deadline=None)
+def test_adjacent_pair_weight_matches_the_position_scan(p):
+    for x in range(p.m):
+        for y in range(p.m):
+            assert adjacent_pair_weight(p, x, y) == adjacent_pair_weight_by_scan(p, x, y)
 
 
 def test_clone_statistics_on_vote_splitting(table_profile):
