@@ -45,12 +45,16 @@ matters on the audit hot path, which derives a profile per removed candidate.
 The array-based rules (exact and greedy Chamberlin-Courant, committee
 satisfaction, pairwise margins) read :attr:`Profile.arrays`: the rank
 position of every candidate on every ballot type and the int64 weights,
-built from the rankings on first use and cached on the profile.  Both arrays
-are read-only, the tally is made of tuples, and the lazy builds are
-idempotent (two threads racing to build one compute equal values), so
-profiles stay shareable.  All arithmetic on the arrays is integer;
-a profile whose ``n * m`` does not fit in int64 is rejected with
-:class:`ProfileError` rather than summed with wraparound.
+built from the rankings on first use and cached on the profile.  Exact
+Chamberlin-Courant builds its table of subset sums straight from the
+positions; its committee scan and greedy Chamberlin-Courant read the
+:func:`point_matrix` derived from them.  Both arrays are read-only, the
+tally is made of tuples, and the lazy builds are idempotent (two threads
+racing to build one compute equal values), so profiles stay shareable.
+All arithmetic on the arrays is integer; a profile whose ``n * m`` does
+not fit in int64 is rejected with :class:`ProfileError` rather than
+summed with wraparound, and ``n * m`` bounds every total those rules
+compute, a satisfaction table entry included.
 """
 
 from __future__ import annotations

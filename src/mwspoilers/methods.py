@@ -20,7 +20,17 @@ at full value, so their piles hold the profile's own ballot types.  STV's
 piles hold parcels whose papers each carry a value, which a surplus
 transfer truncates, and STV records an official round table.  Top-k IRV
 eliminates until k candidates remain; SRCV runs one single-seat count per
-seat, with the past winners out from the start.
+seat, with the past winners out from the start.  Their shared runoff ends
+at its last elimination: once one more candidate continues than there are
+seats, it picks the loser and the rest win, without handing the loser's
+pile on.
+
+Exact Chamberlin-Courant has two engines, which find the same committees:
+a table of ``2**m`` subset sums that scores every committee at once, and
+a scan of the C(m, k) committees over every ballot type, which needs no
+table and so serves elections too large for one.
+:func:`chamberlin_courant` picks one from m, k and the number of ballot
+types.
 
 The score-based rules (SNTV, Bloc, k-Borda) are committee scoring rules:
 each takes the k best of one score per candidate.  They read their scores
@@ -320,9 +330,12 @@ def _runoff(
 ) -> tuple[list[int], bool]:
     """Eliminate plurality losers until the continuing candidates fill ``seats``.
 
-    With a ``quota`` (single-seat counts only), a candidate at or above it
-    wins at once.  Consumes the piles; returns the winners and whether an
-    elimination tie had to be broken.
+    More than ``seats`` candidates must be continuing.  With a ``quota``
+    (single-seat counts only), a candidate at or above it wins at once.
+    Each elimination but the last hands the loser's pile on; the last one
+    ends the count, since the other ``seats`` candidates win whatever their
+    piles hold, so the piles are left as they stood before it.  Returns the
+    winners in index order and whether an elimination tie had to be broken.
     """
     tie_used = False
     while True:
@@ -331,10 +344,11 @@ def _runoff(
             leader = max(continuing, key=totals.__getitem__)
             if totals[leader] >= quota:
                 return [leader], tie_used
-        if len(continuing) == seats:
-            return continuing, tie_used
         loser, tied = _lowest(profile, continuing, totals, tie)
         tie_used = tie_used or tied
+        if len(continuing) == seats + 1:
+            continuing.remove(loser)
+            return continuing, tie_used
         _exclude(piles, totals, out, loser)
 
 
@@ -465,13 +479,16 @@ def committee_satisfaction(
 
 
 def chamberlin_courant(profile: Profile, model: UnrankedModel) -> OutcomeSet:
-    """Exact Chamberlin-Courant by exhaustive committee enumeration.
+    """Exact Chamberlin-Courant: every committee of greatest total satisfaction.
 
-    Scans all C(m, k) committees in lexicographic order, streaming the
-    maximum; every maximizing committee is returned, so an exact tie shows up
-    as a multi-committee outcome.  Refuses profiles where C(m, k) exceeds the
-    budget (the winner determination problem is NP-hard in general; fall back
-    to :func:`greedy_cc`).
+    Every maximizing committee is returned, so an exact tie shows up as a
+    multi-committee outcome.  Refuses profiles where C(m, k) exceeds the
+    budget (the winner determination problem is NP-hard in general; fall
+    back to :func:`greedy_cc`).  Two engines find the same committees: the
+    subset-sum table (:func:`_cc_table`) when its ``2**m`` entries fit the
+    budget and its ``m * 2**m`` additions are no more than the
+    ``C(m, k) * T`` committee-ballot pairs of the committee scan
+    (:func:`_cc_scan`) over the ``T`` ballot types; the scan otherwise.
     """
     m, k = profile.m, profile.k
     if comb(m, k) > _SEARCH_BUDGET:
@@ -479,6 +496,74 @@ def chamberlin_courant(profile: Profile, model: UnrankedModel) -> OutcomeSet:
             f"C({m}, {k}) = {comb(m, k)} committees exceeds budget {_SEARCH_BUDGET}; "
             "use greedy_cc"
         )
+    if 2**m <= _SEARCH_BUDGET and m * 2**m <= comb(m, k) * len(profile.ballots):
+        return _cc_table(profile, model)
+    return _cc_scan(profile, model)
+
+
+def _cc_table(profile: Profile, model: UnrankedModel) -> OutcomeSet:
+    """Exact Chamberlin-Courant from one table of ``2**m`` subset sums.
+
+    A voter's satisfaction with a committee, its best member's points, is
+    the number of thresholds ``t = 1..m-1`` that some member's points reach.
+    Candidate sets are bitmasks.  The table first holds, at each set, the
+    weight of the (ballot type, threshold) pairs whose candidates with at
+    least ``t`` points form that set; one subset-sum (zeta) transform, as in
+    Björklund, Husfeldt, Kaski and Koivisto, "Fourier meets Möbius: fast
+    subset convolution" (STOC 2007), turns that into the weight of the pairs
+    whose set lies inside it.  A committee reaches every threshold except
+    those pairs inside its complement, so it scores ``W * (m - 1)`` less the
+    entry at its complement, ``W`` being the total weight, and the best
+    committees are those whose complement's entry is least.
+
+    The candidates with at least ``m - j`` points on a ballot are those in
+    its first ``j`` places, and, once ``j`` passes the ballot's length
+    under the optimistic model, every unranked candidate too: a ballot's
+    sets are the running unions of its candidates in rank order, with its
+    unranked candidates sharing the place after its last ranked one (the
+    optimistic model) or no place (the pessimistic one).  Every entry is at
+    most ``W * (m - 1)``, which the int64 check of :attr:`Profile.arrays`
+    bounds.
+    """
+    m, k = profile.m, profile.k
+    positions, weights = profile.arrays
+    types = len(weights)
+    rows = np.arange(types)
+    full = (1 << m) - 1
+    # by_place[i, j]: the set in place j of ballot type i.  Unranked
+    # candidates sit at position m, a column no threshold reads.
+    by_place = np.zeros((types, m + 1), dtype=np.int64)
+    by_place[rows[:, None], positions] = 1 << np.arange(m, dtype=np.int64)
+    if model is UnrankedModel.OPTIMISTIC:
+        lengths = (positions < m).sum(axis=1)
+        by_place[rows, lengths] = full ^ by_place[:, :m].sum(axis=1)
+    # Running unions: column j - 1 now holds the set of threshold m - j.
+    by_place.cumsum(axis=1, out=by_place)
+    inside = np.zeros(1 << m, dtype=np.int64)
+    for column in by_place.T[: m - 1]:
+        np.add.at(inside, column, weights)
+    sizes = np.zeros(1 << m, dtype=np.int8)
+    for bit in range(m):  # each set with ``bit`` adds in the set without it
+        half = inside.reshape(-1, 2, 1 << bit)
+        half[:, 1, :] += half[:, 0, :]
+        sizes.reshape(-1, 2, 1 << bit)[:, 1, :] += 1
+    committees = np.flatnonzero(sizes == k)
+    missed = inside[full ^ committees]
+    best = committees[missed == missed.min()].tolist()
+    return OutcomeSet(
+        committees=frozenset(frozenset(c for c in range(m) if s >> c & 1) for s in best),
+        tie_flag=len(best) > 1,
+    )
+
+
+def _cc_scan(profile: Profile, model: UnrankedModel) -> OutcomeSet:
+    """Exact Chamberlin-Courant by scanning every committee over every ballot type.
+
+    Scans all C(m, k) committees in lexicographic order, streaming the
+    maximum, with no table of ``2**m`` entries, so it serves any ``m``
+    whose C(m, k) fits the budget.
+    """
+    m, k = profile.m, profile.k
     _, weights = profile.arrays
     by_candidate = point_matrix(profile, model).T
     best_value = -1

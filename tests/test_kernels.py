@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mwspoilers import methods
 from mwspoilers.core import (
+    OutcomeSet,
     Profile,
     ProfileError,
     UnrankedModel,
@@ -15,11 +17,15 @@ from mwspoilers.core import (
     first_place_counts,
     pairwise_matrix,
     point_matrix,
+    remove_candidate,
     top_k_counts,
 )
 from mwspoilers.harness import run_corpus_audit
 from mwspoilers.methods import (
+    SearchBudgetError,
     TiePolicy,
+    _cc_scan,
+    _cc_table,
     _top_k_outcome,
     chamberlin_courant,
     committee_satisfaction,
@@ -29,7 +35,7 @@ from mwspoilers.methods import (
 )
 from mwspoilers.spoilers import weakness_flags
 
-from conftest import outcome_or_tie
+from conftest import outcome_or_tie, ranked_profiles
 from oracles import (
     borda_scores_reference,
     cc_enumeration,
@@ -203,3 +209,101 @@ def test_corpus_audit_counts_overflow_as_an_audit_error():
     assert result.methods["sntv"].tally.errors == 0
     assert [(e, mid) for e, mid, _ in result.failures] == [("huge", mid) for mid in array_rules]
     assert all("ProfileError" in message for _, _, message in result.failures)
+
+
+# ---------------------------------------------------------------------------
+# Exact Chamberlin-Courant: the subset-sum table and the committee scan
+
+CC_ENGINES = pytest.mark.parametrize("engine", [_cc_table, _cc_scan], ids=["table", "scan"])
+
+
+def cc_oracle_outcome(p: Profile, model: UnrankedModel) -> OutcomeSet:
+    committees = cc_enumeration(p, model)
+    return OutcomeSet(committees=committees, tie_flag=len(committees) > 1)
+
+
+@CC_ENGINES
+@given(ranked_profiles(), st.sampled_from(UnrankedModel))
+@settings(max_examples=300, deadline=None)
+def test_cc_engines_match_enumeration(engine, p, model):
+    assert engine(p, model) == cc_oracle_outcome(p, model)
+
+
+@pytest.mark.parametrize("model", list(UnrankedModel))
+def test_cc_engines_match_enumeration_on_a_ward(ward, model):
+    # The ward and each of its single-candidate removals, as an audit re-runs them.
+    for p in [ward] + [remove_candidate(ward, c) for c in range(ward.m)]:
+        expected = cc_oracle_outcome(p, model)
+        assert _cc_table(p, model) == _cc_scan(p, model) == expected
+
+
+@CC_ENGINES
+def test_cc_engines_return_every_tied_committee(engine):
+    # One voter ranks A over B, one C over D: for one seat, A and C tie.
+    p = Profile.build(4, "ABCD", [((0, 1), 1), ((2, 3), 1)], 1)
+    for model in UnrankedModel:
+        outcome = engine(p, model)
+        assert outcome == OutcomeSet(frozenset({frozenset({0}), frozenset({2})}), tie_flag=True)
+        assert outcome == cc_oracle_outcome(p, model)
+    # Three equal blocs for two seats: any two of their favourites.
+    p = Profile.build(6, "ABCDEF", [((0, 1), 2), ((2, 3), 2), ((4, 5), 2)], 2)
+    for model in UnrankedModel:
+        outcome = engine(p, model)
+        assert len(outcome.committees) == 3 and outcome.tie_flag
+        assert outcome == cc_oracle_outcome(p, model)
+
+
+def spy_on_cc_engines(monkeypatch) -> list[str]:
+    chosen: list[str] = []
+    for name in ("_cc_table", "_cc_scan"):
+        engine = getattr(methods, name)
+
+        def spy(p, model, engine=engine, name=name):
+            chosen.append(name)
+            return engine(p, model)
+
+        monkeypatch.setattr(methods, name, spy)
+    return chosen
+
+
+def test_cc_takes_the_table_when_it_fits_and_beats_the_scan(ward, monkeypatch):
+    chosen = spy_on_cc_engines(monkeypatch)
+    m = 22
+    wide = Profile.build(m, default_names(m), [((c, (c + 1) % m), 1 + c % 3) for c in range(m)], 2)
+    for p, engine in [
+        (ward, "_cc_table"),  # m=10, k=4: 10 * 2**10 <= C(10, 4) * T
+        (wide, "_cc_scan"),  # 2**22 entries exceed the search budget
+        (ward.with_seats(1), "_cc_table"),  # 10 * 2**10 <= 10 * T, T about 2,000
+        (Profile.build(10, ward.names, ward.ballots[:1000], 1), "_cc_scan"),  # T < 1024
+    ]:
+        chosen.clear()
+        chamberlin_courant(p, UnrankedModel.OPTIMISTIC)
+        assert chosen == [engine]
+    monkeypatch.setattr(methods, "_SEARCH_BUDGET", 2**10 - 1)
+    chosen.clear()
+    chamberlin_courant(ward, UnrankedModel.OPTIMISTIC)
+    assert chosen == ["_cc_scan"]
+
+
+def test_cc_checks_the_budget_before_the_arrays_and_either_engine(monkeypatch):
+    chosen = spy_on_cc_engines(monkeypatch)
+    m = 40
+    p = Profile.build(m, default_names(m), [((0, 1), 2**62), ((2,), 1)], 20)
+    with pytest.raises(SearchBudgetError, match=r"^C\(40, 20\) = 137846528820 committees "
+                       r"exceeds budget 1000000; use greedy_cc$"):
+        chamberlin_courant(p, UnrankedModel.OPTIMISTIC)
+    assert chosen == []
+
+
+@pytest.mark.parametrize("model", list(UnrankedModel))
+def test_int64_overflow_is_a_profile_error_in_either_cc_engine(model, monkeypatch):
+    chosen = spy_on_cc_engines(monkeypatch)
+    # m=4, k=2 and 12 ballot types: 4 * 2**4 <= C(4, 2) * 12 picks the table.
+    ballots = [((a, b), 1) for a in range(4) for b in range(4) if a != b]
+    ballots[0] = ((0, 1), 2**62)
+    cases = [(Profile.build(4, "ABCD", ballots, 2), "_cc_table"), (huge_profile(), "_cc_scan")]
+    for p, engine in cases:
+        chosen.clear()
+        with pytest.raises(ProfileError, match=r"^n=\d+ voters x m=4 candidates overflows 64-bit"):
+            chamberlin_courant(p, model)
+        assert chosen == [engine]

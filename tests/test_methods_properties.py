@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mwspoilers import methods
 from mwspoilers.core import (
     Profile,
     pairwise_matrix,
@@ -297,6 +298,37 @@ def test_srcv_and_top_k_irv_match_their_former_implementations_on_a_ward(ward, t
         assert outcome_or_tie(stv, p, tie) == outcome_or_tie(stv_by_parcels, p, tie)
         assert outcome_or_tie(srcv, p, tie) == outcome_or_tie(srcv_by_removal, p, tie)
         assert outcome_or_tie(top_k_irv, p, tie) == outcome_or_tie(top_k_irv_reference, p, tie)
+
+
+def spy_on_exclusions(monkeypatch) -> list[int]:
+    """Record, for every pile handed on, how many candidates were still in."""
+    still_in: list[int] = []
+    exclude = methods._exclude
+
+    def spy(piles, totals, out, x):
+        still_in.append(out.count(False))
+        return exclude(piles, totals, out, x)
+
+    monkeypatch.setattr(methods, "_exclude", spy)
+    return still_in
+
+
+@pytest.mark.parametrize("tie", [TiePolicy.ALPHABETICAL, TiePolicy.LOWEST_INDEX])
+def test_top_k_irv_hands_on_no_pile_at_its_last_elimination(ward, tie, monkeypatch):
+    still_in = spy_on_exclusions(monkeypatch)
+    for p in [ward] + [remove_candidate(ward, c) for c in range(ward.m)]:
+        still_in.clear()
+        top_k_irv(p, tie)
+        assert still_in == list(range(p.m, p.k + 1, -1))  # m - k - 1 exclusions
+
+
+@pytest.mark.parametrize("tie", [TiePolicy.ALPHABETICAL, TiePolicy.LOWEST_INDEX])
+def test_srcv_seat_counts_hand_on_no_pile_between_the_last_two(ward, tie, monkeypatch):
+    still_in = spy_on_exclusions(monkeypatch)
+    for p in [ward] + [remove_candidate(ward, c) for c in range(ward.m)]:
+        still_in.clear()
+        srcv(p, tie)
+        assert still_in and min(still_in) > 2
 
 
 @given(st.integers(0, 2**32 - 1))

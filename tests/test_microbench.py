@@ -2,27 +2,33 @@
 
 One seeded m=10, k=4 partial-ballot election of about 2,000 ballot types,
 the size of a large ward (the ``ward`` fixture of ``conftest.py``).  Each
-bench times five single calls (``benchmark.pedantic``); the build bench
-gets the ward's ballot types in shuffled order, so it merges and sorts them
-as it does a parsed ballot file's.  The first call on a fresh profile pays
-for building its cached array form, as the first rule run on a reduced
-profile does in an audit.  The positional-score bench gets a fresh profile
-every round, so each round also builds the position tally.  The sampler
-benches draw one campaign trial (n=1001, as in the benchmark's campaigns)
-100 times, since a draw takes a fraction of a millisecond; the
+bench times five single calls (``benchmark.pedantic``).  Exact
+Chamberlin-Courant runs its subset-sum table on the ward; the scan bench
+gets a seeded m=22, k=2 election of 300 ballots, whose ``2**22`` table
+would exceed the search budget, so it runs the committee scan.  The build
+bench gets the ward's ballot types in shuffled order, so it merges and
+sorts them as it does a parsed ballot file's.  The first call on a fresh
+profile pays for building its cached array form, as the first rule run on
+a reduced profile does in an audit.  The positional-score bench gets a
+fresh profile every round, so each round also builds the position tally.
+The sampler benches draw one campaign trial (n=1001, as in the benchmark's
+campaigns) 100 times, since a draw takes a fraction of a millisecond; the
 first-preference bench places the ward and a 24-type IC m=4 sample, the
-campaigns' profile size, 100 times each.  Print the
-timings with ``pytest tests/test_microbench.py``; compare runs with
-pytest-benchmark's ``--benchmark-autosave`` and ``--benchmark-compare``.
+campaigns' profile size, 100 times each.  Print the timings with
+``pytest tests/test_microbench.py``; compare runs with pytest-benchmark's
+``--benchmark-autosave`` and ``--benchmark-compare``.
 """
 
 import random
+
+import numpy as np
 
 from mwspoilers.blt_io import emit_blt, parse_blt
 from mwspoilers.core import (
     Profile,
     UnrankedModel,
     borda_scores,
+    default_names,
     first_place_counts,
     pairwise_matrix,
     remove_candidate,
@@ -68,6 +74,19 @@ def test_bench_chamberlin_courant(benchmark, ward):
     args = (fresh(ward), model)
     outcome = benchmark.pedantic(chamberlin_courant, args=args, rounds=5, iterations=1)
     assert outcome.committees == cc_enumeration(ward, model)
+
+
+def test_bench_chamberlin_courant_scan(benchmark):
+    m = 22
+    rng = np.random.default_rng(20240607)
+    ballots = [
+        (rng.permutation(m)[: int(rng.integers(1, m))].tolist(), int(rng.integers(1, 40)))
+        for _ in range(300)
+    ]
+    wide = Profile.build(m, default_names(m), ballots, 2)
+    model = UnrankedModel.PESSIMISTIC
+    outcome = benchmark.pedantic(chamberlin_courant, args=(wide, model), rounds=5, iterations=1)
+    assert outcome.committees == cc_enumeration(wide, model)
 
 
 def test_bench_greedy_cc(benchmark, ward):
