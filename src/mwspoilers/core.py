@@ -45,16 +45,16 @@ matters on the audit hot path, which derives a profile per removed candidate.
 The array-based rules (exact and greedy Chamberlin-Courant, committee
 satisfaction, pairwise margins) read :attr:`Profile.arrays`: the rank
 position of every candidate on every ballot type and the int64 weights,
-built from the rankings on first use and cached on the profile.  Exact
-Chamberlin-Courant builds its table of subset sums straight from the
-positions; its committee scan and greedy Chamberlin-Courant read the
-:func:`point_matrix` derived from them.  Both arrays are read-only, the
-tally is made of tuples, and the lazy builds are idempotent (two threads
-racing to build one compute equal values), so profiles stay shareable.
-All arithmetic on the arrays is integer; a profile whose ``n * m`` does
-not fit in int64 is rejected with :class:`ProfileError` rather than
-summed with wraparound, and ``n * m`` bounds every total those rules
-compute, a satisfaction table entry included.
+built from the rankings on first use and cached on the profile.  The rules
+that score committees by satisfaction read the :func:`point_matrix`
+derived from them, which alone applies the unranked-candidate model.
+Both arrays are read-only, the tally is made of tuples, and the lazy
+builds are idempotent (two threads racing to build one compute equal
+values), so profiles stay shareable.  All arithmetic on the arrays is
+integer; a profile whose ``n * m`` does not fit in int64 is rejected with
+:class:`ProfileError` rather than summed with wraparound, and ``n * m``
+bounds every total those rules compute, a satisfaction table entry
+included.
 """
 
 from __future__ import annotations
@@ -504,11 +504,12 @@ def point_matrix(profile: Profile, model: UnrankedModel) -> np.ndarray:
     # Unranked candidates (position m) get -1 here, and ranked ones at least
     # m - l, so raising every entry to the model's floor fixes the unranked
     # entries alone.
+    points = m - 1 - positions
     if model is UnrankedModel.OPTIMISTIC:
         floor = m - 1 - (positions < m).sum(axis=1, keepdims=True)
     else:
         floor = 0
-    return np.maximum(m - 1 - positions, floor)
+    return np.maximum(points, floor, out=points)
 
 
 def pairwise_matrix(profile: Profile) -> tuple[tuple[int, ...], ...]:

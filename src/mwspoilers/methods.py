@@ -29,8 +29,8 @@ Exact Chamberlin-Courant has two engines, which find the same committees:
 a table of ``2**m`` subset sums that scores every committee at once, and
 a scan of the C(m, k) committees over every ballot type, which needs no
 table and so serves elections too large for one.
-:func:`chamberlin_courant` picks one from m, k and the number of ballot
-types.
+:func:`chamberlin_courant` runs the table whenever it fits the search
+budget.
 
 The score-based rules (SNTV, Bloc, k-Borda) are committee scoring rules:
 each takes the k best of one score per candidate.  They read their scores
@@ -486,9 +486,9 @@ def chamberlin_courant(profile: Profile, model: UnrankedModel) -> OutcomeSet:
     budget (the winner determination problem is NP-hard in general; fall
     back to :func:`greedy_cc`).  Two engines find the same committees: the
     subset-sum table (:func:`_cc_table`) when its ``2**m`` entries fit the
-    budget and its ``m * 2**m`` additions are no more than the
-    ``C(m, k) * T`` committee-ballot pairs of the committee scan
-    (:func:`_cc_scan`) over the ``T`` ballot types; the scan otherwise.
+    budget, which bounds its time and memory whatever k and the number of
+    ballot types; the committee scan (:func:`_cc_scan`) otherwise, so any
+    ``m`` whose C(m, k) fits the budget is still served.
     """
     m, k = profile.m, profile.k
     if comb(m, k) > _SEARCH_BUDGET:
@@ -496,7 +496,7 @@ def chamberlin_courant(profile: Profile, model: UnrankedModel) -> OutcomeSet:
             f"C({m}, {k}) = {comb(m, k)} committees exceeds budget {_SEARCH_BUDGET}; "
             "use greedy_cc"
         )
-    if 2**m <= _SEARCH_BUDGET and m * 2**m <= comb(m, k) * len(profile.ballots):
+    if 2**m <= _SEARCH_BUDGET:
         return _cc_table(profile, model)
     return _cc_scan(profile, model)
 
@@ -508,47 +508,40 @@ def _cc_table(profile: Profile, model: UnrankedModel) -> OutcomeSet:
     the number of thresholds ``t = 1..m-1`` that some member's points reach.
     Candidate sets are bitmasks.  The table first holds, at each set, the
     weight of the (ballot type, threshold) pairs whose candidates with at
-    least ``t`` points form that set; one subset-sum (zeta) transform, as in
-    Björklund, Husfeldt, Kaski and Koivisto, "Fourier meets Möbius: fast
-    subset convolution" (STOC 2007), turns that into the weight of the pairs
-    whose set lies inside it.  A committee reaches every threshold except
-    those pairs inside its complement, so it scores ``W * (m - 1)`` less the
-    entry at its complement, ``W`` being the total weight, and the best
-    committees are those whose complement's entry is least.
-
-    The candidates with at least ``m - j`` points on a ballot are those in
-    its first ``j`` places, and, once ``j`` passes the ballot's length
-    under the optimistic model, every unranked candidate too: a ballot's
-    sets are the running unions of its candidates in rank order, with its
-    unranked candidates sharing the place after its last ranked one (the
-    optimistic model) or no place (the pessimistic one).  Every entry is at
-    most ``W * (m - 1)``, which the int64 check of :attr:`Profile.arrays`
-    bounds.
+    least ``t`` points (:func:`point_matrix`, so under ``model``) form that
+    set; one subset-sum (zeta) transform, as in Björklund, Husfeldt, Kaski
+    and Koivisto, "Fourier meets Möbius: fast subset convolution" (STOC
+    2007), turns that into the weight of the pairs whose set lies inside it.
+    A committee reaches every threshold except those pairs inside its
+    complement, so it scores ``W * (m - 1)`` less the entry at its
+    complement, ``W`` being the total weight, and the best committees are
+    those whose complement's entry is least.  Every entry is at most
+    ``W * (m - 1)``, which the int64 check of :attr:`Profile.arrays` bounds.
     """
     m, k = profile.m, profile.k
-    positions, weights = profile.arrays
+    _, weights = profile.arrays
     types = len(weights)
-    rows = np.arange(types)
-    full = (1 << m) - 1
-    # by_place[i, j]: the set in place j of ballot type i.  Unranked
-    # candidates sit at position m, a column no threshold reads.
-    by_place = np.zeros((types, m + 1), dtype=np.int64)
-    by_place[rows[:, None], positions] = 1 << np.arange(m, dtype=np.int64)
-    if model is UnrankedModel.OPTIMISTIC:
-        lengths = (positions < m).sum(axis=1)
-        by_place[rows, lengths] = full ^ by_place[:, :m].sum(axis=1)
-    # Running unions: column j - 1 now holds the set of threshold m - j.
-    by_place.cumsum(axis=1, out=by_place)
+    flat = point_matrix(profile, model).T  # a fresh array, one row per candidate
+    flat *= types
+    flat += np.arange(types)  # [c, i]: where c's points on ballot type i go
+    # with_points[v * types + i]: the set of candidates with v points on
+    # ballot type i.  Each pass adds one candidate's bit at distinct entries,
+    # so the sum of the bits is the set.
+    with_points = np.zeros(m * types, dtype=np.int64)
+    for c, index in enumerate(flat):
+        with_points[index] += 1 << c
     inside = np.zeros(1 << m, dtype=np.int64)
-    for column in by_place.T[: m - 1]:
-        np.add.at(inside, column, weights)
+    reaching = np.zeros(types, dtype=np.int64)
+    for row in with_points.reshape(m, types)[:0:-1]:  # m - 1 points down to 1
+        reaching += row  # the set with at least that many points
+        np.add.at(inside, reaching, weights)
     sizes = np.zeros(1 << m, dtype=np.int8)
     for bit in range(m):  # each set with ``bit`` adds in the set without it
         half = inside.reshape(-1, 2, 1 << bit)
         half[:, 1, :] += half[:, 0, :]
         sizes.reshape(-1, 2, 1 << bit)[:, 1, :] += 1
     committees = np.flatnonzero(sizes == k)
-    missed = inside[full ^ committees]
+    missed = inside[((1 << m) - 1) ^ committees]
     best = committees[missed == missed.min()].tolist()
     return OutcomeSet(
         committees=frozenset(frozenset(c for c in range(m) if s >> c & 1) for s in best),

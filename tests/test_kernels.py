@@ -266,15 +266,20 @@ def spy_on_cc_engines(monkeypatch) -> list[str]:
     return chosen
 
 
-def test_cc_takes_the_table_when_it_fits_and_beats_the_scan(ward, monkeypatch):
+def pairs_profile(m: int, k: int) -> Profile:
+    """m ballot types, each ranking one candidate over the next."""
+    return Profile.build(m, default_names(m), [((c, (c + 1) % m), 1 + c % 3) for c in range(m)], k)
+
+
+def test_cc_takes_the_table_whenever_it_fits_the_budget(ward, monkeypatch):
     chosen = spy_on_cc_engines(monkeypatch)
-    m = 22
-    wide = Profile.build(m, default_names(m), [((c, (c + 1) % m), 1 + c % 3) for c in range(m)], 2)
     for p, engine in [
-        (ward, "_cc_table"),  # m=10, k=4: 10 * 2**10 <= C(10, 4) * T
-        (wide, "_cc_scan"),  # 2**22 entries exceed the search budget
-        (ward.with_seats(1), "_cc_table"),  # 10 * 2**10 <= 10 * T, T about 2,000
-        (Profile.build(10, ward.names, ward.ballots[:1000], 1), "_cc_scan"),  # T < 1024
+        (ward, "_cc_table"),  # m=10, k=4
+        (ward.with_seats(1), "_cc_table"),
+        (Profile.build(10, ward.names, ward.ballots[:5], 1), "_cc_table"),  # few ballot types
+        (pairs_profile(19, 1), "_cc_table"),  # 2**19 entries fit the budget
+        (pairs_profile(20, 1), "_cc_scan"),  # 2**20 entries exceed it
+        (pairs_profile(22, 2), "_cc_scan"),
     ]:
         chosen.clear()
         chamberlin_courant(p, UnrankedModel.OPTIMISTIC)
@@ -298,12 +303,11 @@ def test_cc_checks_the_budget_before_the_arrays_and_either_engine(monkeypatch):
 @pytest.mark.parametrize("model", list(UnrankedModel))
 def test_int64_overflow_is_a_profile_error_in_either_cc_engine(model, monkeypatch):
     chosen = spy_on_cc_engines(monkeypatch)
-    # m=4, k=2 and 12 ballot types: 4 * 2**4 <= C(4, 2) * 12 picks the table.
-    ballots = [((a, b), 1) for a in range(4) for b in range(4) if a != b]
-    ballots[0] = ((0, 1), 2**62)
-    cases = [(Profile.build(4, "ABCD", ballots, 2), "_cc_table"), (huge_profile(), "_cc_scan")]
-    for p, engine in cases:
+    wide = Profile.build(22, default_names(22), [((0, 1), 2**62), ((2, 3, 1), 1)], 2)
+    for p, engine in [(huge_profile(), "_cc_table"), (wide, "_cc_scan")]:
         chosen.clear()
-        with pytest.raises(ProfileError, match=r"^n=\d+ voters x m=4 candidates overflows 64-bit"):
+        with pytest.raises(
+            ProfileError, match=rf"^n=\d+ voters x m={p.m} candidates overflows 64-bit"
+        ):
             chamberlin_courant(p, model)
         assert chosen == [engine]
