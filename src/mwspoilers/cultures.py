@@ -16,9 +16,9 @@ Three models, each in a complete-ballot and a partial-ballot regime:
 
 Every sampler draws its counts in its own order, which the draws depend on
 and which never changes (IC and IAC over :func:`complete_universe` or
-:func:`partial_universe`, spatial per occupied bin), and hands its nonzero
-counts to :meth:`Profile.build` in that order as ``bytes`` rankings; build
-merges and sorts them.
+:func:`partial_universe`, spatial per occupied gap between candidate-pair
+midpoints), and hands its nonzero counts to :meth:`Profile.build` in that
+order as ``bytes`` rankings; build validates, merges and sorts them.
 
 Determinism contract: every sampler is a pure function of (spec, trial).
 Trial ``t`` uses the numpy stream seeded with the entropy pair
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, permutations
+from itertools import chain, combinations, permutations, repeat
 
 import numpy as np
 
@@ -146,41 +146,40 @@ def sample_spatial1d(spec: CultureSpec, trial: int = 0) -> Profile:
     tie), then per-voter ballot lengths in the partial regime.
 
     A voter's ranking depends only on which gap between consecutive sorted
-    midpoints they fall in, so voters are counted per (gap, ballot length)
-    bin and one voter per occupied bin is ranked: at most C(m, 2) + 1
+    midpoints they fall in, so voters are counted per gap (per gap and
+    ballot length when partial) and one voter per occupied gap is ranked, by
+    one argsort whose rows are cut as ``bytes``: at most C(m, 2) + 1
     rankings instead of n.
     """
     rng = trial_rng(spec, trial)
     m, n = spec.m, spec.n
     cands = rng.standard_normal(m)
-    while len(np.unique(cands)) != m:  # pragma: no cover - measure-zero event
+    while len(set(cands.tolist())) != m:  # a measure-zero event; -0.0 == 0.0
         cands = rng.standard_normal(m)
-    midpoints = np.array(
-        [(cands[i] + cands[j]) / 2.0 for i in range(m) for j in range(i + 1, m)]
-    )
-    bounds = np.sort(midpoints)
+    bounds = np.sort([(a + b) / 2.0 for a, b in combinations(cands.tolist(), 2)])
     voters = rng.standard_normal(n)
     # A voter on a midpoint is the first bound at or above them.
     gaps = np.searchsorted(bounds, voters)
     collides = bounds.take(gaps, mode="clip") == voters
-    while collides.any():  # a measure-zero event
-        voters[collides] = rng.standard_normal(int(collides.sum()))
+    while hits := np.count_nonzero(collides):  # a measure-zero event
+        voters[collides] = rng.standard_normal(hits)
         gaps = np.searchsorted(bounds, voters)
         collides = bounds.take(gaps, mode="clip") == voters
-
-    if spec.regime == "complete":
-        lengths = m - 1
-    else:
-        lengths = rng.integers(1, m, size=n)
-    counts = np.bincount(gaps * m + lengths)
-    occupied = np.flatnonzero(counts)
-    representative = np.empty(len(midpoints) + 1)
+    representative = np.empty(len(bounds) + 1)
     representative[gaps] = voters
-    gap_of, length_of = np.divmod(occupied, m)
-    order = np.argsort(np.abs(representative[gap_of, None] - cands[None, :]), axis=1)
-    rankings = [bytes(row[:length]) for row, length in zip(order.tolist(), length_of.tolist())]
-    weights = counts[occupied].tolist()
-    return Profile.build(m, default_names(m), zip(rankings, weights), spec.k)
+    if spec.regime == "complete":
+        counts = np.bincount(gaps)
+        occupied = gap_of = counts.nonzero()[0]
+        cuts = repeat(slice(m - 1))
+    else:
+        counts = np.bincount(gaps * m + rng.integers(1, m, size=n))
+        occupied = counts.nonzero()[0]
+        gap_of, length_of = np.divmod(occupied, m)
+        cuts = map(slice, length_of.tolist())
+    order = np.abs(representative[gap_of, None] - cands).argsort()
+    rows = order.astype(np.uint8).view(f"V{m}").ravel().tolist()  # one bytes per row
+    ballots = zip(map(bytes.__getitem__, rows, cuts), counts[occupied].tolist())
+    return Profile.build(m, default_names(m), ballots, spec.k)
 
 
 _SAMPLERS = {"ic": sample_ic, "iac": sample_iac, "spatial1d": sample_spatial1d}
