@@ -24,9 +24,9 @@ downstream machinery.
 
 The ballot section is read in bulk: one compiled pattern checks every line's
 grammar, the numbers are converted in one pass, the zero-based rankings are
-cut as slices of one ``bytes`` object and checked as
-:meth:`~mwspoilers.core.Profile.build` checks them.  Only a section that
-fails is walked line by line, to name its first fault.
+cut as slices of one ``bytes`` object, and :meth:`~mwspoilers.core.Profile.build`
+checks the ballots.  Only a file that fails is walked line by line, to name
+its first fault.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ import itertools
 import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NoReturn, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .core import _MAX_CANDIDATES, Profile, ProfileError, _check_ballots
+from .core import _MAX_CANDIDATES, Profile, ProfileError
 
 
 class BltParseError(ValueError):
@@ -50,17 +50,10 @@ class BltParseError(ValueError):
 
 @dataclass(frozen=True)
 class BltDocument:
-    """A parsed ballot file, kept close to its on-disk shape."""
+    """A parsed ballot file: its profile and the election title it carries."""
 
-    m: int
-    k: int
-    # One (zero-based ranking, weight) pair per ballot line, in file order.
-    ballot_lines: tuple[tuple[bytes, int], ...]
-    names: tuple[str, ...]
+    profile: Profile
     title: str
-
-    def to_profile(self) -> Profile:
-        return Profile.build(self.m, self.names, self.ballot_lines, self.k)
 
 
 # Whitespace within a line: every character str.split() splits on but the line
@@ -126,9 +119,9 @@ def _header(raw: str) -> tuple[int, int]:
     return m, k
 
 
-def _ballot_lines(section: str, m: int) -> tuple[tuple[bytes, int], ...] | None:
-    """The ballot lines of ``section`` (whole lines, each ending in a line
-    break), or None when it holds none or any line is faulty."""
+def _ballot_lines(section: str) -> tuple[list[bytes], list[int]] | None:
+    """The zero-based rankings and the weights of the lines of ``section`` (each
+    ending in a line break), or None when it holds none or breaks the grammar."""
     found = _BALLOT_LINE.findall(section)
     # Each match ends at a line break and starts a line, so as many matches as
     # line breaks means every line matched on its own.
@@ -143,23 +136,17 @@ def _ballot_lines(section: str, m: int) -> tuple[tuple[bytes, int], ...] | None:
     except (KeyError, ValueError):  # an index of 0 or above 256, a weight too long for int()
         return None
     bounds = list(itertools.accumulate(map(len, indices), initial=0))
-    rankings = map(shifted.__getitem__, map(slice, bounds, bounds[1:]))
-    ballot_lines = tuple(zip(rankings, weights))
-    try:
-        _check_ballots(m, ballot_lines)
-    except ProfileError:
-        return None
-    return ballot_lines
+    return list(map(shifted.__getitem__, map(slice, bounds, bounds[1:]))), weights
 
 
-def _name_fault(lines: list[str], m: int) -> NoReturn:
-    """Raise the first fault of the ballot section that starts at line 2."""
+def _name_fault(lines: list[str], m: int) -> None:
+    """Raise the first fault of the ballot section that starts at line 2, if any."""
     for line_no, raw in enumerate(lines[1:], 2):
         raw = raw.rstrip()
         if raw == "0":
             if line_no == 2:
                 raise BltParseError(line_no, "file contains no ballots")
-            raise AssertionError("unreachable: the bulk pass rejected a valid ballot section")
+            return
         numbers = _integers(raw.split())
         if not numbers:
             raise BltParseError(line_no, f"expected a ballot line, got {raw!r}")
@@ -178,28 +165,36 @@ def _name_fault(lines: list[str], m: int) -> NoReturn:
 
 
 def parse_blt_document(data: bytes | str) -> BltDocument:
-    """Parse a ``.blt`` byte stream into its document structure."""
+    """Parse a ``.blt`` byte stream into its profile and title."""
     # utf-8-sig strips a BOM when present and is plain UTF-8 otherwise.
     text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
     header = text.partition("\n")[0]
     m, k = _header(header)
     start = len(header)  # the header's line break, if any
     sentinel = _SENTINEL.search(text, start)
-    ballot_lines = sentinel and _ballot_lines(text[start + 1 : sentinel.start() + 1], m)
-    if not ballot_lines:
-        _name_fault(text.split("\n"), m)
-    # The names and the title follow the sentinel line, numbered from first.
-    first = len(ballot_lines) + 3
-    tail = text[sentinel.end() :].split("\n", m + 2)[1 : m + 2]
-    quoted = [_unquote(raw.rstrip(), no) for no, raw in enumerate(tail, first)]
-    if len(quoted) <= m:
-        raise BltParseError(first + len(tail) - 1, "unexpected end of file")
-    return BltDocument(m, k, ballot_lines, names=tuple(quoted[:m]), title=quoted[m])
+    ballots = sentinel and _ballot_lines(text[start + 1 : sentinel.start() + 1])
+    fault = None
+    if ballots:
+        # The names and the title follow the sentinel line, numbered from first.
+        first = len(ballots[1]) + 3
+        tail = text[sentinel.end() :].split("\n", m + 2)[1 : m + 2]
+        try:
+            quoted = [_unquote(raw.rstrip(), no) for no, raw in enumerate(tail, first)]
+            if len(quoted) <= m:
+                raise BltParseError(first + len(tail) - 1, "unexpected end of file")
+            return BltDocument(Profile.build(m, quoted[:m], zip(*ballots), k), quoted[m])
+        except (BltParseError, ProfileError) as exc:
+            fault = exc
+    # A faulty ballot line comes before the names: the line walker names it.
+    _name_fault(text.split("\n"), m)
+    if not isinstance(fault, BltParseError):
+        raise AssertionError("unreachable: the line walker accepts a rejected ballot section") from fault
+    raise fault
 
 
 def parse_blt(data: bytes | str) -> Profile:
     """Parse a ``.blt`` stream straight to a profile (0-based, deduplicated)."""
-    return parse_blt_document(data).to_profile()
+    return parse_blt_document(data).profile
 
 
 def emit_blt(profile: Profile, title: str = "") -> bytes:

@@ -233,10 +233,9 @@ def _cmd_extend(args: argparse.Namespace) -> int:
     path = _existing(args, args.file)
     try:
         document = blt_io.parse_blt_document(path.read_bytes())
-        profile = document.to_profile()
     except (OSError, ValueError) as exc:
         return _fail(f"{args.file}: {exc}")
-    extended = extend_profile(profile, ExtensionConfig(stop_ratio=args.stop_ratio))
+    extended = extend_profile(document.profile, ExtensionConfig(stop_ratio=args.stop_ratio))
     _write(blt_io.emit_blt(extended, title=document.title), args.out)
     return 0
 

@@ -32,15 +32,15 @@ the sum of its top-``d`` counts over ``d = 1..m-1``.
 
 Ballots are validated once, where they enter the program: the plain
 constructor and :meth:`Profile.build` (used by the ballot-file parser, ballot
-extension and the samplers) check every ballot.  The checks run as C-level
-passes over the rankings (weights, lengths, repeated and out-of-range
-indices, order); only a profile that fails them is walked ballot by ballot to
-name the first fault.  ``build`` encodes each ranking, then merges and sorts
-its input; the plain constructor takes canonical data only.  Profiles
-derived from a valid profile (:func:`remove_candidate`, :func:`restrict_to_subset`,
-:meth:`Profile.with_seats`) cannot break a ballot invariant, so they are made
-by :meth:`Profile._derived`, which keeps only the O(1) shape checks.  This
-matters on the audit hot path, which derives a profile per removed candidate.
+extension and the samplers) check every ballot, ``build`` on its input as
+given, so that no merge can hide a bad weight.  The checks run as C-level
+passes (integer and positive weights, lengths, repeated and out-of-range
+indices); only input that fails them is walked ballot by ballot to name the
+first fault.  Profiles derived from a valid profile (:func:`remove_candidate`,
+:func:`restrict_to_subset`, :meth:`Profile.with_seats`) cannot break a ballot
+invariant, so :meth:`Profile._derived` makes them without a ballot check.
+This matters on the audit hot path, which derives a profile per removed
+candidate.
 
 The array-based rules (exact and greedy Chamberlin-Courant, committee
 satisfaction, pairwise margins) read :attr:`Profile.arrays`: the rank
@@ -155,8 +155,8 @@ class Profile:
     Ballot types are stored deduplicated with integer weights and sorted by
     ranking; all rules here are anonymous, so this is purely a size/speed
     measure.  Use :meth:`build` to construct from raw ballots; the plain
-    constructor requires already-canonical data: ``bytes`` rankings, sorted
-    and deduplicated.
+    constructor requires already-canonical data: ``bytes`` rankings and
+    ``int`` weights, sorted and deduplicated.
     """
 
     m: int
@@ -165,30 +165,19 @@ class Profile:
     k: int
 
     def __post_init__(self) -> None:
-        self._check_shape()
+        _check_shape(self.m, self.names, self.ballots, self.k)
         rankings = tuple(map(_ranking, self.ballots))
         for ranking in rankings:
             if type(ranking) is not bytes:
                 raise ProfileError(
                     f"ballot {ranking!r} is not a bytes ranking; use Profile.build to encode it"
                 )
-        _check_ballots(self.m, self.ballots)
+        weights = tuple(map(_weight, self.ballots))
+        _check_ballots(self.m, rankings, weights)
+        if not {int}.issuperset(map(type, weights)):  # exact, where numpy integers wrap
+            raise ProfileError("weights must be Python ints; use Profile.build to convert them")
         if not all(map(operator.lt, rankings, rankings[1:])):
             raise ProfileError("ballots must be sorted by ranking and deduplicated")
-
-    def _check_shape(self) -> None:
-        if self.m < 2:
-            raise ProfileError(f"need at least 2 candidates, got m={self.m}")
-        if self.m > _MAX_CANDIDATES:
-            raise ProfileError(
-                f"at most {_MAX_CANDIDATES} candidates fit a ballot, got m={self.m}"
-            )
-        if len(self.names) != self.m:
-            raise ProfileError(f"expected {self.m} names, got {len(self.names)}")
-        if not 1 <= self.k < self.m:
-            raise ProfileError(f"seat count k={self.k} must satisfy 1 <= k < m={self.m}")
-        if not self.ballots:
-            raise ProfileError("profile has no ballots")
 
     @classmethod
     def build(
@@ -198,41 +187,35 @@ class Profile:
         weighted_rankings: Iterable[tuple[Sequence[int], int]],
         k: int,
     ) -> "Profile":
-        """Encode each ranking as ``bytes``, merge duplicate ballot types, sort, and validate.
+        """Validate the ballots as given, then encode, merge and sort them.
 
         A ranking may be any sequence of candidate indices; it is encoded by
-        value, so a numpy row gives the same ballot as a tuple.
+        value, so a numpy row gives the same ballot as a tuple.  A weight may
+        be any integer type; it is stored as a Python ``int``.
         """
         rankings, weights = tuple(zip(*weighted_rankings)) or ((), ())
+        names = tuple(names)
+        _check_shape(m, names, rankings, k)
         try:
             # Never bytes(r) on a buffer: a numpy row would give its raw bytes.
-            encoded = [r if type(r) is bytes else bytes(tuple(r)) for r in rankings]
+            rankings = [r if type(r) is bytes else bytes(tuple(r)) for r in rankings]
         except (TypeError, ValueError):
-            # Only an invalid ballot fails to encode: check the shape, then
-            # name the first faulty ballot in input order.
-            ballots = tuple(zip(map(tuple, rankings), weights))
-            cls._derived(m, tuple(names), ballots, k)
-            _check_ballots(m, ballots)
-            raise AssertionError("unreachable: an unencodable ballot is invalid") from None
-        ballots = _canonical(encoded, weights)
-        # The shape is checked first, as the constructor does, then the ballots.
-        profile = cls._derived(m, tuple(names), ballots, k)
-        _check_ballots(m, ballots)
-        return profile
+            pass  # an invalid ranking, which the check names
+        weights = _check_ballots(m, rankings, weights)
+        return cls._derived(m, names, _canonical(rankings, weights), k)
 
     @classmethod
     def _derived(
         cls, m: int, names: tuple[str, ...], ballots: tuple[Ballot, ...], k: int
     ) -> "Profile":
-        """A profile whose canonical ballots come from a valid profile.
+        """A profile made without a check.
 
-        Checks only the shape (m, names, k, at least one ballot); the caller
-        guarantees every ballot is a valid, sorted, deduplicated ranking.
+        The caller guarantees the shape (m, names, k, at least one ballot)
+        and that every ballot is a valid, sorted, deduplicated ranking.
         """
         profile = object.__new__(cls)
         for attr, value in (("m", m), ("names", names), ("ballots", ballots), ("k", k)):
             object.__setattr__(profile, attr, value)
-        profile._check_shape()
         return profile
 
     @cached_property
@@ -296,32 +279,52 @@ class Profile:
 
     def with_seats(self, k: int) -> "Profile":
         """Same ballots, different seat count."""
+        _check_shape(self.m, self.names, self.ballots, k)
         return Profile._derived(self.m, self.names, self.ballots, k)
 
 
-def _check_ballots(m: int, ballots: tuple[Ballot, ...]) -> None:
-    """Raise :class:`ProfileError` naming the first invalid ballot, if any.
+def _check_shape(m: int, names: tuple[str, ...], ballots: Sequence[object], k: int) -> None:
+    if m < 2:
+        raise ProfileError(f"need at least 2 candidates, got m={m}")
+    if m > _MAX_CANDIDATES:
+        raise ProfileError(f"at most {_MAX_CANDIDATES} candidates fit a ballot, got m={m}")
+    if len(names) != m:
+        raise ProfileError(f"expected {m} names, got {len(names)}")
+    if not 1 <= k < m:
+        raise ProfileError(f"seat count k={k} must satisfy 1 <= k < m={m}")
+    if not ballots:
+        raise ProfileError("profile has no ballots")
 
-    The checks run as C-level passes over the ``bytes`` rankings; only a
-    failing profile, or rankings that did not encode, are walked ballot by
-    ballot to name the first fault.  Order is the caller's to check.
+
+def _check_ballots(m: int, rankings: Sequence[bytes], weights: Sequence[int]) -> Sequence[int]:
+    """Raise :class:`ProfileError` naming the first invalid ballot, if any;
+    return the weights as Python ints.
+
+    The checks run as C-level passes over the ``bytes`` rankings and the
+    weights; only failing input, rankings that did not encode, or weights of
+    another integer type (numpy's) are walked ballot by ballot.  Order is the
+    caller's to check.
     """
-    rankings = tuple(map(_ranking, ballots))
     try:
         joined = b"".join(rankings)
     except TypeError:  # rankings that did not encode, handed on by build
         joined = None
     if (
         joined is not None
-        and min(map(_weight, ballots)) >= 1
+        and {int}.issuperset(map(type, weights))
+        and min(weights) >= 1
         and b"" not in rankings
         and not joined.translate(None, _INDEX_BYTES[:m])  # all indices below m
         and sum(map(len, map(set, rankings))) == len(joined)  # none repeated in a ballot
     ):
-        return
+        return weights
     candidates = frozenset(range(m))
-    for ranking, weight in ballots:
+    for ranking, weight in zip(rankings, weights):
         ranking = tuple(ranking)
+        try:
+            operator.index(weight)
+        except TypeError:
+            raise ProfileError(f"ballot {ranking} has weight {weight!r}, not an integer") from None
         if weight < 1:
             raise ProfileError(f"ballot {ranking} has non-positive weight {weight}")
         if not 1 <= len(ranking) <= m:
@@ -335,6 +338,7 @@ def _check_ballots(m: int, ballots: tuple[Ballot, ...]) -> None:
             bytes(ranking)
         except (TypeError, ValueError):
             raise ProfileError(f"candidate index not an integer in ballot {ranking}") from None
+    return list(map(operator.index, weights))
 
 
 def _canonical(rankings: Iterable[bytes], weights: Iterable[int]) -> tuple[Ballot, ...]:
@@ -435,7 +439,7 @@ def _restricted(profile: Profile, keep: list[int], k: int, empty_message: str) -
 
     Each ranking is re-indexed with the dropped candidates deleted in one
     ``bytes.translate`` call, and :func:`_canonical` merges and sorts the
-    reduced rankings.
+    reduced rankings.  The callers check ``keep`` and ``k``: the shape holds.
     """
     names = tuple(profile.names[c] for c in keep)
     new_index = bytearray(_MAX_CANDIDATES)

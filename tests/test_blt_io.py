@@ -13,7 +13,7 @@ from mwspoilers.blt_io import (
     parse_blt,
     parse_blt_document,
 )
-from mwspoilers.core import Ballot
+from mwspoilers.core import Ballot, Profile
 
 from conftest import vote_splitting_profile
 from oracles import parse_blt_by_lines
@@ -48,7 +48,8 @@ def test_parse_merges_duplicate_ballot_lines():
 
 def test_trailing_metadata_lines_are_kept_but_ignored():
     doc = parse_blt_document(TABLE_DOC + "source: somewhere\n\n")
-    assert doc.to_profile() == vote_splitting_profile()
+    assert doc.profile == vote_splitting_profile()
+    assert doc.title == "Example"
 
 
 @pytest.mark.parametrize(
@@ -74,12 +75,6 @@ def test_parse_errors_carry_line_numbers(text, line_no):
     with pytest.raises(BltParseError) as err:
         parse_blt(text)
     assert err.value.line_no == line_no
-
-
-def test_document_holds_zero_based_rankings_in_file_order():
-    text = '3 1\n2 3 1 0\n1 1 0\n2 3 1 0\n0\n"A"\n"B"\n"C"\n"t"\n'
-    document = parse_blt_document(text)
-    assert document.ballot_lines == ((b"\x02\x00", 2), (b"\x00", 1), (b"\x02\x00", 2))
 
 
 def test_gaps_are_every_whitespace_character_but_the_line_break():
@@ -151,12 +146,14 @@ def blt_files(draw):
     text = [join([str(m), str(k)]), *map(join, lines), "0" + draw(st.sampled_from(["", " "]))]
     text += [f'"C{i}"' for i in range(m)] + ['"title"']
     text += draw(st.sampled_from([[], ["source: somewhere", ""], [""]]))
-    kinds = ["none", "ballot", "ballot", "header", "no ballots", "noise", "drop", "cut"]
-    kind = draw(st.sampled_from(kinds))
+    kinds = ["none", "ballot", "ballot", "ballot and name", "header", "no ballots", "noise"]
+    kind = draw(st.sampled_from(kinds + ["drop", "cut"]))
     at = draw(st.integers(0, len(text) - 1))
-    if kind == "ballot":
+    if kind.startswith("ballot"):
         at = draw(st.integers(1, len(lines)))
         text[at] = join(faulty(draw, lines[at - 1], m))
+    if kind == "ballot and name":  # a name after the faulty ballot line, unquoted
+        text[len(lines) + 2 + draw(st.integers(0, m - 1))] = "C"
     elif kind == "header":
         headers = [["257", "2"], ["3", "3"], ["3", "0"], ["1", "1"], ["3"]]
         text[0] = join(draw(st.sampled_from(headers)))
@@ -185,7 +182,10 @@ def parsed_or_error(parse, data):
 @given(blt_files())
 @settings(max_examples=600, deadline=None)
 def test_bulk_parse_matches_the_line_walker(data):
-    assert parsed_or_error(parse_blt, data) == parsed_or_error(parse_blt_by_lines, data)
+    parsed = parsed_or_error(parse_blt, data)
+    assert parsed == parsed_or_error(parse_blt_by_lines, data)
+    if isinstance(parsed, Profile):  # in canonical form: rebuilding it changes nothing
+        assert Profile.build(parsed.m, parsed.names, parsed.ballots, parsed.k) == parsed
 
 
 def test_missing_sentinel_is_an_error():
@@ -251,9 +251,9 @@ def test_whole_corpus_parses_and_round_trips():
         pytest.skip("Scottish ballot data not available (set SCOT_ELEX_DIR)")
     count = 0
     for file in sorted(root.rglob("*.blt")):
-        document = parse_blt_document(file.read_bytes())
-        profile = document.to_profile()
-        declared = sum(weight for _, weight in document.ballot_lines)
+        data = file.read_bytes()
+        profile = parse_blt(data)
+        declared = parse_blt_by_lines(data).n  # the sum of the file's ballot weights
         assert profile.n == declared, file
         assert parse_blt(emit_blt(profile)) == profile, file
         count += 1

@@ -68,6 +68,10 @@ INVALID_BALLOTS = [
     (((1, 300), 1), "candidate index out of range in ballot (1, 300)"),
     (((0.5,), 1), "candidate index out of range in ballot (0.5,)"),
     (((1.0,), 1), "candidate index not an integer in ballot (1.0,)"),
+    (((2,), 1.5), "ballot (2,) has weight 1.5, not an integer"),
+    (((2,), 0.5), "ballot (2,) has weight 0.5, not an integer"),
+    (((2,), 2.0), "ballot (2,) has weight 2.0, not an integer"),
+    (((2, 2), "3"), "ballot (2, 2) has weight '3', not an integer"),
 ]
 
 
@@ -84,9 +88,40 @@ def test_invalid_ballot_messages(ballot, message):
             Profile(3, ("A", "B", "C"), (Ballot(b"\x00", 1), Ballot(encoded, weight)), 1)
     with pytest.raises(ProfileError, match=match):
         Profile.build(3, "ABC", [((0,), 1), (ranking, weight)], 1)
-    # Build sorts before it checks, so the invalid ballot can come first too.
     with pytest.raises(ProfileError, match=match):
         Profile.build(3, "ABC", [(ranking, weight), ((0,), 1)], 1)
+    # Build checks its input as given: a merged weight cannot hide a bad one.
+    with pytest.raises(ProfileError, match=match):
+        Profile.build(3, "ABC", [((0,), 1), (ranking, weight), (ranking, 5)], 1)
+
+
+def test_build_checks_its_input_as_given():
+    # A merge would hide these weights: -1 + 3 and 0 + 3 are positive.
+    for weight in (-1, 0):
+        match = f"^ballot \\(0, 1\\) has non-positive weight {weight}$"
+        with pytest.raises(ProfileError, match=match):
+            Profile.build(3, "ABC", [((0, 1), weight), ((0, 1), 3)], 1)
+    # Of several faulty ballots, the first in input order is named.
+    with pytest.raises(ProfileError, match="^duplicate candidate in ballot \\(2, 2\\)$"):
+        Profile.build(3, "ABC", [((2, 2), 1), ((0,), 0)], 1)
+    ballots = [((0, 1), 1.5), ((1, 0), 1.4), ((2,), 1.2)]
+    with pytest.raises(ProfileError, match="^ballot \\(0, 1\\) has weight 1.5, not an integer$"):
+        Profile.build(3, "ABC", ballots, 1)
+
+
+def test_build_stores_integer_weights_as_python_ints():
+    ballots = [((0,), np.int64(2)), ((1,), np.uint64(2**63)), ((2,), True)]
+    p = Profile.build(3, "ABC", ballots, 1)
+    assert p.ballots == (Ballot(b"\x00", 2), Ballot(b"\x01", 2**63), Ballot(b"\x02", 1))
+    assert all(type(weight) is int for _, weight in p.ballots)
+    match = "^candidate index out of range in ballot \\(1, 300\\)$"
+    with pytest.raises(ProfileError, match=match):  # walked past the numpy weight
+        Profile.build(3, "ABC", [((0,), np.int64(2)), ((1, 300), 1)], 1)
+    # The plain constructor takes canonical weights only.
+    match = "^weights must be Python ints; use Profile.build to convert them$"
+    for weight in (np.int64(2), True):
+        with pytest.raises(ProfileError, match=match):
+            Profile(3, ("A", "B", "C"), (Ballot(b"\x00", weight),), 1)
 
 
 @pytest.mark.parametrize(

@@ -177,6 +177,8 @@ def test_sampled_profiles_pass_full_validation(model, regime, m, data):
     assert all(type(ranking) is bytes for ranking, _ in p.ballots)
     validated = Profile(m=p.m, names=p.names, ballots=p.ballots, k=p.k)
     assert validated == p
+    # In canonical form: a sampler that skipped build would lose nothing.
+    assert Profile.build(p.m, p.names, p.ballots, p.k) == p
 
 
 @pytest.mark.parametrize("regime", ["complete", "partial"])
