@@ -68,6 +68,8 @@ class CultureSpec:
             raise ValueError(f"k={self.k} must satisfy 1 <= k < m={self.m}")
         if self.n < 1:
             raise ValueError("need at least one voter")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.model != "spatial1d" and self.m > MAX_ENUMERATED_M:
             raise ValueError(
                 f"model {self.model!r} enumerates ballot types, so needs m <= {MAX_ENUMERATED_M}"

@@ -262,8 +262,10 @@ def run_corpus_audit(
     and, when ``keep_details`` is set, one detail row per election and
     method.  A failed audit gets a detail row with empty statistics and an
     entry in ``failures``.  Clone statistics are folded in as each audit
-    finishes, so no profile outlives its audit, and without detail rows the
-    memory held does not grow with the number of elections.
+    finishes, so no profile outlives its audit.  Without detail rows the
+    memory held still grows with the corpus, but only by the clone
+    statistics' one :class:`~mwspoilers.spoilers.CloneTriple` per clean
+    one-seat swap.
     """
     tallies = _new_tallies(method_ids)
     stability = {mid: StabilityAggregate() for mid in tallies}
@@ -281,9 +283,9 @@ def run_corpus_audit(
             profile = profile.with_seats(k_eff)
         used += 1
         for mid, (report, counted) in _audit(profile, tallies, tie).items():
-            row = dict.fromkeys(DETAIL_COLUMNS)
-            row.update(election=name, method=mid, m=profile.m, k=profile.k, n=profile.n)
             if keep_details:
+                row = dict.fromkeys(DETAIL_COLUMNS)
+                row.update(election=name, method=mid, m=profile.m, k=profile.k, n=profile.n)
                 details.append(row)
             if isinstance(report, str):
                 failures.append((name, mid, report))
@@ -300,13 +302,14 @@ def run_corpus_audit(
                 s.greatest_num_spoilers = max(s.greatest_num_spoilers, summary.num_spoilers)
                 s.greatest_num_alt_sets = max(s.greatest_num_alt_sets, summary.num_alternate_sets)
                 clones[mid] += clone_statistics([(report, profile)])
-            row.update(
-                tie=report.has_tie,
-                num_spoilers=summary.num_spoilers,
-                spoilers=";".join(profile.names[c] for c in report.spoilers),
-                num_alt_sets=summary.num_alternate_sets,
-                max_changed=summary.max_changed_candidates,
-            )
+            if keep_details:
+                row.update(
+                    tie=report.has_tie,
+                    num_spoilers=summary.num_spoilers,
+                    spoilers=";".join(profile.names[c] for c in report.spoilers),
+                    num_alt_sets=summary.num_alternate_sets,
+                    max_changed=summary.max_changed_candidates,
+                )
 
     return CorpusResult(
         tie=tie,

@@ -38,10 +38,11 @@ each takes the k best of one score per candidate.  They read their scores
 tally, :attr:`~mwspoilers.core.Profile.tally`, so all of them, and the
 spoiler audit's weakness flags, share one pass over each profile's ballots.
 
-Ties are resolved by a :class:`TiePolicy`.  The score-based rules treat a
-tie at the committee boundary differently: outside of ``error`` mode they
-enumerate every tied committee rather than picking one, since a boundary tie
-genuinely means several winning sets.
+Every choice among exactly tied candidates goes through :func:`_choose`
+under a :class:`TiePolicy`.  The one exception is the score-based rules'
+committee boundary under ``alphabetical``: they enumerate every tied
+committee rather than picking one, since a boundary tie genuinely means
+several winning sets.
 """
 
 from __future__ import annotations
@@ -85,7 +86,11 @@ class TiePolicy(str, enum.Enum):
 
     ``ERROR`` raises :class:`TieError` (simulation campaigns discard such
     trials); ``ALPHABETICAL`` picks by candidate name; ``LOWEST_INDEX`` picks
-    by roster index.  Either deterministic mode sets the outcome's tie flag.
+    by roster index.  The candidate picked is the one a step elects at a
+    boundary (SNTV, Bloc and k-Borda under ``LOWEST_INDEX``, greedy CC,
+    SRCV's leftover seats), the one whose surplus STV transfers first, and
+    the one a step removes in an elimination (STV, SRCV, top-k IRV) or in
+    MCC's cut.  Either deterministic mode sets the outcome's tie flag.
     """
 
     ERROR = "error"
@@ -109,16 +114,24 @@ def droop_quota(n: int, k: int) -> int:
     return n // (k + 1) + 1
 
 
-def _break_tie(profile: Profile, cands: Sequence[int], tie: TiePolicy, what: str) -> int:
-    """Pick one of ``cands`` (all exactly tied) according to the policy."""
-    if len(cands) == 1:
-        return cands[0]
+def _choose(
+    profile: Profile, tied: list[int], count: int, tie: TiePolicy, what: str
+) -> tuple[list[int], bool]:
+    """Take ``count`` of the exactly tied candidates by the policy's order.
+
+    Returns them, first ``count`` in policy order, and whether that was a
+    choice; taking none or all of them is not, and returns them as given.
+    A choice under ``error`` raises :class:`TieError` with the text
+    ``"<what> between <names>"``, names in index order.
+    """
+    if not 0 < count < len(tied):
+        return tied[:count], False
     if tie is TiePolicy.ERROR:
-        names = ", ".join(profile.names[c] for c in sorted(cands))
-        raise TieError(f"tie {what} between {names}")
+        names = ", ".join(profile.names[c] for c in sorted(tied))
+        raise TieError(f"{what} between {names}")
     if tie is TiePolicy.ALPHABETICAL:
-        return min(cands, key=lambda c: (profile.names[c], c))
-    return min(cands)
+        return sorted(tied, key=lambda c: (profile.names[c], c))[:count], True
+    return sorted(tied)[:count], True
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +204,11 @@ def _exclude(piles: list[list[tuple]], totals: list[int], out: list[bool], x: in
 
 def _lowest(
     profile: Profile, continuing: list[int], totals: list[int], tie: TiePolicy
-) -> tuple[int, bool]:
-    """The continuing candidate to eliminate, and whether a tie was broken."""
+) -> tuple[list[int], bool]:
+    """The continuing candidate to eliminate, alone in a list, and whether a tie was broken."""
     low = min(totals[c] for c in continuing)
     tied = [c for c in continuing if totals[c] == low]
-    return _break_tie(profile, tied, tie, "for elimination"), len(tied) > 1
+    return _choose(profile, tied, 1, tie, "tie for elimination")
 
 
 def _first_preferences(
@@ -278,13 +291,12 @@ def stv(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> tuple[OutcomeSet,
             if pending:
                 top_surplus = max(s for _, s in pending)
                 tied = [c for c, s in pending if s == top_surplus]
-                if len(tied) > 1:
-                    tie_used = True
-                source = _break_tie(profile, tied, tie, "in surplus transfer order")
+                (source,), broken = _choose(profile, tied, 1, tie, "tie in surplus transfer order")
+                tie_used = tie_used or broken
                 pending = [(c, s) for c, s in pending if c != source]
                 transferred = source
             else:
-                eliminated, tied_low = _lowest(profile, continuing, totals, tie)
+                (eliminated,), tied_low = _lowest(profile, continuing, totals, tie)
                 tie_used = tie_used or tied_low
 
         rounds.append(
@@ -344,7 +356,7 @@ def _runoff(
             leader = max(continuing, key=totals.__getitem__)
             if totals[leader] >= quota:
                 return [leader], tie_used
-        loser, tied = _lowest(profile, continuing, totals, tie)
+        (loser,), tied = _lowest(profile, continuing, totals, tie)
         tie_used = tie_used or tied
         if len(continuing) == seats + 1:
             continuing.remove(loser)
@@ -368,14 +380,10 @@ def srcv(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> OutcomeSet:
     while True:
         live = sum(totals)
         if not live:
+            what = "all ballots exhausted; remaining seats tie"
             leftovers = [c for c in range(profile.m) if not out[c]]
-            if tie is TiePolicy.ERROR:
-                names = ", ".join(profile.names[c] for c in leftovers)
-                raise TieError(f"all ballots exhausted; remaining seats tie between {names}")
-            if tie is TiePolicy.ALPHABETICAL:
-                leftovers.sort(key=lambda c: (profile.names[c], c))
-            seats.extend(leftovers[: profile.k - len(seats)])
-            return OutcomeSet.single(seats, tie_flag=True)
+            chosen, _ = _choose(profile, leftovers, profile.k - len(seats), tie, what)
+            return OutcomeSet.single(seats + chosen, tie_flag=True)
         (winner,), tied = _runoff(
             profile,
             [pile.copy() for pile in piles],
@@ -403,6 +411,14 @@ def top_k_irv(profile: Profile, tie: TiePolicy = TiePolicy.ALPHABETICAL) -> Outc
 # Score-based rules
 
 
+def _cut(scores: dict[int, int], k: int) -> tuple[list[int], list[int]]:
+    """The candidates above the k-th best score and those at it, in ``scores`` order."""
+    threshold = sorted(scores.values(), reverse=True)[k - 1]
+    certain = [c for c, score in scores.items() if score > threshold]
+    tied = [c for c, score in scores.items() if score == threshold]
+    return certain, tied
+
+
 def _top_k_outcome(profile: Profile, scores: tuple[int, ...], tie: TiePolicy) -> OutcomeSet:
     """Committees formed by the k best scores.
 
@@ -414,30 +430,22 @@ def _top_k_outcome(profile: Profile, scores: tuple[int, ...], tie: TiePolicy) ->
     trials neither drop out nor multiply).  Listing more completions than
     the search budget raises :class:`SearchBudgetError`.
     """
-    k = profile.k
-    ordered = sorted(range(profile.m), key=lambda c: (-scores[c], c))
-    threshold = scores[ordered[k - 1]]
-    certain = [c for c in range(profile.m) if scores[c] > threshold]
-    tied = [c for c in range(profile.m) if scores[c] == threshold]
-    seats_left = k - len(certain)
-    if seats_left == len(tied):
-        return OutcomeSet.single(certain + tied, tie_flag=False)
-    if tie is TiePolicy.ERROR:
-        names = ", ".join(profile.names[c] for c in tied)
-        raise TieError(f"score tie at committee boundary between {names}")
-    if tie is TiePolicy.LOWEST_INDEX:
-        return OutcomeSet.single(ordered[:k], tie_flag=True)
-    count = comb(len(tied), seats_left)
-    if count > _SEARCH_BUDGET:
-        raise SearchBudgetError(
-            f"C({len(tied)}, {seats_left}) = {count} tied committees exceeds budget "
-            f"{_SEARCH_BUDGET}; use tie policy lowest_index"
+    certain, tied = _cut(dict(enumerate(scores)), profile.k)
+    seats_left = profile.k - len(certain)
+    if tie is TiePolicy.ALPHABETICAL and seats_left < len(tied):
+        count = comb(len(tied), seats_left)
+        if count > _SEARCH_BUDGET:
+            raise SearchBudgetError(
+                f"C({len(tied)}, {seats_left}) = {count} tied committees exceeds budget "
+                f"{_SEARCH_BUDGET}; use tie policy lowest_index"
+            )
+        committees = frozenset(
+            frozenset(certain) | frozenset(combo)
+            for combo in itertools.combinations(tied, seats_left)
         )
-    committees = frozenset(
-        frozenset(certain) | frozenset(combo)
-        for combo in itertools.combinations(tied, seats_left)
-    )
-    return OutcomeSet(committees=committees, tie_flag=True)
+        return OutcomeSet(committees=committees, tie_flag=True)
+    chosen, tie_used = _choose(profile, tied, seats_left, tie, "score tie at committee boundary")
+    return OutcomeSet.single(certain + chosen, tie_flag=tie_used)
 
 
 def sntv(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> OutcomeSet:
@@ -595,17 +603,14 @@ def greedy_cc(
     by_candidate = point_matrix(profile, model).T
     seed_scores = by_candidate @ weights  # the Borda scores under ``model``
     seed_set = np.flatnonzero(seed_scores == seed_scores.max()).tolist()
-    tie_used = len(seed_set) > 1
-    seed = _break_tie(profile, seed_set, tie, "for greedy seed")
-    committee = [seed]
-    best = by_candidate[seed].copy()  # each ballot type's best member's points
+    committee, tie_used = _choose(profile, seed_set, 1, tie, "tie for greedy seed")
+    best = by_candidate[committee[0]].copy()  # each ballot type's best member's points
     for _ in range(profile.k - 1):
         gains = np.maximum(by_candidate - best, 0) @ weights
         gains[committee] = -1  # members gain nothing; keep them out of the max
         tied = np.flatnonzero(gains == gains.max()).tolist()
-        if len(tied) > 1:
-            tie_used = True
-        chosen = _break_tie(profile, tied, tie, "for greedy committee extension")
+        (chosen,), broken = _choose(profile, tied, 1, tie, "tie for greedy committee extension")
+        tie_used = tie_used or broken
         committee.append(chosen)
         np.maximum(best, by_candidate[chosen], out=best)
     return OutcomeSet.single(committee, tie_flag=tie_used)
@@ -664,24 +669,12 @@ def mcc(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> OutcomeSet:
     if len(committee) == k:
         return OutcomeSet.single(committee, tie_flag=False)
     members = sorted(committee)
-    score = {
-        a: min(margins[a][b] for b in members if b != a) for a in members
-    }
-    ordered = sorted(members, key=lambda c: (-score[c], c))
-    threshold = score[ordered[k - 1]]
-    certain = [c for c in members if score[c] > threshold]
-    tied = [c for c in members if score[c] == threshold]
-    seats_left = k - len(certain)
-    if seats_left != len(tied):
-        if tie is TiePolicy.ERROR:
-            names = ", ".join(profile.names[c] for c in tied)
-            raise TieError(f"margin-score tie at committee cut between {names}")
-        if tie is TiePolicy.ALPHABETICAL:
-            tied.sort(key=lambda c: (profile.names[c], c))
-        drop = len(tied) - seats_left
-        tied = tied[drop:]
-        return OutcomeSet.single(certain + tied, tie_flag=True)
-    return OutcomeSet.single(certain + tied, tie_flag=False)
+    score = {a: min(margins[a][b] for b in members if b != a) for a in members}
+    certain, tied = _cut(score, k)
+    drop = len(certain) + len(tied) - k
+    dropped, tie_used = _choose(profile, tied, drop, tie, "margin-score tie at committee cut")
+    kept = [c for c in tied if c not in dropped]
+    return OutcomeSet.single(certain + kept, tie_flag=tie_used)
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,22 @@ from mwspoilers.methods import (
     TabulationTrace,
     TieError,
     TiePolicy,
-    _break_tie,
     _hand_on,
     droop_quota,
     run_method,
 )
+
+
+def pick(profile: Profile, cands: list[int], tie: TiePolicy, what: str) -> int:
+    """One of the exactly tied ``cands`` by ``tie``: the least name or index, or a TieError."""
+    if len(cands) == 1:
+        return cands[0]
+    if tie is TiePolicy.ERROR:
+        names = ", ".join(profile.names[c] for c in sorted(cands))
+        raise TieError(f"tie {what} between {names}")
+    if tie is TiePolicy.ALPHABETICAL:
+        return min(cands, key=lambda c: (profile.names[c], c))
+    return min(cands)
 
 
 def naive_first_place(profile: Profile) -> list[int]:
@@ -142,8 +153,7 @@ def greedy_cc_reference(
 
     The library's former scalar implementation: seed with the Borda winner,
     then add the candidate with the largest total gain over each ballot's
-    best member so far.  Ties are broken, or raised, with the library's
-    policy and messages.
+    best member so far.  Ties go to :func:`pick`.
     """
     m = profile.m
     tables = []  # per ballot type: ranked-candidate points, default points, weight
@@ -155,20 +165,10 @@ def greedy_cc_reference(
             default = 0
         tables.append((points, default, weight))
 
-    def pick(cands: list[int], what: str) -> int:
-        if len(cands) == 1:
-            return cands[0]
-        if tie is TiePolicy.ERROR:
-            names = ", ".join(profile.names[c] for c in sorted(cands))
-            raise TieError(f"tie {what} between {names}")
-        if tie is TiePolicy.ALPHABETICAL:
-            return min(cands, key=lambda c: (profile.names[c], c))
-        return min(cands)
-
     seed_scores = naive_borda(profile, model)
     seed_set = [c for c in range(m) if seed_scores[c] == max(seed_scores)]
     tie_used = len(seed_set) > 1
-    committee = [pick(seed_set, "for greedy seed")]
+    committee = [pick(profile, seed_set, tie, "for greedy seed")]
     best = [max(points.get(committee[0], -1), default) for points, default, _ in tables]
     for _ in range(profile.k - 1):
         gains: dict[int, int] = {}
@@ -185,7 +185,7 @@ def greedy_cc_reference(
         tied = sorted(c for c, g in gains.items() if g == top_gain)
         if len(tied) > 1:
             tie_used = True
-        chosen = pick(tied, "for greedy committee extension")
+        chosen = pick(profile, tied, tie, "for greedy committee extension")
         committee.append(chosen)
         for i, (points, _default, _weight) in enumerate(tables):
             p = points.get(chosen)
@@ -313,13 +313,6 @@ def stv_reference(profile: Profile, tie: TiePolicy):
                 return
         paper["seat"] = None
 
-    def pick(cands, what):
-        if len(cands) > 1 and tie is TiePolicy.ERROR:
-            raise TieError(what)
-        if tie is TiePolicy.ALPHABETICAL:
-            return min(cands, key=lambda c: (profile.names[c], c))
-        return min(cands)
-
     while True:
         counts = tally()
         in_play = [c for c in range(m) if status[c] == "hopeful"]
@@ -343,9 +336,8 @@ def stv_reference(profile: Profile, tie: TiePolicy):
             return winners, stages
         if surplus_of:
             top = max(surplus_of.values())
-            source = pick(
-                [c for c, s in surplus_of.items() if s == top], "surplus order"
-            )
+            tied = [c for c, s in surplus_of.items() if s == top]
+            source = pick(profile, tied, tie, "in surplus transfer order")
             surplus, total = surplus_of.pop(source), total_of.pop(source)
             for paper in papers:
                 if paper["seat"] == source:
@@ -353,7 +345,7 @@ def stv_reference(profile: Profile, tie: TiePolicy):
                     reseat(paper)
         else:
             low = min(counts[c] for c in hopeful)
-            out = pick([c for c in hopeful if counts[c] == low], "elimination")
+            out = pick(profile, [c for c in hopeful if counts[c] == low], tie, "for elimination")
             status[out] = "excluded"
             for paper in papers:
                 if paper["seat"] == out:
@@ -450,7 +442,7 @@ def _parcel_count(
                 tied = [c for c, s in pending if s == top_surplus]
                 if len(tied) > 1:
                     tie_used = True
-                source = _break_tie(profile, tied, tie, "in surplus transfer order")
+                source = pick(profile, tied, tie, "in surplus transfer order")
                 pending = [(c, s) for c, s in pending if c != source]
                 transferred = source
             else:
@@ -458,7 +450,7 @@ def _parcel_count(
                 tied = [c for c in continuing if totals[c] == low]
                 if len(tied) > 1:
                     tie_used = True
-                eliminated = _break_tie(profile, tied, tie, "for elimination")
+                eliminated = pick(profile, tied, tie, "for elimination")
 
         rounds.append(
             StvRound(
@@ -565,7 +557,7 @@ def top_k_irv_reference(
         tied = [c for c in continuing if totals[c] == low]
         if len(tied) > 1:
             tie_used = True
-        out = _break_tie(profile, tied, tie, "for elimination")
+        out = pick(profile, tied, tie, "for elimination")
         status[out] = _ELIMINATED
         for ranking, weight, pos in holdings[out]:
             for j in range(pos + 1, len(ranking)):

@@ -268,13 +268,18 @@ def test_spoilers_detail_table_has_a_header_when_every_election_is_filtered(tmp_
          "--trials", "3"],
         ["simulate", "--model", "spatial1d", "--regime", "complete", "--m", "257", "--k", "2",
          "--trials", "3"],
+        ["simulate", "--model", "ic", "--regime", "complete", "--m", "4", "--k", "2",
+         "--trials", "2", "--seed", "-1", "--workers", "1"],
+        ["simulate", "--model", "ic", "--regime", "complete", "--m", "4", "--k", "2",
+         "--trials", "2", "--seed", "-1", "--workers", "2"],
         ["extend", "{corpus}/a.blt", "--stop-ratio", "1.5"],
         ["extend", "{corpus}/a.blt", "--stop-ratio", "0"],
         ["extend", "{corpus}/a.blt", "--stop-ratio", "nan"],
     ],
     ids=["subelections-k-not-below-t", "simulate-k-not-below-m", "simulate-negative-trials",
          "simulate-no-workers", "simulate-negative-workers", "simulate-ic-m-too-large",
-         "simulate-m-above-256", "extend-stop-ratio-above-1", "extend-stop-ratio-0",
+         "simulate-m-above-256", "simulate-negative-seed", "simulate-negative-seed-two-workers",
+         "extend-stop-ratio-above-1", "extend-stop-ratio-0",
          "extend-stop-ratio-nan"],
 )  # fmt: skip
 def test_invalid_arguments_are_usage_errors(argv, corpus_dir, tmp_path, capsys):

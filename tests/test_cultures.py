@@ -52,6 +52,9 @@ def test_spec_validation():
     CultureSpec("spatial1d", "partial", 256, 2, 10)
     with pytest.raises(ValueError, match="^at most 256 candidates supported, got m=257$"):
         CultureSpec("spatial1d", "partial", 257, 2, 10)
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        CultureSpec("ic", "complete", 4, 2, 10, seed=-1)
+    CultureSpec("ic", "complete", 4, 2, 10, seed=0)
 
 
 @pytest.mark.parametrize("model", ["ic", "iac", "spatial1d"])

@@ -393,3 +393,85 @@ def test_registry_covers_all_rules(table_profile):
         assert isinstance(outcome, OutcomeSet)
     with pytest.raises(KeyError):
         run_method("nope", table_profile, TiePolicy.ERROR)
+
+
+# ---------------------------------------------------------------------------
+# Every tie site, on its own hand-made profile
+
+
+def reverse_named(m, k, *ballots):
+    """A profile on candidates Z, Y, X, ...: index order runs against the alphabet.
+
+    So ``lowest_index`` picks the first tied candidate in the roster and
+    ``alphabetical`` the last.  Ballots are strings of names with a weight.
+    """
+    names = "ZYXWVU"[:m]
+    return Profile.build(
+        m, tuple(names), [(tuple(map(names.index, r)), w) for r, w in ballots], k
+    )
+
+
+STV_ELIMINATION = reverse_named(3, 1, ("Z", 3), ("YZ", 2), ("XY", 2))
+STV_SURPLUS = reverse_named(4, 3, ("ZX", 10), ("YW", 10), ("X", 3), ("W", 2))
+SCORE_BOUNDARY = reverse_named(4, 2, ("Z", 3), ("Y", 2), ("X", 2), ("W", 1))
+BORDA_TIE = reverse_named(3, 1, ("ZYX", 1), ("YZX", 1))
+
+# (site, method, profile, TieError text under ``error``, committees and tie
+# flag under ``alphabetical``, then under ``lowest_index``).  Committees are
+# strings of member names.
+TIE_SITES = [
+    ("stv-elimination", "stv", STV_ELIMINATION,
+     "tie for elimination between Y, X", ({"Y"}, True), ({"Z"}, True)),
+    ("stv-surplus-order", "stv", STV_SURPLUS,
+     "tie in surplus transfer order between Z, Y", ({"ZYX"}, True), ({"ZYX"}, True)),
+    ("srcv-elimination", "srcv", STV_ELIMINATION,
+     "tie for elimination between Y, X", ({"Y"}, True), ({"Z"}, True)),
+    ("srcv-leftover-seats", "srcv", reverse_named(4, 3, ("Z", 3), ("YZ", 1)),
+     "all ballots exhausted; remaining seats tie between X, W",
+     ({"ZYW"}, True), ({"ZYX"}, True)),
+    ("topk-irv-elimination", "topk_irv",
+     reverse_named(4, 2, ("Z", 4), ("W", 3), ("YW", 2), ("XY", 2)),
+     "tie for elimination between Y, X", ({"ZY"}, True), ({"ZW"}, True)),
+    ("sntv-boundary", "sntv", SCORE_BOUNDARY,
+     "score tie at committee boundary between Y, X", ({"ZY", "ZX"}, True), ({"ZY"}, True)),
+    ("bloc-boundary", "bloc", reverse_named(4, 2, ("ZY", 2), ("ZX", 2), ("W", 1)),
+     "score tie at committee boundary between Y, X", ({"ZY", "ZX"}, True), ({"ZY"}, True)),
+    ("borda-om-boundary", "borda_om", BORDA_TIE,
+     "score tie at committee boundary between Z, Y", ({"Z", "Y"}, True), ({"Z"}, True)),
+    ("borda-pm-boundary", "borda_pm", BORDA_TIE,
+     "score tie at committee boundary between Z, Y", ({"Z", "Y"}, True), ({"Z"}, True)),
+    ("greedy-om-seed", "greedy_om", BORDA_TIE,
+     "tie for greedy seed between Z, Y", ({"Y"}, True), ({"Z"}, True)),
+    ("greedy-pm-seed", "greedy_pm", BORDA_TIE,
+     "tie for greedy seed between Z, Y", ({"Y"}, True), ({"Z"}, True)),
+    ("greedy-extension", "greedy_om",
+     reverse_named(3, 2, ("ZYX", 2), ("ZXY", 2), ("YZX", 1), ("XZY", 1)),
+     "tie for greedy committee extension between Y, X", ({"ZX"}, True), ({"ZY"}, True)),
+    ("mcc-cut", "mcc", reverse_named(4, 2, ("ZYXW", 1), ("YXZW", 1), ("XZYW", 1)),
+     "margin-score tie at committee cut between Z, Y, X", ({"ZY"}, True), ({"YX"}, True)),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "method_id, profile, text, alphabetical, lowest_index",
+    [site[1:] for site in TIE_SITES],
+    ids=[site[0] for site in TIE_SITES],
+)
+def test_every_tie_site_follows_the_policy(method_id, profile, text, alphabetical, lowest_index):
+    with pytest.raises(TieError, match=f"^{re.escape(text)}$"):
+        run_method(method_id, profile, TiePolicy.ERROR)
+    for tie, (committees, flag) in [
+        (TiePolicy.ALPHABETICAL, alphabetical),
+        (TiePolicy.LOWEST_INDEX, lowest_index),
+    ]:
+        outcome = run_method(method_id, profile, tie)
+        assert outcome.committees == {frozenset(profile.names.index(c) for c in names)
+                                      for names in committees}
+        assert outcome.tie_flag is flag
+
+
+def test_stv_surplus_order_follows_the_policy():
+    # Both surpluses pass on before anyone is excluded, so only the order differs.
+    for tie, order in [(TiePolicy.ALPHABETICAL, [1, 0]), (TiePolicy.LOWEST_INDEX, [0, 1])]:
+        _, trace = stv(STV_SURPLUS, tie)
+        assert [r.transferred for r in trace.rounds if r.transferred is not None] == order
