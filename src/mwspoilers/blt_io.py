@@ -201,8 +201,12 @@ def emit_blt(profile: Profile, title: str = "") -> bytes:
     """Render a profile as a canonical ``.blt`` byte stream.
 
     Ballot types come out sorted with weights aggregated, so
-    ``parse_blt(emit_blt(p)) == p``.
+    ``parse_blt(emit_blt(p)) == p``.  A name or title holds one line, so one
+    with a line break raises ``ValueError``.
     """
+    for text in (*profile.names, title):
+        if "\n" in text:
+            raise ValueError(f"{text!r} has a line break; a .blt name or title must not")
     out = [f"{profile.m} {profile.k}"]
     for ranking, weight in profile.ballots:
         body = " ".join(str(c + 1) for c in ranking)

@@ -79,7 +79,8 @@ class UnrankedModel(str, enum.Enum):
     ``OPTIMISTIC`` gives an unranked candidate ``m - l - 1`` points on a
     ballot of length ``l`` (tied just below the last ranked candidate);
     ``PESSIMISTIC`` gives zero points.  The two coincide on ballots ranking
-    ``m`` or ``m - 1`` candidates.
+    ``m`` or ``m - 1`` candidates.  Where a model is read, a member's string
+    value reads as the member and any other value raises ``ValueError``.
     """
 
     OPTIMISTIC = "om"
@@ -487,7 +488,7 @@ def borda_scores(profile: Profile, model: UnrankedModel) -> tuple[int, ...]:
     m = profile.m
     top, unranked, shares = profile.tally
     pessimistic = tuple([sum(top[c : (m - 1) * m : m]) for c in range(m)])
-    if model is UnrankedModel.PESSIMISTIC:
+    if UnrankedModel(model) is UnrankedModel.PESSIMISTIC:
         return pessimistic
     return tuple([s + unranked - own for s, own in zip(pessimistic, shares)])
 
@@ -509,7 +510,7 @@ def point_matrix(profile: Profile, model: UnrankedModel) -> np.ndarray:
     # m - l, so raising every entry to the model's floor fixes the unranked
     # entries alone.
     points = m - 1 - positions
-    if model is UnrankedModel.OPTIMISTIC:
+    if UnrankedModel(model) is UnrankedModel.OPTIMISTIC:
         floor = m - 1 - (positions < m).sum(axis=1, keepdims=True)
     else:
         floor = 0

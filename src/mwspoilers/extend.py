@@ -28,16 +28,13 @@ from .core import Profile
 
 @dataclass(frozen=True)
 class ExtensionConfig:
-    """Stopping rule and length cap for ballot extension."""
+    """Stopping rule for ballot extension."""
 
     stop_ratio: float = 0.10
-    max_length: int | None = None  # defaults to the profile's m
 
     def __post_init__(self) -> None:
         if not 0 < self.stop_ratio <= 1:
             raise ValueError(f"stop_ratio must be in (0, 1], got {self.stop_ratio}")
-        if self.max_length is not None and self.max_length < 1:
-            raise ValueError(f"max_length must be at least 1, got {self.max_length}")
 
 
 def hamilton_apportion(quotas: Sequence[float | Fraction], total: int) -> list[int]:
@@ -71,10 +68,9 @@ def extend_profile(profile: Profile, config: ExtensionConfig | None = None) -> P
     ballot exhibits.
     """
     cfg = config or ExtensionConfig()
-    limit = min(cfg.max_length or profile.m, profile.m - 1)
     state: dict[bytes, int] = {r: w for r, w in profile.ballots}
 
-    for length in range(1, limit):
+    for length in range(1, profile.m - 1):
         weight_at = sum(w for r, w in state.items() if len(r) == length)
         weight_longer = sum(w for r, w in state.items() if len(r) >= length + 1)
         if weight_at == 0:

@@ -194,6 +194,7 @@ def run_simulation(
     Under the ``error`` policy, trials with ties are discarded per method and
     reported; audit errors (:data:`AUDIT_ERRORS`) are counted, never fatal.
     """
+    tie = TiePolicy(tie)
     tallies = _new_tallies(method_ids)
     if trials < 0:
         raise ValueError("trials must be non-negative")
@@ -267,9 +268,10 @@ def run_corpus_audit(
     statistics' one :class:`~mwspoilers.spoilers.CloneTriple` per clean
     one-seat swap.
     """
+    tie = TiePolicy(tie)
     tallies = _new_tallies(method_ids)
     stability = {mid: StabilityAggregate() for mid in tallies}
-    clones = {mid: CloneStats(0, 0, 0, 0, ()) for mid in tallies}
+    clones = {mid: CloneStats(0, ()) for mid in tallies}
     details: list[dict] = []
     failures: list[tuple[str, str, str]] = []
     used = skipped = 0

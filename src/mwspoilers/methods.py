@@ -91,6 +91,8 @@ class TiePolicy(str, enum.Enum):
     SRCV's leftover seats), the one whose surplus STV transfers first, and
     the one a step removes in an elimination (STV, SRCV, top-k IRV) or in
     MCC's cut.  Either deterministic mode sets the outcome's tie flag.
+    Where a policy is read, a member's string value reads as the member and
+    any other value raises ``ValueError``.
     """
 
     ERROR = "error"
@@ -126,6 +128,7 @@ def _choose(
     """
     if not 0 < count < len(tied):
         return tied[:count], False
+    tie = TiePolicy(tie)
     if tie is TiePolicy.ERROR:
         names = ", ".join(profile.names[c] for c in sorted(tied))
         raise TieError(f"{what} between {names}")
@@ -432,7 +435,7 @@ def _top_k_outcome(profile: Profile, scores: tuple[int, ...], tie: TiePolicy) ->
     """
     certain, tied = _cut(dict(enumerate(scores)), profile.k)
     seats_left = profile.k - len(certain)
-    if tie is TiePolicy.ALPHABETICAL and seats_left < len(tied):
+    if seats_left < len(tied) and TiePolicy(tie) is TiePolicy.ALPHABETICAL:
         count = comb(len(tied), seats_left)
         if count > _SEARCH_BUDGET:
             raise SearchBudgetError(

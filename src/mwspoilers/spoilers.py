@@ -15,8 +15,7 @@ indices, so committees before and after a removal compare directly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable
 
@@ -64,35 +63,51 @@ class SpoilerVerdict:
     candidate: int
     is_spoiler: bool
     alternate: OutcomeSet | None
-    tie_encountered: bool
+
+    @property
+    def tie_encountered(self) -> bool:
+        """True when the re-run tied, whether or not the policy broke the tie."""
+        return self.alternate is None or self.alternate.tie_flag
 
 
 @dataclass(frozen=True)
 class SpoilerReport:
+    """One rule's spoiler audit of one profile.
+
+    Stores what the audit observed: the rule's ``method`` id, the base run's
+    ``outcome`` (None when it tied unbreakably, and then no ``verdicts``)
+    and one verdict per non-winner.  Every other attribute is derived from
+    these three.
+    """
+
     method: str
-    outcome: OutcomeSet | None  # None when the base run itself tied unbreakably
-    base_tie: bool
+    outcome: OutcomeSet | None
     verdicts: tuple[SpoilerVerdict, ...]
 
-    @cached_property
+    @property
+    def base_tie(self) -> bool:
+        """True when the base run tied, whether or not the policy broke the tie."""
+        return self.outcome is None or self.outcome.tie_flag
+
+    @property
     def spoilers(self) -> tuple[int, ...]:
         return tuple(v.candidate for v in self.verdicts if v.is_spoiler)
 
-    @cached_property
+    @property
     def has_tie(self) -> bool:
         """True when the base run or any re-run involved a tie."""
         return self.base_tie or any(v.tie_encountered for v in self.verdicts)
 
-    @cached_property
+    @property
     def alternate_committees(self) -> frozenset[frozenset[int]]:
         """Distinct winning committees reachable by removing some spoiler."""
         out: set[frozenset[int]] = set()
         for v in self.verdicts:
-            if v.is_spoiler and v.alternate is not None:
+            if v.is_spoiler:
                 out.update(v.alternate.committees)
         return frozenset(out)
 
-    @cached_property
+    @property
     def max_changed_candidates(self) -> int:
         """Most seats any single spoiler's removal turns over.
 
@@ -100,15 +115,13 @@ class SpoilerReport:
         committee, maximized over all alternates; 0 when there are no
         spoilers.
         """
-        if self.outcome is None:
-            return 0
-        worst = 0
-        for alt in self.alternate_committees:
-            nearest = min(
-                len(alt ^ base) // 2 for base in self.outcome.committees
-            )
-            worst = max(worst, nearest)
-        return worst
+        return max(
+            (
+                min(len(alt ^ base) // 2 for base in self.outcome.committees)
+                for alt in self.alternate_committees
+            ),
+            default=0,
+        )
 
 
 def _to_original_ids(outcome: OutcomeSet, removed: int) -> OutcomeSet:
@@ -142,7 +155,7 @@ def analyze_spoilers(
     try:
         outcome = run_method(method_id, profile, tie)
     except TieError:
-        return SpoilerReport(method=method_id, outcome=None, base_tie=True, verdicts=())
+        return SpoilerReport(method=method_id, outcome=None, verdicts=())
 
     winners = outcome.winners
     verdicts: list[SpoilerVerdict] = []
@@ -150,42 +163,18 @@ def analyze_spoilers(
         if c in winners:
             continue
         if profile.m == profile.k + 1:
-            rest = frozenset(range(profile.m)) - {c}
-            verdicts.append(
-                SpoilerVerdict(
-                    candidate=c,
-                    is_spoiler=False,
-                    alternate=OutcomeSet.single(rest),
-                    tie_encountered=False,
-                )
-            )
-            continue
-        reduced = removals.get(c)
-        if reduced is None:
-            reduced = removals[c] = remove_candidate(profile, c)
-        try:
-            alternate = _to_original_ids(run_method(method_id, reduced, tie), c)
-        except TieError:
-            verdicts.append(
-                SpoilerVerdict(
-                    candidate=c, is_spoiler=False, alternate=None, tie_encountered=True
-                )
-            )
-            continue
-        verdicts.append(
-            SpoilerVerdict(
-                candidate=c,
-                is_spoiler=alternate.committees != outcome.committees,
-                alternate=alternate,
-                tie_encountered=alternate.tie_flag,
-            )
-        )
-    return SpoilerReport(
-        method=method_id,
-        outcome=outcome,
-        base_tie=outcome.tie_flag,
-        verdicts=tuple(verdicts),
-    )
+            alternate = OutcomeSet.single(frozenset(range(profile.m)) - {c})
+        else:
+            reduced = removals.get(c)
+            if reduced is None:
+                reduced = removals[c] = remove_candidate(profile, c)
+            try:
+                alternate = _to_original_ids(run_method(method_id, reduced, tie), c)
+            except TieError:
+                alternate = None
+        is_spoiler = alternate is not None and alternate.committees != outcome.committees
+        verdicts.append(SpoilerVerdict(c, is_spoiler, alternate))
+    return SpoilerReport(method=method_id, outcome=outcome, verdicts=tuple(verdicts))
 
 
 @dataclass(frozen=True)
@@ -229,30 +218,41 @@ class CloneTriple:
 class CloneStats:
     """Similarity direction of spoilers, aggregated over triples.
 
-    ``closer_to_retained`` counts triples with B_AS > B_WS (the spoiler
-    propped up the retained winner); ``closer_to_would_be`` counts
-    B_AS < B_WS (classic vote-splitting).  Exact equalities land in neither
-    bucket.  Triples whose committees changed by more than one seat, or whose
-    outcomes were tied, are skipped.
+    Stores the ``triples`` of the clean one-seat swaps and the number of
+    spoilers ``skipped`` because their committees changed by more than one
+    seat or were tied; the counters and the ratio are derived from the
+    triples.  ``closer_to_retained`` counts triples with B_AS > B_WS (the
+    spoiler propped up the retained winner); ``closer_to_would_be`` counts
+    B_AS < B_WS (classic vote-splitting); ``equal_similarity`` counts the
+    exact equalities, which land in neither bucket.
     """
 
-    closer_to_retained: int
-    closer_to_would_be: int
-    equal_similarity: int
     skipped: int
     triples: tuple[CloneTriple, ...]
 
     @property
+    def closer_to_retained(self) -> int:
+        return sum(t.b_as > t.b_ws for t in self.triples)
+
+    @property
+    def closer_to_would_be(self) -> int:
+        return sum(t.b_as < t.b_ws for t in self.triples)
+
+    @property
+    def equal_similarity(self) -> int:
+        return sum(t.b_as == t.b_ws for t in self.triples)
+
+    @property
     def ratio(self) -> float | None:
         """closer_to_would_be / closer_to_retained, or None when undefined."""
-        if self.closer_to_retained == 0:
+        retained = self.closer_to_retained
+        if retained == 0:
             return None
-        return self.closer_to_would_be / self.closer_to_retained
+        return self.closer_to_would_be / retained
 
     def __add__(self, other: "CloneStats") -> "CloneStats":
-        """Both aggregates as one: counters summed, triples concatenated."""
-        values = {f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)}
-        return CloneStats(**values)
+        """Both aggregates as one: skips summed, triples concatenated."""
+        return CloneStats(self.skipped + other.skipped, self.triples + other.triples)
 
 
 def adjacent_pair_weight(profile: Profile, x: int, y: int) -> int:
@@ -274,40 +274,23 @@ def clone_statistics(pairs: Iterable[tuple[SpoilerReport, Profile]]) -> CloneSta
     committee, a unique alternate committee, and a symmetric difference of
     exactly one seat.
     """
-    greater = less = equal = skipped = 0
+    skipped = 0
     triples: list[CloneTriple] = []
     for report, profile in pairs:
-        if report.outcome is None or len(report.outcome.committees) != 1:
-            skipped += sum(1 for v in report.verdicts if v.is_spoiler)
-            continue
-        base = report.outcome.sole_committee()
         for verdict in report.verdicts:
             if not verdict.is_spoiler:
                 continue
-            if verdict.alternate is None or len(verdict.alternate.committees) != 1:
+            base, alt = report.outcome.committees, verdict.alternate.committees
+            if len(base) != 1 or len(alt) != 1:
                 skipped += 1
                 continue
-            alt = verdict.alternate.sole_committee()
+            (base,), (alt,) = base, alt
             if len(base ^ alt) != 2:
                 skipped += 1
                 continue
-            retained = next(iter(base - alt))
-            would_be = next(iter(alt - base))
-            b_as = adjacent_pair_weight(profile, retained, verdict.candidate)
-            b_ws = adjacent_pair_weight(profile, would_be, verdict.candidate)
-            triples.append(
-                CloneTriple(retained, would_be, verdict.candidate, b_as, b_ws)
-            )
-            if b_as > b_ws:
-                greater += 1
-            elif b_as < b_ws:
-                less += 1
-            else:
-                equal += 1
-    return CloneStats(
-        closer_to_retained=greater,
-        closer_to_would_be=less,
-        equal_similarity=equal,
-        skipped=skipped,
-        triples=tuple(triples),
-    )
+            (retained,), (would_be,) = base - alt, alt - base
+            spoiler = verdict.candidate
+            b_as = adjacent_pair_weight(profile, retained, spoiler)
+            b_ws = adjacent_pair_weight(profile, would_be, spoiler)
+            triples.append(CloneTriple(retained, would_be, spoiler, b_as, b_ws))
+    return CloneStats(skipped, tuple(triples))

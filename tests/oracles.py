@@ -8,10 +8,11 @@ enumeration) over anything shared with the code under test.
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 
-from mwspoilers.blt_io import BltParseError, _unquote
+from mwspoilers.blt_io import BltParseError
 from mwspoilers.core import (
     OutcomeSet,
     Profile,
@@ -574,32 +575,35 @@ def top_k_irv_reference(
 
 def spoiler_verdicts_by_definition(
     profile: Profile, method_id: str, tie: TiePolicy
-) -> dict[int, bool] | None:
+) -> tuple[bool, dict[int, tuple[bool, bool]]]:
     """The definition, applied literally: re-run after every removal.
 
-    Returns candidate -> is_spoiler for every non-winner, or None when a tie
-    anywhere makes the comparison moot.
+    Returns whether the base run tied, and for every non-winner whether it
+    is a spoiler and whether its re-run tied.  A tie the policy refuses to
+    break counts as a tie: at the base, with no non-winners to judge; in a
+    re-run, as no spoiler.
     """
     try:
         base = run_method(method_id, profile, tie)
     except TieError:
-        return None
+        return True, {}
     base_names = _committees_by_name(profile, base)
     winners = base.winners
-    verdicts: dict[int, bool] = {}
+    verdicts: dict[int, tuple[bool, bool]] = {}
     for c in range(profile.m):
         if c in winners:
             continue
-        if profile.m == profile.k + 1:
-            verdicts[c] = False
+        if profile.m == profile.k + 1:  # the rest is the only committee left
+            verdicts[c] = (False, False)
             continue
         reduced = _profile_without(profile, c)
         try:
             after = run_method(method_id, reduced, tie)
         except TieError:
-            return None
-        verdicts[c] = _committees_by_name(reduced, after) != base_names
-    return verdicts
+            verdicts[c] = (False, True)
+            continue
+        verdicts[c] = (_committees_by_name(reduced, after) != base_names, after.tie_flag)
+    return base.tie_flag, verdicts
 
 
 def spatial1d_by_sorting(spec: CultureSpec, trial: int = 0) -> Profile:
@@ -679,6 +683,17 @@ def restricted_ranking(ranking: tuple[int, ...], keep: tuple[int, ...]) -> tuple
 
 
 
+def unquote_by_tokens(raw: str, line_no: int) -> str:
+    """A quoted name read as tokens: an escaped quote or backslash, or any one character."""
+    s = raw.strip()
+    if len(s) < 2 or s[0] != '"' or s[-1] != '"':
+        raise BltParseError(line_no, f"expected a quoted string, got {raw!r}")
+    tokens = re.findall(r'\\["\\]|.', s[1:-1], re.S)
+    if '"' in tokens:
+        raise BltParseError(line_no, "unescaped quote inside a name")
+    return "".join(token[-1] for token in tokens)
+
+
 def parse_blt_by_lines(data: bytes | str) -> Profile:
     """The ``.blt`` parser as it was: every line walked and checked on its own.
 
@@ -743,9 +758,9 @@ def parse_blt_by_lines(data: bytes | str) -> Profile:
     names = []
     for _ in range(m):
         raw, line_no = next_line()
-        names.append(_unquote(raw, line_no))
+        names.append(unquote_by_tokens(raw, line_no))
     raw, line_no = next_line()
-    _unquote(raw, line_no)
+    unquote_by_tokens(raw, line_no)
     zero_based = [(tuple(i - 1 for i in ranking), weight) for weight, ranking in ballot_lines]
     return Profile.build(m, names, zero_based, k)
 

@@ -93,6 +93,9 @@ def test_256_candidates_parse_with_zero_based_indices():
 # The bulk pass against the line walker
 
 SEPARATORS = [" ", "  ", "\t", "\x0c", "\x1f", "\xa0", "\u2009", "\u3000"]
+# Added to names: escaped quotes and backslashes, lone backslashes, a gap, and
+# now and then a quote left unescaped.
+NAME_PIECES = ['\\"', '\\"', "\\\\", "\\\\", "\\", "\\", " x", '"']
 BAD_NUMBERS = ["+5", "1_0", "\u0661", "-0", "-5", "x", "0", "00", "257", "5.0", "0x1"]
 
 
@@ -129,8 +132,9 @@ def faulty(draw, tokens, m):
 @st.composite
 def blt_files(draw):
     """A ``.blt`` file as bytes or str: CRLF or LF, any gaps, unsorted and
-    repeated ballot lines, weights above int64, m up to 256, trailing
-    metadata; most of the time one fault at a random line."""
+    repeated ballot lines, weights above int64, m up to 256, names and
+    titles with escapes, trailing metadata; most of the time one fault at a
+    random line."""
     m = draw(st.sampled_from([2, 3, 4, 5, 8, 256]))
     k = draw(st.integers(1, m - 1))
     lines = draw(st.lists(ballot_lines(m), min_size=1, max_size=8))
@@ -144,7 +148,10 @@ def blt_files(draw):
         return lead + "".join(g + t for g, t in zip(["", *gaps], tokens)) + trail
 
     text = [join([str(m), str(k)]), *map(join, lines), "0" + draw(st.sampled_from(["", " "]))]
-    text += [f'"C{i}"' for i in range(m)] + ['"title"']
+    names = [f"C{i}" for i in range(m)] + ["title"]
+    for piece in draw(st.lists(st.sampled_from(NAME_PIECES), max_size=4)):
+        names[draw(st.integers(0, m))] += piece
+    text += [f'"{name}"' for name in names]
     text += draw(st.sampled_from([[], ["source: somewhere", ""], [""]]))
     kinds = ["none", "ballot", "ballot", "ballot and name", "header", "no ballots", "noise"]
     kind = draw(st.sampled_from(kinds + ["drop", "cut"]))
@@ -209,6 +216,27 @@ def test_names_with_quotes_survive_round_trip():
         m=p.m, names=('Ann "The Ace"', "Bob \\ Co", "Cy"), ballots=p.ballots, k=p.k
     )
     assert parse_blt(emit_blt(quoted)).names == quoted.names
+
+
+@pytest.mark.parametrize("names, title", [("A\nB", "Example"), ("AB", "Line one\nline two")])
+def test_emit_refuses_a_line_break_in_a_name_or_title(names, title):
+    p = vote_splitting_profile()
+    broken = type(p)(m=p.m, names=(names, "W", "S"), ballots=p.ballots, k=p.k)
+    offending = names if "\n" in names else title
+    with pytest.raises(ValueError, match=re.escape(repr(offending))):
+        emit_blt(broken, title=title)
+
+
+# Any text but a line break, and no lone surrogates, which UTF-8 cannot encode.
+ONE_LINE = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"))
+
+
+@given(st.lists(ONE_LINE, min_size=2, max_size=5), ONE_LINE)
+@settings(max_examples=300, deadline=None)
+def test_names_and_titles_round_trip(names, title):
+    p = Profile.build(len(names), names, [(tuple(range(len(names))), 1)], 1)
+    document = parse_blt_document(emit_blt(p, title=title))
+    assert (document.profile, document.title) == (p, title)
 
 
 def test_emit_aggregates_identical_ballots():

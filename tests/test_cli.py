@@ -1,13 +1,16 @@
+import hashlib
 import sys
 
+import numpy as np
 import pytest
 
 from mwspoilers.blt_io import emit_blt
 from mwspoilers.cli import main
 from mwspoilers.core import Profile, default_names
 from mwspoilers.harness import run_corpus_audit
+from mwspoilers.methods import METHODS
 
-from conftest import vote_splitting_profile
+from conftest import random_profile, vote_splitting_profile
 
 
 @pytest.fixture
@@ -385,3 +388,53 @@ def test_tabulate_reports_a_profile_error_on_one_line(tmp_path, capsys):
     assert err == (
         "error: n=4611686018427387905 voters x m=3 candidates overflows 64-bit integer scores\n"
     )
+
+
+# sha256 of the CSVs that ``clones`` and ``subelections`` write for the
+# ``seeded_corpus`` below, recorded before the spoiler records dropped their
+# stored tie flags and clone counters.  No benchmark digest covers either
+# output, and ``clones`` is the one that reads the clone counters.
+CLONES_DIGESTS = {
+    "stv": "be50ba8f394add57dfe0dbf275b88b1c94444bba6fc76d3a007b3f1978cb9a36",
+    "srcv": "edc5bcbc2caf39b887d13aa7c4611c072c0ba86f7cb11278aed2fb6d9fd45935",
+    "sntv": "faf54cd7df0ee220917747ee8629350fab9416699b9c7ce1773bc1df41de7dc7",
+    "bloc": "604f262316e998c970fa4a78e2d1e054f16e5c69c3697fea5b5ca7bd42b52c78",
+    "borda_om": "eb6c21fb5d8f3a97bf95f039af55e412762a09a1de4dc754c4bc9bda4a5510f7",
+    "borda_pm": "312834c1705fd8a9be126a0e29ac53ba8f8a9bcbe47b32ad187c523b5accd09d",
+    "cc_om": "59b2288fa7d10a5a04de98af4dcb991d2130d00152d22176262064892c7127a6",
+    "cc_pm": "25ab90c1de7a3e1a5a0b94fc60c3e9cbad09c63818257518ebbce0317bd04c8b",
+    "greedy_om": "d9ce1ea77ef079d8dccc3bc07c05314448e69a42092cf922f82bdd183c533d45",
+    "greedy_pm": "cbe54902fa36a3d40ef3331b7b8c21485aa0a5c5161b4c5fbca8ee436ab6a2a2",
+    "mcc": "23e32e85e0785fb0ac7d8e62e5c19695544ffc04f2d89c67c1db0154852fc683",
+    "topk_irv": "9a441c1964850f3ee2409978dbb610045366ea9db55ca70acbed1fcd79eb7001",
+}
+SUBELECTIONS_DIGEST = "6c70efadb3cba65fa1f1188deec86214a5320a3713930700da5f2ef2887edec6"
+
+
+@pytest.fixture(scope="module")
+def seeded_corpus(tmp_path_factory, ward):
+    """The ward and two small random elections, one ``.blt`` file each."""
+    d = tmp_path_factory.mktemp("seeded")
+    (d / "ward.blt").write_bytes(emit_blt(ward, title="ward"))
+    rng = np.random.default_rng(7)
+    for i in range(2):
+        profile = random_profile(rng, max_m=7, max_weight=20, max_types=40)
+        (d / f"random{i}.blt").write_bytes(emit_blt(profile, title=f"random {i}"))
+    return d
+
+
+def csv_digest(capsys, *argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("method_id", METHODS)
+def test_clones_csv_matches_its_recorded_digest(seeded_corpus, capsys, method_id):
+    digest = csv_digest(capsys, "clones", str(seeded_corpus), "--method", method_id)
+    assert digest == CLONES_DIGESTS[method_id]
+
+
+def test_subelections_csv_matches_its_recorded_digest(seeded_corpus, capsys):
+    argv = ("subelections", str(seeded_corpus), "--t", "4", "--k", "2", "--methods", "all")
+    assert csv_digest(capsys, *argv) == SUBELECTIONS_DIGEST

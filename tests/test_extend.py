@@ -66,7 +66,7 @@ def test_extension_follows_observed_continuations():
             ((0, 1, 2, 5), 17),
         ]
     )
-    out = extend_profile(p, ExtensionConfig(max_length=4))
+    out = extend_profile(p)
     weights = {b.ranking: b.weight for b in out.ballots}
     assert weights[b"\x00\x01\x02\x03"] == 9 + 2
     assert weights[b"\x00\x01\x02\x04"] == 12 + 3
@@ -143,6 +143,3 @@ def test_config_validation():
         ExtensionConfig(stop_ratio=0.0)
     with pytest.raises(ValueError):
         ExtensionConfig(stop_ratio=1.5)
-    for length in (0, -1):
-        with pytest.raises(ValueError, match="max_length must be at least 1"):
-            ExtensionConfig(max_length=length)

@@ -2,7 +2,9 @@ import re
 
 import pytest
 
-from mwspoilers.core import OutcomeSet, Profile, UnrankedModel
+from mwspoilers.core import OutcomeSet, Profile, UnrankedModel, borda_scores, point_matrix
+from mwspoilers.cultures import CultureSpec
+from mwspoilers.harness import run_corpus_audit, run_simulation
 from mwspoilers.methods import (
     METHODS,
     UNIT,
@@ -24,7 +26,7 @@ from mwspoilers.methods import (
     top_k_irv,
 )
 
-from conftest import vote_splitting_profile
+from conftest import outcome_or_tie, vote_splitting_profile
 
 
 def names_of(profile, committee):
@@ -105,15 +107,6 @@ def test_stv_zero_surplus_exhaustion_and_auto_election():
     assert r2.exhausted == 2 * UNIT  # C's bullet ballots had nowhere to go
 
 
-def test_stv_elimination_tie_policies():
-    p = Profile.build(3, "ABC", [((0,), 2), ((1,), 2), ((2,), 2)], 1)
-    with pytest.raises(TieError):
-        stv(p, TiePolicy.ERROR)
-    outcome, _ = stv(p, TiePolicy.ALPHABETICAL)
-    assert sole(p, outcome) == ["C"]
-    assert outcome.tie_flag
-
-
 def test_stv_winner_count_and_order():
     p = vote_splitting_profile(2)
     outcome, trace = stv(p)
@@ -170,22 +163,6 @@ def test_interior_tie_is_not_a_tie():
     outcome = sntv(p, TiePolicy.ERROR)
     assert sole(p, outcome) == ["A", "B"]
     assert not outcome.tie_flag
-
-
-def test_boundary_tie_policies():
-    p = Profile.build(
-        4, "ABCD", [((0,), 10), ((1,), 5), ((2,), 5), ((3,), 2)], 2
-    )
-    with pytest.raises(TieError):
-        sntv(p, TiePolicy.ERROR)
-    enumerated = sntv(p, TiePolicy.ALPHABETICAL)
-    assert enumerated.committees == frozenset(
-        [frozenset([0, 1]), frozenset([0, 2])]
-    )
-    assert enumerated.tie_flag
-    resolved = sntv(p, TiePolicy.LOWEST_INDEX)
-    assert resolved.sole_committee() == frozenset([0, 1])
-    assert resolved.tie_flag
 
 
 def test_boundary_tie_enumeration_is_bounded(monkeypatch):
@@ -468,6 +445,34 @@ def test_every_tie_site_follows_the_policy(method_id, profile, text, alphabetica
         assert outcome.committees == {frozenset(profile.names.index(c) for c in names)
                                       for names in committees}
         assert outcome.tie_flag is flag
+
+
+# Every function that reads a tie policy or an unranked model, called on an
+# input where the value matters.  A member's string value reads as the member;
+# any other value raises ``ValueError`` rather than acting as the last member.
+PARTIAL = Profile.build(4, "ABCD", [((0,), 3), ((1, 2), 2), ((3, 2, 1), 1)], 2)
+READERS = [
+    ("choose", TiePolicy, lambda tie: outcome_or_tie(run_method, "stv", STV_ELIMINATION, tie)),
+    ("top-k-outcome", TiePolicy,
+     lambda tie: outcome_or_tie(run_method, "sntv", SCORE_BOUNDARY, tie)),
+    ("run-simulation", TiePolicy,
+     lambda tie: run_simulation(CultureSpec("ic", "complete", 4, 2, 51, seed=1), ["sntv"], 200,
+                                tie=tie).methods["sntv"].tally),
+    ("run-corpus-audit", TiePolicy,
+     lambda tie: run_corpus_audit([("e", SCORE_BOUNDARY)], ["sntv"], tie=tie).methods["sntv"].tally),
+    ("borda-scores", UnrankedModel, lambda model: borda_scores(PARTIAL, model)),
+    ("point-matrix", UnrankedModel, lambda model: point_matrix(PARTIAL, model).tolist()),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("kind, read", [r[1:] for r in READERS], ids=[r[0] for r in READERS])
+def test_policies_and_models_read_by_value_and_reject_the_rest(kind, read):
+    results = [read(member) for member in kind]
+    assert len(set(map(repr, results))) > 1  # the value matters on this input
+    assert [read(member.value) for member in kind] == results
+    for value in ("bogus", None):
+        with pytest.raises(ValueError, match=f"is not a valid {kind.__name__}"):
+            read(value)
 
 
 def test_stv_surplus_order_follows_the_policy():

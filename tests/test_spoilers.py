@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 from hypothesis import given, settings
 
@@ -84,13 +86,12 @@ def test_verdicts_match_definition_oracle_across_methods():
     rng = np.random.default_rng(22)
     for _ in range(60):
         p = random_profile(rng, max_m=5)
-        for mid in METHODS:
-            expected = spoiler_verdicts_by_definition(p, mid, TiePolicy.ALPHABETICAL)
-            report = analyze_spoilers(p, mid, TiePolicy.ALPHABETICAL)
-            if expected is None:
-                continue
-            got = {v.candidate: v.is_spoiler for v in report.verdicts}
-            assert got == expected, (mid, p)
+        for mid, tie in itertools.product(METHODS, TiePolicy):
+            base_tie, expected = spoiler_verdicts_by_definition(p, mid, tie)
+            report = analyze_spoilers(p, mid, tie)
+            got = {v.candidate: (v.is_spoiler, v.tie_encountered) for v in report.verdicts}
+            assert (report.base_tie, got) == (base_tie, expected), (mid, p)
+            assert report.has_tie == (base_tie or any(t for _, t in expected.values()))
 
 
 def test_top_k_irv_spoilers_are_never_plurality_losers():
@@ -174,4 +175,4 @@ def test_clone_statistics_skips_multi_seat_swings():
         assert len({t.retained, t.would_be, t.spoiler}) == 3
     # Folded one report at a time, as a corpus audit does, the aggregate is the same.
     assert stats.triples and stats.skipped
-    assert sum((clone_statistics([pair]) for pair in pairs), CloneStats(0, 0, 0, 0, ())) == stats
+    assert sum((clone_statistics([pair]) for pair in pairs), CloneStats(0, ())) == stats
