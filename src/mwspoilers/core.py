@@ -23,12 +23,21 @@ re-indexes and drops candidates with one ``bytes.translate`` per ballot
 type, in C.
 
 The positional scores (first-place, top-k and Borda counts) all come from
-one :attr:`Profile.tally`, built in one exact-integer pass over the ballots
-on the first score query and cached on the profile: for every depth ``d``,
-the weight of ballots ranking each candidate among their first ``d``
-entries, plus the optimistic model's points for unranked candidates.  A
-candidate at rank ``r`` lies within depths ``r..m``, so its Borda score is
-the sum of its top-``d`` counts over ``d = 1..m-1``.
+one :attr:`Profile.tally`, built in exact integers on the first score query
+and cached on the profile: for every depth ``d``, the weight of ballots
+ranking each candidate among their first ``d`` entries, plus the optimistic
+model's points for unranked candidates.  A candidate at rank ``r`` lies
+within depths ``r..m``, so its Borda score is the sum of its top-``d``
+counts over ``d = 1..m-1``.  The tally has two kernels, chosen by size.  A
+profile of fewer than ``_ARRAY_TALLY_TYPES`` ballot types (an m=4 campaign
+sample has at most 24) is tallied in one Python pass over its ballots, the
+reference kernel: on 24 types numpy's per-call overhead makes the array
+kernel three times slower.  A larger one (a ward's parsed or reduced
+profile) is tallied from :attr:`Profile.arrays` in int64: on a 2,000-type
+ward, twice as fast as the loop when it builds the arrays too and nine
+times once they are built, and the arrays it builds serve the array-based
+rules that follow.  A large profile whose ``n * m`` overflows int64 keeps
+the loop.
 
 Ballots are validated once, where they enter the program: the plain
 constructor and :meth:`Profile.build` (used by the ballot-file parser, ballot
@@ -109,6 +118,11 @@ _INDEX_BYTES = bytes(range(_MAX_CANDIDATES))
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
+# The fewest ballot types that Profile.tally counts from the array form.  With
+# the arrays still to build, the array kernel overtook the loop at about 110
+# types for m=10, 160 for m=6 and above 192 for m=5; 256 clears all three.
+_ARRAY_TALLY_TYPES = 256
+
 
 class BallotArrays(NamedTuple):
     """Array form of a profile's ballot types, row ``i`` for ``ballots[i]``.
@@ -125,7 +139,7 @@ class BallotArrays(NamedTuple):
 
 
 class PositionTally(NamedTuple):
-    """Every positional score of a profile, from one pass over its ballots.
+    """Every positional score of a profile, counted once (see :attr:`Profile.tally`).
 
     ``top`` holds ``m`` rows of ``m`` entries, flattened: entry
     ``(d - 1) * m + c`` is the weight of ballots ranking candidate ``c``
@@ -253,8 +267,15 @@ class Profile:
 
     @cached_property
     def tally(self) -> PositionTally:
-        """The positional score counts, built once per profile (exact integers)."""
+        """The positional score counts, built once per profile (exact integers).
+
+        A profile of at least ``_ARRAY_TALLY_TYPES`` ballot types whose
+        ``n * m`` fits int64 is counted from :attr:`arrays`, building and
+        caching them; any other is counted by the loop below, the reference.
+        """
         m = self.m
+        if len(self.ballots) >= _ARRAY_TALLY_TYPES and self.n * m <= _INT64_MAX:
+            return _array_tally(m, *self.arrays)
         size = m * m
         # Rank-position rows first, each summed into the row below at the end.
         top = [0] * size
@@ -282,6 +303,26 @@ class Profile:
         """Same ballots, different seat count."""
         _check_shape(self.m, self.names, self.ballots, k)
         return Profile._derived(self.m, self.names, self.ballots, k)
+
+
+def _array_tally(m: int, positions: np.ndarray, weights: np.ndarray) -> PositionTally:
+    """:attr:`Profile.tally` from the array form, in int64.
+
+    Exact when ``n * m`` fits int64: no count exceeds ``n``, and no share
+    of optimistic points exceeds ``n * (m - 2)``.
+    """
+    # Each ballot type's weight added into its (rank, candidate) cells; row m
+    # collects the unranked candidates and is dropped.  Index and weights are
+    # both flat: numpy 2.4's add.at adds wrong values when weights are
+    # broadcast against a 2-D index.
+    cells = np.zeros((m + 1) * m, np.int64)
+    np.add.at(cells, (positions * m + np.arange(m)).ravel(), np.repeat(weights, m))
+    top = cells[: m * m].reshape(m, m).cumsum(axis=0)
+    ranked = positions < m
+    shares = weights * np.maximum(m - 1 - ranked.sum(axis=1), 0)
+    return PositionTally(
+        tuple(top.ravel().tolist()), int(shares.sum()), tuple((shares @ ranked).tolist())
+    )
 
 
 def _check_shape(m: int, names: tuple[str, ...], ballots: Sequence[object], k: int) -> None:

@@ -36,7 +36,11 @@ The score-based rules (SNTV, Bloc, k-Borda) are committee scoring rules:
 each takes the k best of one score per candidate.  They read their scores
 (first-place, top-k and Borda counts) off the profile's cached position
 tally, :attr:`~mwspoilers.core.Profile.tally`, so all of them, and the
-spoiler audit's weakness flags, share one pass over each profile's ballots.
+spoiler audit's weakness flags, share one count of each profile.  A small
+profile, such as a campaign's, is counted in a Python loop over its
+ballots; one of ward size is counted in int64 from its cached array form,
+which is faster there and which the array-based rules then reuse (see
+:mod:`mwspoilers.core`).
 
 Every choice among exactly tied candidates goes through :func:`_choose`
 under a :class:`TiePolicy`.  The one exception is the score-based rules'
@@ -738,7 +742,15 @@ METHODS: dict[str, Method] = {
 }
 
 
+# The tie policies' values, which their members also hash and compare as.
+_TIE_VALUES = frozenset(policy.value for policy in TiePolicy)
+
+
 def run_method(method_id: str, profile: Profile, tie: TiePolicy) -> OutcomeSet:
+    """Run a registered rule.  ``tie`` is checked on every call, so a value
+    that is no policy fails even where the rule meets no tie."""
+    if tie not in _TIE_VALUES:
+        TiePolicy(tie)  # raises the enum's own ValueError, which names the value
     try:
         method = METHODS[method_id]
     except KeyError:

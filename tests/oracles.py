@@ -12,7 +12,7 @@ import re
 
 import numpy as np
 
-from mwspoilers.blt_io import BltParseError
+from mwspoilers.blt_io import BltDocument, BltParseError
 from mwspoilers.core import (
     OutcomeSet,
     Profile,
@@ -694,7 +694,7 @@ def unquote_by_tokens(raw: str, line_no: int) -> str:
     return "".join(token[-1] for token in tokens)
 
 
-def parse_blt_by_lines(data: bytes | str) -> Profile:
+def parse_blt_by_lines(data: bytes | str) -> BltDocument:
     """The ``.blt`` parser as it was: every line walked and checked on its own.
 
     One change from its former self: a number must be ASCII decimal digits,
@@ -760,9 +760,9 @@ def parse_blt_by_lines(data: bytes | str) -> Profile:
         raw, line_no = next_line()
         names.append(unquote_by_tokens(raw, line_no))
     raw, line_no = next_line()
-    unquote_by_tokens(raw, line_no)
+    title = unquote_by_tokens(raw, line_no)
     zero_based = [(tuple(i - 1 for i in ranking), weight) for weight, ranking in ballot_lines]
-    return Profile.build(m, names, zero_based, k)
+    return BltDocument(Profile.build(m, names, zero_based, k), title)
 
 
 def first_preferences_by_placing(m: int, entries) -> tuple[list[list], list[int], list[bool]]:

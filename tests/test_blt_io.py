@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mwspoilers.blt_io import (
     _GAPS,
+    BltDocument,
     BltParseError,
     emit_blt,
     emit_results_csv,
@@ -189,10 +190,11 @@ def parsed_or_error(parse, data):
 @given(blt_files())
 @settings(max_examples=600, deadline=None)
 def test_bulk_parse_matches_the_line_walker(data):
-    parsed = parsed_or_error(parse_blt, data)
-    assert parsed == parsed_or_error(parse_blt_by_lines, data)
-    if isinstance(parsed, Profile):  # in canonical form: rebuilding it changes nothing
-        assert Profile.build(parsed.m, parsed.names, parsed.ballots, parsed.k) == parsed
+    parsed = parsed_or_error(parse_blt_document, data)
+    assert parsed == parsed_or_error(parse_blt_by_lines, data)  # profile and title
+    if isinstance(parsed, BltDocument):  # in canonical form: rebuilding it changes nothing
+        profile = parsed.profile
+        assert Profile.build(profile.m, profile.names, profile.ballots, profile.k) == profile
 
 
 def test_missing_sentinel_is_an_error():
@@ -281,7 +283,7 @@ def test_whole_corpus_parses_and_round_trips():
     for file in sorted(root.rglob("*.blt")):
         data = file.read_bytes()
         profile = parse_blt(data)
-        declared = parse_blt_by_lines(data).n  # the sum of the file's ballot weights
+        declared = parse_blt_by_lines(data).profile.n  # the sum of the file's ballot weights
         assert profile.n == declared, file
         assert parse_blt(emit_blt(profile)) == profile, file
         count += 1

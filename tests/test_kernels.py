@@ -1,12 +1,15 @@
 """The integer kernels (the array form and the position tally) against the
 scalar oracles, and their guards."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwspoilers import methods
+from mwspoilers import core, methods
 from mwspoilers.core import (
     OutcomeSet,
     Profile,
@@ -138,6 +141,58 @@ def test_score_queries_in_any_order_match_fresh_profiles(p, data):
     for label, query in order:
         fresh = Profile.build(p.m, p.names, p.ballots, p.k)
         assert query(p) == query(fresh), label
+
+
+def tallied(p: Profile, threshold: float) -> Profile:
+    """A fresh copy of ``p``, its tally counted with the size switch at ``threshold``
+    ballot types: at 1 every profile takes the array kernel, at infinity the loop."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_ARRAY_TALLY_TYPES", threshold)
+        fresh = Profile.build(p.m, p.names, p.ballots, p.k)
+        fresh.tally
+    return fresh
+
+
+def took_arrays(p: Profile) -> bool:
+    return "arrays" in vars(p)  # the array kernel builds and caches the array form
+
+
+# Weights this large fill int64: 12 ballots x m <= 10 stay just inside it.
+@given(partial_profiles(max_weight=core._INT64_MAX // 120))
+@settings(max_examples=200)
+def test_array_tally_matches_the_loop_and_the_oracles(p):
+    by_arrays, by_loop = tallied(p, 1), tallied(p, math.inf)
+    assert took_arrays(by_arrays) and not took_arrays(by_loop)
+    assert by_arrays.tally == by_loop.tally
+    assert all(type(v) is int for v in (*by_arrays.tally.top, *by_arrays.tally.unranked_shares))
+    for k in range(1, p.m + 2):
+        assert top_k_counts(by_arrays, k) == top_k_counts_reference(p, k)
+    for model in UnrankedModel:
+        assert borda_scores(by_arrays, model) == borda_scores_reference(p, model)
+
+
+def test_array_tally_matches_the_loop_on_a_ward_and_its_removals(ward):
+    # The ward and each of its single-candidate removals, as an audit re-runs them.
+    for p in [ward] + [remove_candidate(ward, c) for c in range(ward.m)]:
+        fresh = Profile.build(p.m, p.names, p.ballots, p.k)
+        assert fresh.tally == tallied(p, math.inf).tally
+        assert took_arrays(fresh) == (len(p.ballots) >= core._ARRAY_TALLY_TYPES)
+    assert took_arrays(fresh)  # the last removal is ward-sized too
+
+
+def test_a_large_profile_that_overflows_int64_keeps_the_exact_loop():
+    m = 8
+    rankings = itertools.islice(itertools.permutations(range(m), 3), core._ARRAY_TALLY_TYPES)
+    p = Profile.build(m, default_names(m), [(r, 2**62 if r[0] else 1) for r in rankings], 2)
+    assert len(p.ballots) == core._ARRAY_TALLY_TYPES and p.n * m > core._INT64_MAX
+    for mid, scores in REFERENCE_SCORES.items():
+        assert run_method(mid, p, TiePolicy.LOWEST_INDEX) == _top_k_outcome(
+            p, scores(p), TiePolicy.LOWEST_INDEX
+        )
+    assert not took_arrays(p)
+    result = run_corpus_audit([("huge", p)], list(REFERENCE_SCORES), tie=TiePolicy.LOWEST_INDEX)
+    assert result.failures == []
+    assert all(result.methods[mid].tally.used == 1 for mid in REFERENCE_SCORES)
 
 
 # ---------------------------------------------------------------------------

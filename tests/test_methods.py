@@ -26,6 +26,8 @@ from mwspoilers.methods import (
     top_k_irv,
 )
 
+from mwspoilers.spoilers import analyze_spoilers
+
 from conftest import outcome_or_tie, vote_splitting_profile
 
 
@@ -473,6 +475,25 @@ def test_policies_and_models_read_by_value_and_reject_the_rest(kind, read):
     for value in ("bogus", None):
         with pytest.raises(ValueError, match=f"is not a valid {kind.__name__}"):
             read(value)
+
+
+# First preferences 4, 3, 2, 1: no rule meets a tie on it, under any policy.
+TIE_FREE = Profile.build(4, "ABCD", [((0,), 4), ((1,), 3), ((2,), 2), ((3,), 1)], 2)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [run_method, lambda method_id, p, tie: analyze_spoilers(p, method_id, tie)],
+    ids=["run-method", "analyze-spoilers"],
+)
+@pytest.mark.parametrize("value", ["bogus", None])
+def test_a_bad_tie_policy_is_rejected_where_no_tie_is_met(entry, value):
+    with pytest.raises(ValueError) as expected:
+        TiePolicy(value)
+    for method_id in METHODS:
+        entry(method_id, TIE_FREE, TiePolicy.ERROR)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            entry(method_id, TIE_FREE, value)
 
 
 def test_stv_surplus_order_follows_the_policy():

@@ -10,7 +10,11 @@ bench gets the ward's ballot types in shuffled order, so it merges and
 sorts them as it does a parsed ballot file's.  The first call on a fresh
 profile pays for building its cached array form, as the first rule run on
 a reduced profile does in an audit.  The positional-score bench gets a
-fresh profile every round, so each round also builds the position tally.
+fresh profile every round, so each round also builds the position tally:
+on the ward, from its array form (built in the round too), and on a 24-type
+IC m=4 sample, the campaigns' profile size, by the loop over its ballots.
+These two timings are the basis for the tally's size switch,
+``core._ARRAY_TALLY_TYPES``.
 The sampler benches draw one campaign trial (n=1001, as in the benchmark's
 campaigns) 100 times, since a draw takes a fraction of a millisecond; the
 first-preference bench places the ward and a 24-type IC m=4 sample, the
@@ -22,9 +26,11 @@ campaigns' profile size, 100 times each.  Print the timings with
 import random
 
 import numpy as np
+import pytest
 
 from mwspoilers.blt_io import emit_blt, parse_blt
 from mwspoilers.core import (
+    _ARRAY_TALLY_TYPES,
     Profile,
     UnrankedModel,
     borda_scores,
@@ -62,6 +68,11 @@ from oracles import (
     top_k_counts_reference,
     top_k_irv_reference,
 )
+
+
+def ic_sample() -> Profile:
+    """A 24-type IC m=4 campaign trial, the benchmark campaigns' profile size."""
+    return sample_ic(CultureSpec("ic", "complete", 4, 2, 1001, seed=5), 7)
 
 
 def fresh(profile: Profile) -> Profile:
@@ -129,11 +140,11 @@ def test_bench_profile_build(benchmark, ward):
 def test_bench_parse_blt(benchmark, ward):
     data = emit_blt(ward, title="ward")
     parsed = benchmark.pedantic(parse_blt, args=(data,), rounds=5, iterations=1)
-    assert parsed == parse_blt_by_lines(data) == ward
+    assert parsed == parse_blt_by_lines(data).profile == ward
 
 
 def test_bench_first_preferences(benchmark, ward):
-    small = sample_ic(CultureSpec("ic", "complete", 4, 2, 1001, seed=5), 7)
+    small = ic_sample()
     assert len(small.ballots) == 24
 
     def place():
@@ -162,7 +173,12 @@ def test_bench_top_k_irv(benchmark, ward):
     assert outcome == top_k_irv_reference(ward, tie)
 
 
-def test_bench_positional_scores(benchmark, ward):
+@pytest.mark.parametrize("size", ["ward", "ic"])
+def test_bench_positional_scores(benchmark, ward, size):
+    # The ward takes the tally's array kernel, the 24-type sample its loop.
+    p = ward if size == "ward" else ic_sample()
+    assert (len(p.ballots) >= _ARRAY_TALLY_TYPES) == (size == "ward")
+
     def scores(p):  # SNTV, Bloc, Borda OM and Borda PM
         return (
             first_place_counts(p),
@@ -171,13 +187,13 @@ def test_bench_positional_scores(benchmark, ward):
             borda_scores(p, UnrankedModel.PESSIMISTIC),
         )
 
-    setup = lambda: ((fresh(ward),), {})
+    setup = lambda: ((fresh(p),), {})
     got = benchmark.pedantic(scores, setup=setup, rounds=5, iterations=1)
     assert got == (
-        top_k_counts_reference(ward, 1),
-        top_k_counts_reference(ward, ward.k),
-        borda_scores_reference(ward, UnrankedModel.OPTIMISTIC),
-        borda_scores_reference(ward, UnrankedModel.PESSIMISTIC),
+        top_k_counts_reference(p, 1),
+        top_k_counts_reference(p, p.k),
+        borda_scores_reference(p, UnrankedModel.OPTIMISTIC),
+        borda_scores_reference(p, UnrankedModel.PESSIMISTIC),
     )
 
 
