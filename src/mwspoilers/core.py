@@ -64,6 +64,16 @@ integer; a profile whose ``n * m`` does not fit in int64 is rejected with
 :class:`ProfileError` rather than summed with wraparound, and ``n * m``
 bounds every total those rules compute, a satisfaction table entry
 included.
+
+The records returned by every rule run and audit (:class:`OutcomeSet` here,
+the spoiler records of :mod:`mwspoilers.spoilers`, the STV round table of
+:mod:`mwspoilers.methods`) are ``NamedTuple``s, as :class:`Ballot` is:
+immutable, picklable, without an instance ``__dict__``, and cheap to make,
+since an audit of a campaign trial makes dozens.  :class:`OutcomeSet`'s
+constructor checks its invariant (at least one committee, all of one
+size); :meth:`OutcomeSet.single` and the audit's re-indexing make outcomes
+that meet it by construction, so they skip the check, as
+:meth:`Profile._derived` skips the ballot check.
 """
 
 from __future__ import annotations
@@ -396,41 +406,62 @@ def _canonical(rankings: Iterable[bytes], weights: Iterable[int]) -> tuple[Ballo
     return tuple(map(_new_ballot, zip(ordered, map(merged.__getitem__, ordered))))
 
 
-@dataclass(frozen=True)
-class OutcomeSet:
+class _Outcome(NamedTuple):
+    committees: frozenset[frozenset[int]]
+    tie_flag: bool = False
+
+
+class OutcomeSet(_Outcome):
     """The committees a rule declares winning.
 
     Usually a single committee; several under ties.  ``tie_flag`` is set when
     the set holds more than one committee or when a deterministic tie-break
     had to be invoked to produce a single one.
+
+    The constructor checks the invariant: at least one committee, all of one
+    size.  :meth:`single` and the spoiler audit's re-indexing skip the check
+    (``_new_outcome``): their outcomes meet it by construction.
     """
 
-    committees: frozenset[frozenset[int]]
-    tie_flag: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.committees:
+    def __new__(
+        cls, committees: frozenset[frozenset[int]], tie_flag: bool = False
+    ) -> "OutcomeSet":
+        if not committees:
             raise ValueError("outcome must contain at least one committee")
-        sizes = {len(c) for c in self.committees}
+        sizes = {len(c) for c in committees}
         if len(sizes) != 1:
             raise ValueError(f"committees of mixed sizes: {sorted(sizes)}")
+        return tuple.__new__(cls, (committees, tie_flag))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "OutcomeSet":
+        """Checked, so that ``_replace`` cannot break the invariant."""
+        return cls(*iterable)
 
     @classmethod
     def single(cls, committee: Iterable[int], tie_flag: bool = False) -> "OutcomeSet":
-        return cls(committees=frozenset([frozenset(committee)]), tie_flag=tie_flag)
+        return _new_outcome((frozenset([frozenset(committee)]), tie_flag))
 
     @property
     def winners(self) -> frozenset[int]:
-        """Union of all winning committees."""
-        out: frozenset[int] = frozenset()
-        for committee in self.committees:
-            out |= committee
-        return out
+        """Union of all winning committees; the committee itself when there is one."""
+        committees = self.committees
+        if len(committees) == 1:
+            (committee,) = committees
+            return committee
+        return frozenset().union(*committees)
 
     def sole_committee(self) -> frozenset[int]:
         if len(self.committees) != 1:
             raise ValueError("outcome is a tie between several committees")
         return next(iter(self.committees))
+
+
+# An outcome made without the constructor's check, for committees that meet it
+# by construction: the same tuple, in C.
+_new_outcome = partial(tuple.__new__, OutcomeSet)
 
 
 # ---------------------------------------------------------------------------

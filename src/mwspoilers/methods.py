@@ -3,6 +3,10 @@
 Every rule maps a :class:`~mwspoilers.core.Profile` to an
 :class:`~mwspoilers.core.OutcomeSet` of size-``k`` committees; :func:`stv`
 additionally returns a :class:`TabulationTrace` with per-round totals.
+Both records are ``NamedTuple``s.  A rule that picks one committee makes
+its outcome with :meth:`~mwspoilers.core.OutcomeSet.single`, which needs no
+check; one that returns every best committee (exact Chamberlin-Courant, a
+boundary tie under ``alphabetical``) goes through the checked constructor.
 
 STV follows the counting rules used for Scottish local government elections
 (https://www.legislation.gov.uk/sdsi/2007/0110714245): Droop quota,
@@ -57,7 +61,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -145,8 +149,7 @@ def _choose(
 # Ranked rules: the pile count
 
 
-@dataclass(frozen=True)
-class StvRound:
+class StvRound(NamedTuple):
     """One counting stage: a totals snapshot plus what was decided on it.
 
     ``totals`` covers the candidates still in play when the stage opened
@@ -164,8 +167,7 @@ class StvRound:
     exhausted: int  # cumulative units held by ballots with no continuing preference
 
 
-@dataclass(frozen=True)
-class TabulationTrace:
+class TabulationTrace(NamedTuple):
     quota: int  # units
     rounds: tuple[StvRound, ...]
     winners: tuple[int, ...]  # in order of election

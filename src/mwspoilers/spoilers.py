@@ -9,19 +9,29 @@ elections are dropped from aggregate statistics (the convention for
 simulation campaigns) or merely flagged.
 
 Alternate outcomes are expressed in the original election's candidate
-indices, so committees before and after a removal compare directly.
+indices, so committees before and after a removal compare directly.  The
+re-indexing maps each reduced index through a cached tuple per removed
+candidate and makes the outcome without :class:`~mwspoilers.core.OutcomeSet`'s
+check, which a one-to-one mapping of a valid outcome cannot break.
+
+The records an audit returns, :class:`WeaknessFlags`, :class:`SpoilerVerdict`
+and :class:`SpoilerReport`, are ``NamedTuple``s that store what the audit
+observed; everything else about them is a derived property.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .core import (
+    _MAX_CANDIDATES,
     OutcomeSet,
     Profile,
+    _new_outcome,
     _ranking,
     _weight,
     first_place_counts,
@@ -31,8 +41,7 @@ from .core import (
 from .methods import TieError, TiePolicy, run_method
 
 
-@dataclass(frozen=True)
-class WeaknessFlags:
+class WeaknessFlags(NamedTuple):
     """The weakest candidates by two measures; sets because of exact ties."""
 
     plurality_losers: frozenset[int]
@@ -52,8 +61,7 @@ def weakness_flags(profile: Profile) -> WeaknessFlags:
     )
 
 
-@dataclass(frozen=True)
-class SpoilerVerdict:
+class SpoilerVerdict(NamedTuple):
     """Outcome of removing one non-winning candidate.
 
     ``alternate`` is None when the re-run hit an unbreakable tie; such
@@ -70,8 +78,7 @@ class SpoilerVerdict:
         return self.alternate is None or self.alternate.tie_flag
 
 
-@dataclass(frozen=True)
-class SpoilerReport:
+class SpoilerReport(NamedTuple):
     """One rule's spoiler audit of one profile.
 
     Stores what the audit observed: the rule's ``method`` id, the base run's
@@ -124,13 +131,21 @@ class SpoilerReport:
         )
 
 
+@lru_cache(maxsize=None)
+def _parent_ids(removed: int) -> tuple[int, ...]:
+    """The parent's index of each candidate of a profile with ``removed`` taken out."""
+    return (*range(removed), *range(removed + 1, _MAX_CANDIDATES))
+
+
 def _to_original_ids(outcome: OutcomeSet, removed: int) -> OutcomeSet:
-    """Re-express committees of a reduced profile in the parent's indices."""
-    committees = frozenset(
-        frozenset(c if c < removed else c + 1 for c in committee)
-        for committee in outcome.committees
-    )
-    return OutcomeSet(committees=committees, tie_flag=outcome.tie_flag)
+    """Re-express committees of a reduced profile in the parent's indices.
+
+    The mapping is one-to-one, so the committees stay distinct and of one
+    size, and the outcome is built without the constructor's check.
+    """
+    parent = _parent_ids(removed).__getitem__
+    committees = frozenset([frozenset(map(parent, committee)) for committee in outcome.committees])
+    return _new_outcome((committees, outcome.tie_flag))
 
 
 def analyze_spoilers(

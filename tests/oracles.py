@@ -32,6 +32,7 @@ from mwspoilers.methods import (
     droop_quota,
     run_method,
 )
+from mwspoilers.spoilers import SpoilerReport
 
 
 def pick(profile: Profile, cands: list[int], tie: TiePolicy, what: str) -> int:
@@ -573,15 +574,19 @@ def top_k_irv_reference(
     return OutcomeSet.single(winners, tie_flag=tie_used)
 
 
+Verdict = tuple[bool, bool, frozenset[frozenset[str]] | None]
+
+
 def spoiler_verdicts_by_definition(
     profile: Profile, method_id: str, tie: TiePolicy
-) -> tuple[bool, dict[int, tuple[bool, bool]]]:
+) -> tuple[bool, dict[int, Verdict]]:
     """The definition, applied literally: re-run after every removal.
 
     Returns whether the base run tied, and for every non-winner whether it
-    is a spoiler and whether its re-run tied.  A tie the policy refuses to
-    break counts as a tie: at the base, with no non-winners to judge; in a
-    re-run, as no spoiler.
+    is a spoiler, whether its re-run tied, and the re-run's committees by
+    candidate name (None when it tied unbreakably).  A tie the policy
+    refuses to break counts as a tie: at the base, with no non-winners to
+    judge; in a re-run, as no spoiler.
     """
     try:
         base = run_method(method_id, profile, tie)
@@ -589,21 +594,35 @@ def spoiler_verdicts_by_definition(
         return True, {}
     base_names = _committees_by_name(profile, base)
     winners = base.winners
-    verdicts: dict[int, tuple[bool, bool]] = {}
+    verdicts: dict[int, Verdict] = {}
     for c in range(profile.m):
         if c in winners:
             continue
         if profile.m == profile.k + 1:  # the rest is the only committee left
-            verdicts[c] = (False, False)
+            rest = frozenset(name for name in profile.names if name != profile.names[c])
+            verdicts[c] = (False, False, frozenset([rest]))
             continue
         reduced = _profile_without(profile, c)
         try:
             after = run_method(method_id, reduced, tie)
         except TieError:
-            verdicts[c] = (False, True)
+            verdicts[c] = (False, True, None)
             continue
-        verdicts[c] = (_committees_by_name(reduced, after) != base_names, after.tie_flag)
+        after_names = _committees_by_name(reduced, after)
+        verdicts[c] = (after_names != base_names, after.tie_flag, after_names)
     return base.tie_flag, verdicts
+
+
+def verdicts_by_name(profile: Profile, report: SpoilerReport) -> tuple[bool, dict[int, Verdict]]:
+    """A spoiler report in the form :func:`spoiler_verdicts_by_definition` returns."""
+    return report.base_tie, {
+        v.candidate: (
+            v.is_spoiler,
+            v.tie_encountered,
+            None if v.alternate is None else _committees_by_name(profile, v.alternate),
+        )
+        for v in report.verdicts
+    }
 
 
 def spatial1d_by_sorting(spec: CultureSpec, trial: int = 0) -> Profile:

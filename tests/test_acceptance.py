@@ -31,6 +31,7 @@ from oracles import (
     all_condorcet_committees,
     cc_enumeration,
     spoiler_verdicts_by_definition,
+    verdicts_by_name,
 )
 import scotdata
 
@@ -257,10 +258,7 @@ def test_criterion_6_bruteforce_equivalence():
             mcc_hits += 1
         for mid in METHODS:
             _, expected = spoiler_verdicts_by_definition(p, mid, TiePolicy.ALPHABETICAL)
-            got = {
-                v.candidate: (v.is_spoiler, v.tie_encountered)
-                for v in analyze_spoilers(p, mid, TiePolicy.ALPHABETICAL).verdicts
-            }
+            _, got = verdicts_by_name(p, analyze_spoilers(p, mid, TiePolicy.ALPHABETICAL))
             assert got == expected, (mid, p)
             verdict_checks += 1
     assert mcc_hits > 50

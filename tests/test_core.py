@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mwspoilers.core import (
     Ballot,
+    OutcomeSet,
     Profile,
     ProfileError,
     UnrankedModel,
@@ -421,3 +422,31 @@ def test_with_seats_rejects_out_of_range_k(p, k):
     else:
         with pytest.raises(ProfileError):
             p.with_seats(k)
+
+
+# ---------------------------------------------------------------------------
+# Outcomes
+
+
+def test_outcome_constructor_checks_its_invariant():
+    with pytest.raises(ValueError, match="^outcome must contain at least one committee$"):
+        OutcomeSet(frozenset())
+    mixed = frozenset({frozenset({0}), frozenset({0, 1})})
+    with pytest.raises(ValueError, match=re.escape("committees of mixed sizes: [1, 2]")):
+        OutcomeSet(mixed)
+    with pytest.raises(ValueError, match="mixed sizes"):
+        OutcomeSet(committees=mixed, tie_flag=True)
+    with pytest.raises(ValueError, match="mixed sizes"):
+        OutcomeSet.single([0])._replace(committees=mixed)
+
+
+def test_single_outcome_equals_the_checked_constructor():
+    single = OutcomeSet.single([2, 0], tie_flag=True)
+    checked = OutcomeSet(frozenset({frozenset({0, 2})}), True)
+    assert single == checked and type(single) is type(checked) is OutcomeSet
+    assert OutcomeSet.single((1,)) == OutcomeSet(committees=frozenset({frozenset({1})}))
+    assert repr(single) == "OutcomeSet(committees=frozenset({frozenset({0, 2})}), tie_flag=True)"
+    # A one-committee outcome's winners are that committee; a tie's, the union.
+    assert single.winners is next(iter(single.committees))
+    tied = OutcomeSet(frozenset({frozenset({0, 1}), frozenset({1, 3})}), True)
+    assert tied.winners == frozenset({0, 1, 3})

@@ -18,7 +18,13 @@ These two timings are the basis for the tally's size switch,
 The sampler benches draw one campaign trial (n=1001, as in the benchmark's
 campaigns) 100 times, since a draw takes a fraction of a millisecond; the
 first-preference bench places the ward and a 24-type IC m=4 sample, the
-campaigns' profile size, 100 times each.  Print the timings with
+campaigns' profile size, 100 times each.  The campaign-audit bench audits
+that sample as a campaign trial is audited (``harness._audit``: weakness
+flags, shared removals, one spoiler analysis per rule) under the five rules
+and the tie policy of the benchmark's IC campaign, 100 times a round, each
+time on a fresh copy, so each audit also tallies its profile; it measures
+the fixed costs per rule run that dominate such campaigns, the outcome and
+report records included.  Print the timings with
 ``pytest tests/test_microbench.py``; compare runs with pytest-benchmark's
 ``--benchmark-autosave`` and ``--benchmark-compare``.
 """
@@ -42,6 +48,7 @@ from mwspoilers.core import (
     top_k_counts,
 )
 from mwspoilers.cultures import CultureSpec, sample_iac, sample_ic, sample_spatial1d
+from mwspoilers.harness import _audit, _new_tallies
 from mwspoilers.methods import (
     TiePolicy,
     _first_preferences,
@@ -63,10 +70,12 @@ from oracles import (
     restricted_ranking,
     sample_in_draw_order,
     spatial1d_by_sorting,
+    spoiler_verdicts_by_definition,
     srcv_by_removal,
     stv_by_parcels,
     top_k_counts_reference,
     top_k_irv_reference,
+    verdicts_by_name,
 )
 
 
@@ -195,6 +204,23 @@ def test_bench_positional_scores(benchmark, ward, size):
         borda_scores_reference(p, UnrankedModel.OPTIMISTIC),
         borda_scores_reference(p, UnrankedModel.PESSIMISTIC),
     )
+
+
+def test_bench_audit_campaign_sample(benchmark):
+    p = ic_sample()
+    methods = ("stv", "srcv", "sntv", "bloc", "borda_om")  # the IC campaign's
+    tie = TiePolicy.LOWEST_INDEX
+    tallies = _new_tallies(methods)
+
+    def audit(profiles):
+        return [_audit(q, tallies, tie) for q in profiles]
+
+    setup = lambda: (([fresh(p) for _ in range(100)],), {})
+    audits = benchmark.pedantic(audit, setup=setup, rounds=5, iterations=1)
+    assert len(audits) == 100 and all(a == audits[0] for a in audits)
+    for mid in methods:
+        report, _ = audits[0][mid]
+        assert verdicts_by_name(p, report) == spoiler_verdicts_by_definition(p, mid, tie), mid
 
 
 def bench_sampler(benchmark, sampler, spec, oracle):

@@ -1,13 +1,16 @@
 import itertools
+import pickle
 
 import numpy as np
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mwspoilers.core import Profile
-from mwspoilers.methods import METHODS, TiePolicy
+from mwspoilers.core import OutcomeSet, Profile
+from mwspoilers.methods import METHODS, TiePolicy, stv
 from mwspoilers.spoilers import (
     CloneStats,
     StabilitySummary,
+    _to_original_ids,
     adjacent_pair_weight,
     analyze_spoilers,
     clone_statistics,
@@ -16,7 +19,11 @@ from mwspoilers.spoilers import (
 )
 
 from conftest import random_profile, ranked_profiles, vote_splitting_profile
-from oracles import adjacent_pair_weight_by_scan, spoiler_verdicts_by_definition
+from oracles import (
+    adjacent_pair_weight_by_scan,
+    spoiler_verdicts_by_definition,
+    verdicts_by_name,
+)
 
 
 def test_vote_splitting_spoilers_under_sntv(table_profile):
@@ -89,9 +96,71 @@ def test_verdicts_match_definition_oracle_across_methods():
         for mid, tie in itertools.product(METHODS, TiePolicy):
             base_tie, expected = spoiler_verdicts_by_definition(p, mid, tie)
             report = analyze_spoilers(p, mid, tie)
-            got = {v.candidate: (v.is_spoiler, v.tie_encountered) for v in report.verdicts}
-            assert (report.base_tie, got) == (base_tie, expected), (mid, p)
-            assert report.has_tie == (base_tie or any(t for _, t in expected.values()))
+            # Alternates compared by name pin the re-indexing to parent ids.
+            assert verdicts_by_name(p, report) == (base_tie, expected), (mid, p)
+            assert report.has_tie == (base_tie or any(t for _, t, _ in expected.values()))
+
+
+def test_reindexed_outcome_equals_the_checked_constructor():
+    reduced = OutcomeSet(frozenset({frozenset({0, 1}), frozenset({1, 2})}), True)
+    for removed, expected in (
+        (0, {frozenset({1, 2}), frozenset({2, 3})}),
+        (1, {frozenset({0, 2}), frozenset({2, 3})}),
+        (3, {frozenset({0, 1}), frozenset({1, 2})}),
+    ):
+        got = _to_original_ids(reduced, removed)
+        assert got == OutcomeSet(frozenset(expected), True)
+        assert type(got) is OutcomeSet
+    assert _to_original_ids(OutcomeSet.single([254]), 0) == OutcomeSet.single([255])
+
+
+def test_audit_records_pickle_and_hold_no_instance_dict(table_profile):
+    report = analyze_spoilers(table_profile, "stv")
+    _, trace = stv(table_profile)
+    records = (
+        report,
+        report.outcome,
+        report.verdicts[0],
+        weakness_flags(table_profile),
+        trace,
+        trace.rounds[0],
+    )
+    for record in records:
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and type(copy) is type(record)
+        assert not hasattr(record, "__dict__"), type(record)
+
+
+def relabelled(p: Profile, perm: list[int]) -> Profile:
+    """``p`` with candidate ``c`` renumbered ``perm[c]``, keeping its name."""
+    names = [""] * p.m
+    for c, name in enumerate(p.names):
+        names[perm[c]] = name
+    ballots = [(tuple(perm[c] for c in ranking), w) for ranking, w in p.ballots]
+    return Profile.build(p.m, names, ballots, p.k)
+
+
+def audit_relabelled(report, perm: list[int]):
+    """A report's base outcome, alternates and spoilers with every index through ``perm``."""
+
+    def outcome(o):
+        if o is None:
+            return None
+        return frozenset(frozenset(perm[c] for c in com) for com in o.committees), o.tie_flag
+
+    verdicts = {perm[v.candidate]: (v.is_spoiler, outcome(v.alternate)) for v in report.verdicts}
+    return outcome(report.outcome), verdicts, frozenset(perm[c] for c in report.spoilers)
+
+
+@given(ranked_profiles(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_relabelling_candidates_relabels_every_audit(p, data):
+    perm = data.draw(st.permutations(range(p.m)))
+    q = relabelled(p, perm)
+    identity = list(range(p.m))
+    for mid in METHODS:
+        got = audit_relabelled(analyze_spoilers(q, mid, TiePolicy.ERROR), identity)
+        assert got == audit_relabelled(analyze_spoilers(p, mid, TiePolicy.ERROR), perm), mid
 
 
 def test_top_k_irv_spoilers_are_never_plurality_losers():
