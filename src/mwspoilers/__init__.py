@@ -17,10 +17,10 @@ from .core import (
 )
 from .blt_io import BltParseError, emit_blt, emit_results_csv, parse_blt, parse_blt_document
 from .cultures import CultureSpec, sample_iac, sample_ic, sample_profile, sample_spatial1d
-from .extend import ExtensionConfig, extend_profile, hamilton_apportion
+from .extend import extend_profile, hamilton_apportion
 from .harness import (
     CorpusResult,
-    MethodResult,
+    MethodTally,
     SimulationResult,
     run_corpus_audit,
     run_simulation,

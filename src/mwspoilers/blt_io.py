@@ -219,17 +219,17 @@ def emit_blt(profile: Profile, title: str = "") -> bytes:
 
 def emit_results_csv(
     rows: Sequence[Mapping[str, object]],
-    percent_fields: Iterable[str] | None = None,
+    percent_fields: Iterable[str],
     columns: Sequence[str] | None = None,
 ) -> bytes:
     """Render result rows as CSV (UTF-8, LF, comma-separated).
 
     Column order follows the first row's keys unless ``columns`` is given
     explicitly (required to emit a header-only table for zero rows).  Float
-    values named in ``percent_fields`` (default: every float-valued field)
-    are fractions and are printed as percentages with one decimal place,
-    e.g. ``0.049 -> 4.9``.  Other floats keep three decimals; ``None``
-    prints empty.
+    values named in ``percent_fields`` are fractions and are printed as
+    percentages with one decimal place, e.g. ``0.049 -> 4.9``.  Other floats
+    keep three decimals; ``None`` prints empty.  A field holding a comma, a
+    quote or a line break (``\\n`` or ``\\r``) is quoted.
     """
     if columns is None:
         if not rows:
@@ -237,7 +237,7 @@ def emit_results_csv(
         columns = list(rows[0].keys())
     else:
         columns = list(columns)
-    pct = set(percent_fields) if percent_fields is not None else None
+    pct = set(percent_fields)
 
     def render(key: str, value: object) -> str:
         if value is None:
@@ -245,11 +245,11 @@ def emit_results_csv(
         if isinstance(value, bool):
             return "1" if value else "0"
         if isinstance(value, float):
-            if pct is None or key in pct:
+            if key in pct:
                 return f"{100.0 * value:.1f}"
             return f"{value:.3f}"
         text = str(value)
-        if any(ch in text for ch in ',"\n'):
+        if any(ch in text for ch in ',"\n\r'):
             text = '"' + text.replace('"', '""') + '"'
         return text
 

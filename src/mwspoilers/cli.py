@@ -25,7 +25,7 @@ from typing import Iterable, Iterator
 from . import blt_io
 from .core import Profile, ProfileError
 from .cultures import MODELS, REGIMES, CultureSpec
-from .extend import ExtensionConfig, extend_profile
+from .extend import extend_profile
 from .harness import (
     DETAIL_COLUMNS,
     FRACTION_COLUMNS,
@@ -235,14 +235,15 @@ def _cmd_extend(args: argparse.Namespace) -> int:
         document = blt_io.parse_blt_document(path.read_bytes())
     except (OSError, ValueError) as exc:
         return _fail(f"{args.file}: {exc}")
-    extended = extend_profile(document.profile, ExtensionConfig(stop_ratio=args.stop_ratio))
+    extended = extend_profile(document.profile, args.stop_ratio)
     _write(blt_io.emit_blt(extended, title=document.title), args.out)
     return 0
 
 
 def _cmd_subelections(args: argparse.Namespace) -> int:
-    if not 1 <= args.k < args.t:
-        args.usage_error(f"--k {args.k} must satisfy 1 <= k < t={args.t}")
+    # The audit keeps an election only when k > 1 and m > k + 1.
+    if not 2 <= args.k <= args.t - 2:
+        args.usage_error(f"--k {args.k} must satisfy 2 <= k <= t - 2 = {args.t - 2}")
     path = _existing(args, args.path)
     too_small = skipped_empty = 0
 

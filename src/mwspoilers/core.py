@@ -416,7 +416,8 @@ class OutcomeSet(_Outcome):
 
     Usually a single committee; several under ties.  ``tie_flag`` is set when
     the set holds more than one committee or when a deterministic tie-break
-    had to be invoked to produce a single one.
+    had to be invoked to produce a single one.  :attr:`winners` is the one
+    committee itself when there is one, and the union of all otherwise.
 
     The constructor checks the invariant: at least one committee, all of one
     size.  :meth:`single` and the spoiler audit's re-indexing skip the check
@@ -452,11 +453,6 @@ class OutcomeSet(_Outcome):
             (committee,) = committees
             return committee
         return frozenset().union(*committees)
-
-    def sole_committee(self) -> frozenset[int]:
-        if len(self.committees) != 1:
-            raise ValueError("outcome is a tie between several committees")
-        return next(iter(self.committees))
 
 
 # An outcome made without the constructor's check, for committees that meet it

@@ -10,31 +10,20 @@ exactly.
 
 Passes run over ascending lengths.  A pass is skipped when the evidence is
 thin: when the weight of ballots longer than ``j`` is below ``stop_ratio``
-(default 10%) of the weight at length ``j``.  Within a pass all prefixes use
-the statistics frozen at the start of the pass, so the result does not
-depend on prefix enumeration order.  Ballots of length ``m - 1`` already
-determine a full ranking and are never extended.
+(an argument of :func:`extend_profile`, default 10%) of the weight at
+length ``j``.  Within a pass all prefixes use the statistics frozen at the
+start of the pass, so the result does not depend on prefix enumeration
+order.  Ballots of length ``m - 1`` already determine a full ranking and
+are never extended.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 from typing import Sequence
 
 from .core import Profile
-
-
-@dataclass(frozen=True)
-class ExtensionConfig:
-    """Stopping rule for ballot extension."""
-
-    stop_ratio: float = 0.10
-
-    def __post_init__(self) -> None:
-        if not 0 < self.stop_ratio <= 1:
-            raise ValueError(f"stop_ratio must be in (0, 1], got {self.stop_ratio}")
 
 
 def hamilton_apportion(quotas: Sequence[float | Fraction], total: int) -> list[int]:
@@ -60,14 +49,16 @@ def hamilton_apportion(quotas: Sequence[float | Fraction], total: int) -> list[i
     return out
 
 
-def extend_profile(profile: Profile, config: ExtensionConfig | None = None) -> Profile:
+def extend_profile(profile: Profile, stop_ratio: float = 0.10) -> Profile:
     """Extend partial ballots toward complete rankings; weight is conserved.
 
+    ``stop_ratio``, in (0, 1], is the stopping rule of the module docstring.
     Prefixes with no observed continuation are left alone, so the operation
     only ever appends to a ballot and never invents preferences no longer
     ballot exhibits.
     """
-    cfg = config or ExtensionConfig()
+    if not 0 < stop_ratio <= 1:
+        raise ValueError(f"stop_ratio must be in (0, 1], got {stop_ratio}")
     state: dict[bytes, int] = {r: w for r, w in profile.ballots}
 
     for length in range(1, profile.m - 1):
@@ -75,7 +66,7 @@ def extend_profile(profile: Profile, config: ExtensionConfig | None = None) -> P
         weight_longer = sum(w for r, w in state.items() if len(r) >= length + 1)
         if weight_at == 0:
             continue
-        if weight_longer < cfg.stop_ratio * weight_at:
+        if weight_longer < stop_ratio * weight_at:
             continue
 
         # Continuation statistics frozen before any ballot of this pass moves.

@@ -9,10 +9,13 @@ who were plurality or top-k losers.  Only corpus audits keep more: the
 clone-similarity statistics, a per-election detail table and the failed
 audits' messages.
 
+A result maps each rule id straight to its :class:`MethodTally`, which
+gives every estimated fraction (:meth:`MethodTally.fraction`) and its 95%
+Wilson interval (:meth:`MethodTally.interval`).  The stability table reads
+its counts of spoiler and multiple-spoiler elections from the same tally.
 Under the ``error`` tie policy, elections whose base run or any re-run hit
 an exact tie are thrown out of the aggregates (and counted); under a
-deterministic policy they are kept and merely counted as tie-flagged.  Every
-estimated fraction carries a 95% Wilson interval.
+deterministic policy they are kept and merely counted as tie-flagged.
 
 Trials are deterministic functions of (culture spec, trial index), and the
 aggregation is a sum of counters, so splitting trials across worker
@@ -76,36 +79,13 @@ class MethodTally:
         for f in fields(self):
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
+    def fraction(self, name: str) -> float:
+        """The share of used audits counted in ``name``; 0 when none was used."""
+        return getattr(self, name) / self.used if self.used else 0.0
 
-@dataclass(frozen=True)
-class MethodResult:
-    """Final per-method statistics with Wilson intervals."""
-
-    method: str
-    label: str
-    tally: MethodTally
-
-    def _fraction(self, successes: int) -> float:
-        return successes / self.tally.used if self.tally.used else 0.0
-
-    @property
-    def p_spoiler(self) -> float:
-        return self._fraction(self.tally.spoiler)
-
-    @property
-    def p_multiple(self) -> float:
-        return self._fraction(self.tally.multiple)
-
-    @property
-    def p_plurality_loser(self) -> float:
-        return self._fraction(self.tally.plurality_loser)
-
-    @property
-    def p_topk_loser(self) -> float:
-        return self._fraction(self.tally.topk_loser)
-
-    def interval(self, which: str) -> tuple[float, float]:
-        return wilson_interval(getattr(self.tally, which), self.tally.used)
+    def interval(self, name: str) -> tuple[float, float]:
+        """The Wilson interval of :meth:`fraction`."""
+        return wilson_interval(getattr(self, name), self.used)
 
 
 def _tally_report(tally: MethodTally, report: SpoilerReport, weak, tie: TiePolicy) -> bool:
@@ -134,10 +114,6 @@ def _new_tallies(method_ids: Sequence[str]) -> dict[str, MethodTally]:
         if mid not in METHODS:
             raise KeyError(f"unknown method {mid!r}")
     return {mid: MethodTally() for mid in method_ids}
-
-
-def _results(tallies: dict[str, MethodTally]) -> dict[str, MethodResult]:
-    return {mid: MethodResult(mid, METHODS[mid].label, t) for mid, t in tallies.items()}
 
 
 def _audit(
@@ -176,7 +152,7 @@ class SimulationResult:
     spec: CultureSpec
     trials: int
     tie: TiePolicy
-    methods: dict[str, MethodResult]
+    methods: dict[str, MethodTally]
 
 
 def run_simulation(
@@ -213,15 +189,17 @@ def run_simulation(
             for result in pool.map(_simulate_block, blocks):
                 for mid, tally in result.items():
                     tallies[mid].merge(tally)
-    return SimulationResult(spec=spec, trials=trials, tie=tie, methods=_results(tallies))
+    return SimulationResult(spec=spec, trials=trials, tie=tie, methods=tallies)
 
 
 @dataclass
 class StabilityAggregate:
-    """Winning-set stability counters over a corpus, per method."""
+    """Winning-set stability counters over a corpus, per method.
 
-    spoiler_elections: int = 0
-    multi_spoiler_elections: int = 0
+    The counts of spoiler and multiple-spoiler elections are the method's
+    :attr:`MethodTally.spoiler` and :attr:`MethodTally.multiple`.
+    """
+
     greatest_num_spoilers: int = 0
     multi_alt_set_elections: int = 0  # among multi-spoiler elections
     greatest_num_alt_sets: int = 0
@@ -240,7 +218,7 @@ class CorpusResult:
     k_override: int | None
     elections_used: int
     elections_skipped: int
-    methods: dict[str, MethodResult]
+    methods: dict[str, MethodTally]
     stability: dict[str, StabilityAggregate]
     clones: dict[str, CloneStats]
     details: list[dict] = field(default_factory=list)
@@ -295,12 +273,8 @@ def run_corpus_audit(
             summary = stability_summary(report)
             if counted:
                 s = stability[mid]
-                if summary.num_spoilers >= 1:
-                    s.spoiler_elections += 1
-                if summary.num_spoilers >= 2:
-                    s.multi_spoiler_elections += 1
-                    if summary.num_alternate_sets > 1:
-                        s.multi_alt_set_elections += 1
+                if summary.num_spoilers >= 2 and summary.num_alternate_sets > 1:
+                    s.multi_alt_set_elections += 1
                 s.greatest_num_spoilers = max(s.greatest_num_spoilers, summary.num_spoilers)
                 s.greatest_num_alt_sets = max(s.greatest_num_alt_sets, summary.num_alternate_sets)
                 clones[mid] += clone_statistics([(report, profile)])
@@ -318,7 +292,7 @@ def run_corpus_audit(
         k_override=k_override,
         elections_used=used,
         elections_skipped=skipped,
-        methods=_results(tallies),
+        methods=tallies,
         stability=stability,
         clones=clones,
         details=details,
@@ -338,21 +312,21 @@ FRACTION_COLUMNS = tuple(
 )
 
 
-def method_rows(methods: dict[str, MethodResult]) -> list[dict]:
+def method_rows(methods: dict[str, MethodTally]) -> list[dict]:
     """One row per method: each fraction with its Wilson interval, then counts."""
     rows = []
-    for res in methods.values():
-        row: dict = {"method": res.label}
+    for mid, tally in methods.items():
+        row: dict = {"method": METHODS[mid].label}
         for name in _FRACTIONS:
-            lo, hi = res.interval(name)
-            row[name] = getattr(res, f"p_{name}")
+            lo, hi = tally.interval(name)
+            row[name] = tally.fraction(name)
             row[f"{name}_lo"] = lo
             row[f"{name}_hi"] = hi
         row.update(
-            trials_used=res.tally.used,
-            ties_discarded=res.tally.ties_discarded,
-            ties_flagged=res.tally.ties_flagged,
-            errors=res.tally.errors,
+            trials_used=tally.used,
+            ties_discarded=tally.ties_discarded,
+            ties_flagged=tally.ties_flagged,
+            errors=tally.errors,
         )
         rows.append(row)
     return rows
@@ -360,7 +334,13 @@ def method_rows(methods: dict[str, MethodResult]) -> list[dict]:
 
 def stability_rows(result: CorpusResult) -> list[dict]:
     return [
-        {"method": METHODS[mid].label, **asdict(agg)} for mid, agg in result.stability.items()
+        {
+            "method": METHODS[mid].label,
+            "spoiler_elections": result.methods[mid].spoiler,
+            "multi_spoiler_elections": result.methods[mid].multiple,
+            **asdict(agg),
+        }
+        for mid, agg in result.stability.items()
     ]
 
 

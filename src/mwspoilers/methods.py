@@ -172,10 +172,6 @@ class TabulationTrace(NamedTuple):
     rounds: tuple[StvRound, ...]
     winners: tuple[int, ...]  # in order of election
 
-    @property
-    def quota_votes(self) -> int:
-        return self.quota // UNIT
-
 
 def _hand_on(
     entries: Sequence[tuple], piles: list[list[tuple]], totals: list[int], out: list[bool]

@@ -35,6 +35,14 @@ from mwspoilers.methods import (
 from mwspoilers.spoilers import SpoilerReport
 
 
+def sole_committee(outcome: OutcomeSet) -> frozenset[int]:
+    """The committee of an outcome that holds exactly one."""
+    if len(outcome.committees) != 1:
+        raise ValueError(f"outcome is a tie between several committees: {outcome}")
+    (committee,) = outcome.committees
+    return committee
+
+
 def pick(profile: Profile, cands: list[int], tie: TiePolicy, what: str) -> int:
     """One of the exactly tied ``cands`` by ``tie``: the least name or index, or a TieError."""
     if len(cands) == 1:
@@ -513,7 +521,7 @@ def srcv_by_removal(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> Outco
     for seat in range(profile.k):
         outcome, _ = stv_by_parcels(current.with_seats(1), tie)
         tie_used = tie_used or outcome.tie_flag
-        winner = next(iter(outcome.sole_committee()))
+        winner = next(iter(sole_committee(outcome)))
         seats.append(original[winner])
         if seat < profile.k - 1:
             try:

@@ -12,6 +12,7 @@ import os
 import re
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 from mwspoilers.blt_io import parse_blt
 from mwspoilers.core import Profile
@@ -25,25 +26,37 @@ def corpus_dir() -> Path | None:
     return path if path.is_dir() else None
 
 
+class Corpus(NamedTuple):
+    elections: tuple[tuple[str, Profile], ...]
+    skipped: tuple[str, ...]  # files that could not be read or are not ballot files
+
+
 @lru_cache(maxsize=1)
-def load_corpus() -> tuple[tuple[str, Profile], ...]:
+def load_corpus() -> Corpus:
+    """Every ``.blt`` file under ``SCOT_ELEX_DIR``, parsed, by relative path.
+
+    A file skipped as unreadable or malformed (``OSError``, ``ValueError``, as
+    the command line skips it) is listed in ``skipped``; any other exception
+    is a bug and propagates.
+    """
     root = corpus_dir()
     if root is None:
-        return ()
-    elections = []
+        return Corpus((), ())
+    elections, skipped = [], []
     for file in sorted(root.rglob("*.blt")):
+        name = str(file.relative_to(root))
         try:
-            elections.append((str(file.relative_to(root)), parse_blt(file.read_bytes())))
-        except Exception:
-            continue
-    return tuple(elections)
+            elections.append((name, parse_blt(file.read_bytes())))
+        except (OSError, ValueError):
+            skipped.append(name)
+    return Corpus(tuple(elections), tuple(skipped))
 
 
 def find_by_candidates(surnames: list[str], m: int, k: int) -> Profile | None:
     """The unique corpus election whose roster carries all the surnames."""
     pattern = [re.compile(rf"\b{re.escape(s)}\b", re.IGNORECASE) for s in surnames]
     matches = []
-    for _, profile in load_corpus():
+    for _, profile in load_corpus().elections:
         if profile.m != m or profile.k != k:
             continue
         if all(any(p.search(name) for name in profile.names) for p in pattern):

@@ -18,6 +18,7 @@ from mwspoilers.extend import hamilton_apportion
 from mwspoilers.harness import run_simulation
 from mwspoilers.methods import (
     METHODS,
+    UNIT,
     TiePolicy,
     chamberlin_courant,
     mcc,
@@ -30,6 +31,7 @@ from conftest import random_profile, vote_splitting_profile
 from oracles import (
     all_condorcet_committees,
     cc_enumeration,
+    sole_committee,
     spoiler_verdicts_by_definition,
     verdicts_by_name,
 )
@@ -53,12 +55,12 @@ def test_criterion_1_vote_splitting_pair():
         t0 = time.perf_counter()
         rep = analyze_spoilers(p, "sntv", TiePolicy.ERROR)
         best = min(best, time.perf_counter() - t0)
-    assert rep.outcome.sole_committee() == frozenset([0])  # A wins
+    assert sole_committee(rep.outcome) == frozenset([0])  # A wins
     verdicts = {v.candidate: v for v in rep.verdicts}
     assert verdicts[2].is_spoiler  # removing S elects W
-    assert verdicts[2].alternate.sole_committee() == frozenset([1])
+    assert sole_committee(verdicts[2].alternate) == frozenset([1])
     assert verdicts[1].is_spoiler  # removing W elects S
-    assert verdicts[1].alternate.sole_committee() == frozenset([2])
+    assert sole_committee(verdicts[1].alternate) == frozenset([2])
     assert best < 0.001, f"took {best * 1e6:.0f} us"
     report("1 vote-splitting oracle", f"{best * 1e6:.0f} us")
 
@@ -129,9 +131,9 @@ def test_criterion_2_official_count_reproduction():
     t0 = time.perf_counter()
     outcome, trace = stv(profile, TiePolicy.ALPHABETICAL)
     elapsed = time.perf_counter() - t0
-    assert trace.quota_votes == 2684
+    assert trace.quota == 2684 * UNIT
     index = check_round_table(profile, trace, EDINBURGH_ROUNDS)
-    winners = outcome.sole_committee()
+    winners = sole_committee(outcome)
     assert winners == {index[s] for s in ("Bandel", "Mitchell", "Nicolson", "Osler")}
     assert elapsed < 1.0
 
@@ -139,9 +141,9 @@ def test_criterion_2_official_count_reproduction():
 
     reduced = remove_candidate(profile, index["Herring"])
     outcome2, trace2 = stv(reduced, TiePolicy.ALPHABETICAL)
-    assert trace2.quota_votes == 2677
+    assert trace2.quota == 2677 * UNIT
     check_round_table(reduced, trace2, HERRING_REMOVED_ROUNDS)
-    winner_names = {reduced.names[c] for c in outcome2.sole_committee()}
+    winner_names = {reduced.names[c] for c in sole_committee(outcome2)}
     assert any("Wood" in name for name in winner_names)
     assert not any("Bandel" in name for name in winner_names)
     report("2 official count reproduction", f"{elapsed * 1000:.0f} ms")
@@ -198,7 +200,7 @@ def test_criterion_4_simulation_reproduction_ci():
     result = run_ic_campaign(10_000)
     lines = []
     for mid, target in SIMULATION_TARGETS.items():
-        got = 100 * result.methods[mid].p_spoiler
+        got = 100 * result.methods[mid].fraction("spoiler")
         lines.append(f"{mid}={got:.1f} (published {target})")
         assert got == pytest.approx(target, abs=2.5), lines[-1]
     report("4 simulation reproduction @10k/±2.5", "; ".join(lines))
@@ -213,7 +215,7 @@ def test_criterion_4_simulation_reproduction_full():
     lines = []
     failures = []
     for mid, target in SIMULATION_TARGETS.items():
-        got = 100 * result.methods[mid].p_spoiler
+        got = 100 * result.methods[mid].fraction("spoiler")
         lines.append(f"{mid}={got:.2f} (published {target})")
         if abs(got - target) > 1.0:
             failures.append(lines[-1])
@@ -230,7 +232,7 @@ def test_criterion_5_spatial_bloc_structural_zero(m, k):
     trials = 100_000
     spec = CultureSpec("spatial1d", "complete", m, k, 1001, seed=2022)
     result = run_simulation(spec, ["bloc"], trials=trials, workers=2)
-    tally = result.methods["bloc"].tally
+    tally = result.methods["bloc"]
     assert tally.spoiler == 0
     assert tally.used + tally.ties_discarded == trials
     report(
@@ -254,7 +256,7 @@ def test_criterion_6_bruteforce_equivalence():
             cc_checks += 1
         verified = all_condorcet_committees(p, p.k)
         if verified:
-            assert mcc(p, TiePolicy.ALPHABETICAL).sole_committee() == verified[0]
+            assert sole_committee(mcc(p, TiePolicy.ALPHABETICAL)) == verified[0]
             mcc_hits += 1
         for mid in METHODS:
             _, expected = spoiler_verdicts_by_definition(p, mid, TiePolicy.ALPHABETICAL)
@@ -273,7 +275,7 @@ def test_criterion_6_bruteforce_equivalence():
 
 
 def test_criterion_7_corpus_rates():
-    elections = scotdata.load_corpus()
+    elections, skipped = scotdata.load_corpus()
     if not elections:
         pytest.skip("Scottish ballot data not available (set SCOT_ELEX_DIR)")
     from mwspoilers.harness import run_corpus_audit
@@ -281,19 +283,20 @@ def test_criterion_7_corpus_rates():
     result = run_corpus_audit(
         elections, ["stv", "srcv", "sntv", "mcc", "topk_irv"], tie=TiePolicy.ALPHABETICAL
     )
-    rates = {mid: 100 * result.methods[mid].p_spoiler for mid in ("stv", "srcv", "sntv")}
+    rates = {mid: 100 * result.methods[mid].fraction("spoiler") for mid in ("stv", "srcv", "sntv")}
     assert rates["stv"] == pytest.approx(4.9, abs=0.3), rates
     assert rates["srcv"] == pytest.approx(2.8, abs=0.3), rates
     assert rates["sntv"] == pytest.approx(11.0, abs=0.3), rates
-    stv_spoiler_elections = result.stability["stv"].spoiler_elections
+    stv_spoiler_elections = result.methods["stv"].spoiler
     assert abs(stv_spoiler_elections - 49) <= 2
     for mid in ("mcc", "topk_irv"):
-        tally = result.methods[mid].tally
+        tally = result.methods[mid]
         assert abs(tally.spoiler - 4) <= 1, (mid, tally.spoiler)
         assert tally.multiple <= 1, (mid, tally.multiple)
     report(
         "7 corpus rates",
-        f"{result.elections_used} elections; stv={rates['stv']:.1f}% "
+        f"{result.elections_used} elections, {len(skipped)} files skipped; "
+        f"stv={rates['stv']:.1f}% "
         f"({stv_spoiler_elections} spoiler elections)",
     )
 

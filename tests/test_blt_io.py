@@ -252,13 +252,13 @@ def test_emit_aggregates_identical_ballots():
 
 
 def test_csv_formats_fractions_as_percentages():
-    out = emit_results_csv([{"method": "STV", "spoiler": 0.049}])
-    assert out == b"method,spoiler\nSTV,4.9\n"
+    out = emit_results_csv([{"method": "STV", "spoiler": 0.049, "ratio": 0.049}], ["spoiler"])
+    assert out == b"method,spoiler,ratio\nSTV,4.9,0.049\n"
 
 
 def test_csv_empty_table_is_header_only():
-    assert emit_results_csv([], columns=["method", "spoiler"]) == b"method,spoiler\n"
-    assert emit_results_csv([]) == b""
+    assert emit_results_csv([], (), columns=["method", "spoiler"]) == b"method,spoiler\n"
+    assert emit_results_csv([], ()) == b""
 
 
 def test_csv_non_percent_floats_and_none():
@@ -269,8 +269,12 @@ def test_csv_non_percent_floats_and_none():
 
 
 def test_csv_quotes_fields_containing_separators():
-    out = emit_results_csv([{"election": 'ward "A", north', "n": 5}])
+    out = emit_results_csv([{"election": 'ward "A", north', "n": 5}], ())
     assert out == b'election,n\n"ward ""A"", north",5\n'
+    # A carriage return is a line break to a CSV reader, as a line feed is.
+    rows = [{"method": "x", "spoilers": "A\rB"}, {"method": "y", "spoilers": "C\nD"}]
+    out = emit_results_csv(rows, ())
+    assert out == b'method,spoilers\nx,"A\rB"\ny,"C\nD"\n'
 
 
 def test_whole_corpus_parses_and_round_trips():

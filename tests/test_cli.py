@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import sys
 
@@ -20,17 +21,21 @@ def blt_file(tmp_path):
     return path
 
 
+def spoiled_ward(names=default_names(4)) -> Profile:
+    """A two-seat ward in which C and D are both SNTV spoilers."""
+    return Profile.build(
+        4,
+        names,
+        [((0, 1, 2, 3), 100), ((1, 0, 2, 3), 90), ((2, 3, 0, 1), 40), ((3, 2, 1, 0), 65)],
+        2,
+    )
+
+
 @pytest.fixture
 def corpus_dir(tmp_path):
     d = tmp_path / "corpus"
     d.mkdir()
-    spoiled = Profile.build(
-        4,
-        default_names(4),
-        [((0, 1, 2, 3), 100), ((1, 0, 2, 3), 90), ((2, 3, 0, 1), 40), ((3, 2, 1, 0), 65)],
-        2,
-    )
-    (d / "a.blt").write_bytes(emit_blt(spoiled, title="a"))
+    (d / "a.blt").write_bytes(emit_blt(spoiled_ward(), title="a"))
     (d / "b.blt").write_bytes(emit_blt(vote_splitting_profile(2), title="b"))
     (d / "broken.blt").write_bytes(b"not a ballot file\n")
     return d
@@ -54,6 +59,28 @@ def test_tabulate_trace_table(blt_file, capsys):
     assert out.startswith("Quota = 116")
     assert "130*" in out  # W elected on 130 transferred votes
     assert "Elected: W" in out
+
+
+def test_tabulate_trace_rounds_fractional_totals_half_up(tmp_path, capsys):
+    # D's surplus of 20 - 7 passes on at 13/20 = 0.65 a ballot: A gets 0.65,
+    # B 4.55 and C 7.8, so two cells round half up.
+    profile = Profile.build(
+        4, default_names(4), [((3, 0, 2, 1), 1), ((3, 2), 12), ((3, 1), 7)], 2
+    )
+    path = tmp_path / "surplus.blt"
+    path.write_bytes(emit_blt(profile, title="surplus"))
+    code, out, _ = run_cli(capsys, "tabulate", str(path), "--trace")
+    assert code == 0
+    assert [line.rstrip() for line in out.splitlines()] == [
+        "Quota = 7",
+        "  |       R1       R2",
+        "---------------------",
+        "A |        0      0.7",
+        "B |        0      4.6",
+        "C |        0     7.8*",
+        "D |      20*",
+        "Elected: C, D",
+    ]
 
 
 def test_spoilers_on_directory(corpus_dir, tmp_path, capsys):
@@ -185,13 +212,7 @@ def test_only_a_detail_table_keeps_detail_rows(corpus_dir, tmp_path, monkeypatch
 def test_unreadable_ballot_path_is_a_warning(argv, used, tmp_path, capsys):
     d = tmp_path / "corpus"
     (d / "sub.blt").mkdir(parents=True)
-    ward = Profile.build(
-        4,
-        default_names(4),
-        [((0, 1, 2, 3), 100), ((1, 0, 2, 3), 90), ((2, 3, 0, 1), 40), ((3, 2, 1, 0), 65)],
-        2,
-    )
-    (d / "ward.blt").write_bytes(emit_blt(ward, title="ward"))
+    (d / "ward.blt").write_bytes(emit_blt(spoiled_ward(), title="ward"))
     code, out, err = run_cli(capsys, argv[0], str(d), *argv[1:])
     assert code == 0
     assert out.startswith("method,")
@@ -202,6 +223,21 @@ def test_unreadable_ballot_path_is_a_warning(argv, used, tmp_path, capsys):
         assert used in err
     else:
         assert out.splitlines()[1].startswith("SNTV,")
+
+
+def test_detail_table_quotes_a_name_with_a_carriage_return(tmp_path, capsys):
+    d = tmp_path / "corpus"
+    d.mkdir()
+    ward = spoiled_ward(("A", "B", "C\rc", "D\rd"))
+    (d / "ward.blt").write_bytes(emit_blt(ward, title="ward"))
+    detail_csv = tmp_path / "detail.csv"
+    code, _, _ = run_cli(
+        capsys, "spoilers", str(d), "--methods", "sntv", "--detail-out", str(detail_csv)
+    )
+    assert code == 0
+    with open(detail_csv, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["election"], row["spoilers"]) for row in rows] == [("ward.blt", "C\rc;D\rd")]
 
 
 def test_spoilers_detail_table_keeps_failed_audits(tmp_path, capsys):
@@ -259,6 +295,8 @@ def test_spoilers_detail_table_has_a_header_when_every_election_is_filtered(tmp_
     "argv",
     [
         ["subelections", "{corpus}", "--t", "4", "--k", "4"],
+        ["subelections", "{corpus}", "--t", "4", "--k", "3"],
+        ["subelections", "{corpus}", "--t", "4", "--k", "1"],
         ["simulate", "--model", "ic", "--regime", "complete", "--m", "4", "--k", "4",
          "--trials", "3"],
         ["simulate", "--model", "ic", "--regime", "complete", "--m", "4", "--k", "2",
@@ -279,7 +317,8 @@ def test_spoilers_detail_table_has_a_header_when_every_election_is_filtered(tmp_
         ["extend", "{corpus}/a.blt", "--stop-ratio", "0"],
         ["extend", "{corpus}/a.blt", "--stop-ratio", "nan"],
     ],
-    ids=["subelections-k-not-below-t", "simulate-k-not-below-m", "simulate-negative-trials",
+    ids=["subelections-k-not-below-t", "subelections-k-leaves-one-loser",
+         "subelections-single-seat", "simulate-k-not-below-m", "simulate-negative-trials",
          "simulate-no-workers", "simulate-negative-workers", "simulate-ic-m-too-large",
          "simulate-m-above-256", "simulate-negative-seed", "simulate-negative-seed-two-workers",
          "extend-stop-ratio-above-1", "extend-stop-ratio-0",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mwspoilers.core import Profile, default_names
-from mwspoilers.extend import ExtensionConfig, extend_profile, hamilton_apportion
+from mwspoilers.extend import extend_profile, hamilton_apportion
 
 from conftest import random_profile
 
@@ -96,7 +96,7 @@ def test_stop_ratio_blocks_thin_evidence():
     # the short ballots stay short; with the threshold dropped they extend.
     p = seat_profile([((0, 1), 100), ((0, 1, 2), 1)], m=4)
     assert extend_profile(p) == p
-    out = extend_profile(p, ExtensionConfig(stop_ratio=0.005))
+    out = extend_profile(p, stop_ratio=0.005)
     assert {b.ranking for b in out.ballots} == {b"\x00\x01\x02"}
     assert out.n == 101
 
@@ -139,7 +139,8 @@ def test_extension_never_shortens():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ExtensionConfig(stop_ratio=0.0)
-    with pytest.raises(ValueError):
-        ExtensionConfig(stop_ratio=1.5)
+    p = seat_profile([((0, 1), 1)], m=3, k=1)
+    with pytest.raises(ValueError, match=r"^stop_ratio must be in \(0, 1\], got 0.0$"):
+        extend_profile(p, stop_ratio=0.0)
+    with pytest.raises(ValueError, match=r"^stop_ratio must be in \(0, 1\], got 1.5$"):
+        extend_profile(p, stop_ratio=1.5)

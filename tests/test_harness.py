@@ -58,20 +58,19 @@ def test_tally_merge_is_fieldwise_addition():
 def test_counts_are_consistent():
     spec = CultureSpec("ic", "complete", 4, 2, 101, seed=3)
     res = run_simulation(spec, ["sntv", "stv"], trials=300)
-    for r in res.methods.values():
-        t = r.tally
+    for t in res.methods.values():
         assert t.requested == 300
         assert t.used + t.ties_discarded + t.errors == 300
         assert t.multiple <= t.spoiler <= t.used
         assert t.plurality_loser <= t.spoiler
         assert t.topk_loser <= t.spoiler
-        assert 0.0 <= r.p_multiple <= r.p_spoiler <= 1.0
+        assert 0.0 <= t.fraction("multiple") <= t.fraction("spoiler") <= 1.0
 
 
 def test_single_trial_fractions_are_zero_or_one():
     spec = CultureSpec("iac", "complete", 4, 2, 101, seed=9)
     res = run_simulation(spec, ["sntv"], trials=1, tie=TiePolicy.LOWEST_INDEX)
-    assert res.methods["sntv"].p_spoiler in (0.0, 1.0)
+    assert res.methods["sntv"].fraction("spoiler") in (0.0, 1.0)
 
 
 def test_workers_do_not_change_results():
@@ -79,7 +78,7 @@ def test_workers_do_not_change_results():
     serial = run_simulation(spec, ["sntv", "bloc", "stv"], trials=200, workers=1)
     parallel = run_simulation(spec, ["sntv", "bloc", "stv"], trials=200, workers=2)
     for mid in serial.methods:
-        assert serial.methods[mid].tally == parallel.methods[mid].tally
+        assert serial.methods[mid] == parallel.methods[mid]
 
 
 def test_pool_starts_no_more_workers_than_blocks(monkeypatch):
@@ -106,7 +105,7 @@ def test_pool_starts_no_more_workers_than_blocks(monkeypatch):
     # Three trials make three one-trial blocks, so four workers would leave one idle.
     pooled = run_simulation(spec, ["sntv"], trials=3, workers=4)
     assert sizes == [3]
-    assert pooled.methods["sntv"].tally == serial.methods["sntv"].tally
+    assert pooled.methods["sntv"] == serial.methods["sntv"]
     run_simulation(spec, ["sntv"], trials=40, workers=2)
     assert sizes == [3, 2]
 
@@ -121,7 +120,7 @@ def test_workers_below_one_are_rejected(workers):
 def test_lenient_policy_counts_flagged_ties():
     spec = CultureSpec("ic", "complete", 4, 2, 101, seed=5)
     res = run_simulation(spec, ["sntv"], trials=400, tie=TiePolicy.LOWEST_INDEX)
-    t = res.methods["sntv"].tally
+    t = res.methods["sntv"]
     assert t.used == 400
     assert t.ties_discarded == 0
     assert t.ties_flagged > 0  # n=101 makes exact ties common
@@ -155,7 +154,7 @@ def test_full_method_slate_yields_one_row_per_method():
 def test_zero_trials():
     spec = CultureSpec("ic", "complete", 3, 1, 51, seed=1)
     res = run_simulation(spec, ["sntv"], trials=0)
-    assert res.methods["sntv"].p_spoiler == 0.0
+    assert res.methods["sntv"].fraction("spoiler") == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +196,7 @@ def test_corpus_filtering_and_details():
     assert result.elections_used == 2
     assert result.elections_skipped == 2
     assert {d["election"] for d in result.details} == {"spoiled", "clean"}
-    tally = result.methods["sntv"].tally
+    tally = result.methods["sntv"]
     assert tally.requested == 2
     assert tally.spoiler == 1 and tally.multiple == 1
     spoiled_row = next(d for d in result.details if d["election"] == "spoiled")
@@ -225,6 +224,16 @@ def test_corpus_k_override_filters_before_replacing():
     assert all(d["k"] == 2 for d in result.details)
 
 
+def test_corpus_k_override_reseats_a_surviving_election():
+    ward = sample_profile(CultureSpec("ic", "partial", 6, 2, 41, seed=1), 0)
+    reseated = run_corpus_audit([("w", ward)], list(METHODS), k_override=3)
+    direct = run_corpus_audit([("w", ward.with_seats(3))], list(METHODS))
+    assert reseated.elections_used == 1
+    assert all(d["k"] == 3 for d in reseated.details)
+    assert replace(reseated, k_override=None) == direct
+    assert reseated.methods != run_corpus_audit([("w", ward)], list(METHODS)).methods
+
+
 def test_corpus_stability_and_clone_tables():
     result = run_corpus_audit(corpus(), ["sntv", "stv"], tie=TiePolicy.ALPHABETICAL)
     srows = stability_rows(result)
@@ -238,8 +247,8 @@ def test_corpus_stability_and_clone_tables():
 def test_corpus_empty_input():
     result = run_corpus_audit([], ["sntv"])
     assert result.elections_used == 0
-    assert result.methods["sntv"].tally.requested == 0
-    assert result.methods["sntv"].p_spoiler == 0.0
+    assert result.methods["sntv"].requested == 0
+    assert result.methods["sntv"].fraction("spoiler") == 0.0
 
 
 def test_corpus_round_trip_through_blt():
@@ -248,7 +257,7 @@ def test_corpus_round_trip_through_blt():
     assert parse_blt(blob) == p
     result = run_corpus_audit([("x", parse_blt(blob))], ["sntv"])
     assert result.elections_used == 1
-    assert result.methods["sntv"].tally.spoiler == 1
+    assert result.methods["sntv"].spoiler == 1
 
 
 def test_no_profile_outlives_its_corpus_audit():
@@ -264,7 +273,7 @@ def test_no_profile_outlives_its_corpus_audit():
 
     result = run_corpus_audit(elections(), list(METHODS), tie=TiePolicy.ALPHABETICAL)
     assert result.elections_used == 6
-    assert all(r.tally.used == 6 for r in result.methods.values())
+    assert all(t.used == 6 for t in result.methods.values())
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +296,9 @@ def test_search_budget_errors_are_counted():
     # C(24, 12) committees exceed exact CC's search budget.
     spec = CultureSpec("spatial1d", "complete", 24, 12, 25, seed=4)
     res = run_simulation(spec, ["cc_om", "sntv"], trials=3, tie=TiePolicy.LOWEST_INDEX)
-    assert res.methods["cc_om"].tally.errors == 3
-    assert res.methods["cc_om"].tally.requested == 3
-    assert res.methods["sntv"].tally.errors == 0
+    assert res.methods["cc_om"].errors == 3
+    assert res.methods["cc_om"].requested == 3
+    assert res.methods["sntv"].errors == 0
 
 
 def audit_without_sharing(monkeypatch):
@@ -351,7 +360,7 @@ def test_corpus_audit_tallies_equal_campaign_tallies(spec, trials, tie):
     audit = run_corpus_audit(elections, list(METHODS), tie=tie)
     assert audit.elections_skipped == 0
     for mid in METHODS:
-        assert audit.methods[mid].tally == campaign.methods[mid].tally
+        assert audit.methods[mid] == campaign.methods[mid]
 
 
 def tie_then_spoiler_profile():
@@ -369,13 +378,13 @@ def test_error_policy_corpus_keeps_tie_rows_out_of_stability_and_clones():
     spoiled = ("spoiled", spoiled_profile())
     result = run_corpus_audit([tied, spoiled], ["stv"], tie=TiePolicy.ERROR)
     alone = run_corpus_audit([spoiled], ["stv"], tie=TiePolicy.ERROR)
-    tally = result.methods["stv"].tally
+    tally = result.methods["stv"]
     assert (tally.requested, tally.used, tally.ties_discarded) == (2, 1, 1)
     detail = emit_results_csv(result.details, ()).decode().splitlines()
     assert "tied,stv,4,2,8,1,1,B,1,1" in detail
-    assert result.stability == alone.stability
+    assert stability_rows(result) == stability_rows(alone)
     assert result.clones == alone.clones
     # A deterministic policy counts the same election, so it does reach both.
     lenient = run_corpus_audit([tied, spoiled], ["stv"], tie=TiePolicy.ALPHABETICAL)
-    assert lenient.stability != alone.stability
+    assert stability_rows(lenient) != stability_rows(alone)
     assert lenient.clones != alone.clones

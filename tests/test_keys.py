@@ -24,7 +24,7 @@ from mwspoilers.core import (
     restrict_to_subset,
 )
 from mwspoilers.cultures import CultureSpec, sample_profile
-from mwspoilers.extend import ExtensionConfig, extend_profile
+from mwspoilers.extend import extend_profile
 
 from oracles import restricted_ranking
 
@@ -149,6 +149,6 @@ def test_parsed_and_extended_profiles_hold_bytes_rankings(ward):
     parsed = parse_blt(emit_blt(ward))
     assert parsed == ward
     assert_keys(parsed)
-    extended = extend_profile(parsed, ExtensionConfig(stop_ratio=0.01))
+    extended = extend_profile(parsed, stop_ratio=0.01)
     assert extended != parsed
     assert_keys(extended)

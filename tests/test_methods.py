@@ -29,6 +29,7 @@ from mwspoilers.methods import (
 from mwspoilers.spoilers import analyze_spoilers
 
 from conftest import outcome_or_tie, vote_splitting_profile
+from oracles import sole_committee
 
 
 def names_of(profile, committee):
@@ -36,7 +37,7 @@ def names_of(profile, committee):
 
 
 def sole(profile, outcome):
-    return names_of(profile, outcome.sole_committee())
+    return names_of(profile, sole_committee(outcome))
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +53,7 @@ def test_quota():
 def test_stv_single_winner_vote_splitting(table_profile):
     outcome, trace = stv(table_profile)
     assert sole(table_profile, outcome) == ["W"]
-    assert trace.quota_votes == 116
+    assert trace.quota == 116 * UNIT
     # S (40 first preferences) is excluded and W wins on the transfers.
     assert trace.rounds[0].eliminated == 2
     assert dict(trace.rounds[1].totals)[1] == 130 * UNIT
@@ -67,7 +68,7 @@ def test_stv_surplus_truncates_at_five_decimals():
     )
     outcome, trace = stv(p)
     assert sole(p, outcome) == ["A", "B"]
-    assert trace.quota_votes == 34
+    assert trace.quota == 34 * UNIT
     r1, r2 = trace.rounds
     assert dict(r1.totals) == {0: 37 * UNIT, 1: 33 * UNIT, 2: 30 * UNIT}
     assert r1.elected == ((0, 3 * UNIT),)
@@ -87,7 +88,7 @@ def test_stv_exclusion_transfers_skip_elected_candidates():
     )
     outcome, trace = stv(p)
     assert sole(p, outcome) == ["A", "B"]
-    assert trace.quota_votes == 14
+    assert trace.quota == 14 * UNIT
     r1, r2, r3 = trace.rounds
     assert r1.elected == ((0, 1 * UNIT),)
     # A's surplus lands on C at 15 * 0.06666.
@@ -174,7 +175,7 @@ def test_boundary_tie_enumeration_is_bounded(monkeypatch):
     message = "C(39, 19) = 68923264410 tied committees exceeds budget 1000000; use tie policy"
     with pytest.raises(SearchBudgetError, match=f"^{re.escape(message)} lowest_index$"):
         sntv(p, TiePolicy.ALPHABETICAL)
-    assert len(sntv(p, TiePolicy.LOWEST_INDEX).sole_committee()) == 20
+    assert len(sole_committee(sntv(p, TiePolicy.LOWEST_INDEX))) == 20
     # Five tied for two seats: C(5, 2) = 10 completions, listed at the budget, refused past it.
     small = Profile.build(6, "ABCDEF", [((0,), 1)], 3)
     monkeypatch.setattr("mwspoilers.methods._SEARCH_BUDGET", 10)
@@ -213,7 +214,7 @@ def test_srcv_exhausted_ballots_leave_remaining_seats_to_the_tie_policy():
     by_name = srcv(p, TiePolicy.ALPHABETICAL)
     assert sole(p, by_name) == ["A", "B", "D", "E"] and by_name.tie_flag
     by_index = srcv(p, TiePolicy.LOWEST_INDEX)
-    assert by_index.sole_committee() == frozenset([0, 1, 2, 3]) and by_index.tie_flag
+    assert sole_committee(by_index) == frozenset([0, 1, 2, 3]) and by_index.tie_flag
 
 
 def test_srcv_quota_is_a_majority_of_the_live_ballots():
@@ -330,7 +331,7 @@ def test_top_k_irv_vote_splitting():
 def test_top_k_irv_k_equals_m_minus_1_drops_plurality_loser(table_profile):
     p = vote_splitting_profile(2)
     outcome = top_k_irv(p)
-    assert 2 not in outcome.sole_committee()  # S is the plurality loser
+    assert 2 not in sole_committee(outcome)  # S is the plurality loser
 
 
 def test_top_k_irv_single_seat_matches_stv(table_profile):
@@ -459,9 +460,9 @@ READERS = [
      lambda tie: outcome_or_tie(run_method, "sntv", SCORE_BOUNDARY, tie)),
     ("run-simulation", TiePolicy,
      lambda tie: run_simulation(CultureSpec("ic", "complete", 4, 2, 51, seed=1), ["sntv"], 200,
-                                tie=tie).methods["sntv"].tally),
+                                tie=tie).methods["sntv"]),
     ("run-corpus-audit", TiePolicy,
-     lambda tie: run_corpus_audit([("e", SCORE_BOUNDARY)], ["sntv"], tie=tie).methods["sntv"].tally),
+     lambda tie: run_corpus_audit([("e", SCORE_BOUNDARY)], ["sntv"], tie=tie).methods["sntv"]),
     ("borda-scores", UnrankedModel, lambda model: borda_scores(PARTIAL, model)),
     ("point-matrix", UnrankedModel, lambda model: point_matrix(PARTIAL, model).tolist()),
 ]  # fmt: skip

@@ -24,7 +24,10 @@ flags, shared removals, one spoiler analysis per rule) under the five rules
 and the tie policy of the benchmark's IC campaign, 100 times a round, each
 time on a fresh copy, so each audit also tallies its profile; it measures
 the fixed costs per rule run that dominate such campaigns, the outcome and
-report records included.  Print the timings with
+report records included.  Outside the timed part it also checks, against
+the definition oracle, the first trial of the sample's spec that has a
+spoiler and a re-run winner above a removed candidate, since the sample's
+own re-runs map every winner to itself.  Print the timings with
 ``pytest tests/test_microbench.py``; compare runs with pytest-benchmark's
 ``--benchmark-autosave`` and ``--benchmark-compare``.
 """
@@ -221,6 +224,27 @@ def test_bench_audit_campaign_sample(benchmark):
     for mid in methods:
         report, _ = audits[0][mid]
         assert verdicts_by_name(p, report) == spoiler_verdicts_by_definition(p, mid, tie), mid
+
+    # The sample elects 0 and 1 under every rule and has no spoiler, so no
+    # re-run winner changes index.  The first trial of its spec, by the oracle,
+    # with a spoiler and a re-run electing the candidate just above the one
+    # removed (whose reduced index is the removed one's) checks the re-indexing.
+    spec = CultureSpec("ic", "complete", 4, 2, 1001, seed=5)
+    for trial in range(100):
+        q = sample_ic(spec, trial)
+        expected = {mid: spoiler_verdicts_by_definition(q, mid, tie) for mid in methods}
+        verdicts = [(c, v) for _, by_c in expected.values() for c, v in by_c.items()]
+        if any(is_spoiler for _, (is_spoiler, _, _) in verdicts) and any(
+            q.names[c + 1] in committee
+            for c, (_, _, alternate) in verdicts
+            if alternate and c + 1 < q.m
+            for committee in alternate
+        ):
+            break
+    else:
+        pytest.fail("no trial with a spoiler and a re-run winner above a removed index")
+    for mid, (report, _) in _audit(q, _new_tallies(methods), tie).items():
+        assert verdicts_by_name(q, report) == expected[mid], (trial, mid)
 
 
 def bench_sampler(benchmark, sampler, spec, oracle):

@@ -21,6 +21,7 @@ from mwspoilers.spoilers import (
 from conftest import random_profile, ranked_profiles, vote_splitting_profile
 from oracles import (
     adjacent_pair_weight_by_scan,
+    sole_committee,
     spoiler_verdicts_by_definition,
     verdicts_by_name,
 )
@@ -28,14 +29,14 @@ from oracles import (
 
 def test_vote_splitting_spoilers_under_sntv(table_profile):
     report = analyze_spoilers(table_profile, "sntv")
-    assert report.outcome.sole_committee() == frozenset([0])  # A wins
+    assert sole_committee(report.outcome) == frozenset([0])  # A wins
     verdicts = {v.candidate: v for v in report.verdicts}
     assert set(verdicts) == {1, 2}
     # Removing S hands the election to W; removing W hands it to S.
     assert verdicts[2].is_spoiler
-    assert verdicts[2].alternate.sole_committee() == frozenset([1])
+    assert sole_committee(verdicts[2].alternate) == frozenset([1])
     assert verdicts[1].is_spoiler
-    assert verdicts[1].alternate.sole_committee() == frozenset([2])
+    assert sole_committee(verdicts[1].alternate) == frozenset([2])
     assert stability_summary(report) == StabilitySummary(
         num_spoilers=2, num_alternate_sets=2, max_changed_candidates=1
     )
@@ -45,7 +46,7 @@ def test_spoiler_requires_outcome_change():
     # The lone non-winner S cannot change the forced two-seat committee.
     p = vote_splitting_profile(2)
     report = analyze_spoilers(p, "topk_irv", TiePolicy.ALPHABETICAL)
-    assert report.outcome.sole_committee() == frozenset([0, 1])
+    assert sole_committee(report.outcome) == frozenset([0, 1])
     assert report.spoilers == ()
 
 
@@ -66,7 +67,7 @@ def test_m_equals_k_plus_1_has_no_spoilers():
     assert report.spoilers == ()
     assert len(report.verdicts) == 1
     # The single non-winner's "alternate" is the forced remaining committee.
-    assert report.verdicts[0].alternate.sole_committee() == frozenset([0, 1])
+    assert sole_committee(report.verdicts[0].alternate) == frozenset([0, 1])
 
 
 def test_base_tie_is_flagged_not_raised():
