@@ -37,7 +37,16 @@ profile) is tallied from :attr:`Profile.arrays` in int64: on a 2,000-type
 ward, twice as fast as the loop when it builds the arrays too and nine
 times once they are built, and the arrays it builds serve the array-based
 rules that follow.  A large profile whose ``n * m`` overflows int64 keeps
-the loop.
+the loop.  :func:`_array_sized` is that size switch, and the one place it
+is decided: SRCV and top-k IRV take it too, to read a profile's
+:attr:`Profile.continuing_totals`.
+
+That table, built in int64 from the array form on first use and cached,
+holds the totals of every count that transfers at full value: its row at
+a set of candidates out holds, for each candidate, the weight of the
+ballots whose first candidate outside the set it is.  It takes
+``2**m * m`` entries, so its readers check that it fits their budget
+first.
 
 Ballots are validated once, where they enter the program: the plain
 constructor and :meth:`Profile.build` (used by the ballot-file parser, ballot
@@ -57,13 +66,13 @@ position of every candidate on every ballot type and the int64 weights,
 built from the rankings on first use and cached on the profile.  The rules
 that score committees by satisfaction read the :func:`point_matrix`
 derived from them, which alone applies the unranked-candidate model.
-Both arrays are read-only, the tally is made of tuples, and the lazy
-builds are idempotent (two threads racing to build one compute equal
-values), so profiles stay shareable.  All arithmetic on the arrays is
-integer; a profile whose ``n * m`` does not fit in int64 is rejected with
-:class:`ProfileError` rather than summed with wraparound, and ``n * m``
-bounds every total those rules compute, a satisfaction table entry
-included.
+Both arrays and the continuing-preference table are read-only, the tally
+is made of tuples, and the lazy builds are idempotent (two threads racing
+to build one compute equal values), so profiles stay shareable.  All
+arithmetic on the arrays is integer; a profile whose ``n * m`` does not
+fit in int64 is rejected with :class:`ProfileError` rather than summed
+with wraparound, and ``n * m`` bounds every total those rules compute, a
+satisfaction table entry included.
 
 The records returned by every rule run and audit (:class:`OutcomeSet` here,
 the spoiler records of :mod:`mwspoilers.spoilers`, the STV round table of
@@ -276,15 +285,51 @@ class Profile:
         return BallotArrays(positions, weight_array)
 
     @cached_property
+    def continuing_totals(self) -> np.ndarray:
+        """The totals of every count that transfers at full value, built once
+        per profile: a read-only int64 array of ``2**m`` rows of ``m``.
+
+        Entry ``[X, c]``, for a bitmask ``X`` of candidates out, is the weight
+        of the ballots whose first candidate outside ``X`` is ``c`` (zero for
+        ``c`` in ``X``): row ``X`` is what the piles hold once the candidates
+        in ``X`` are out.  Each ranked entry puts its ballot's weight at the
+        set ranked before it and its candidate; one subset-sum (zeta) pass per
+        candidate then adds each set's row into the set with that candidate
+        out too, except the candidate's own column.  No entry exceeds ``n``;
+        the weights come from :attr:`arrays`, whose int64 check this shares.
+        The table takes ``2**m * m`` int64 entries, so its callers check that
+        it fits.
+        """
+        m = self.m
+        positions, weights = self.arrays
+        lengths = (positions < m).sum(axis=1)
+        ranked = np.frombuffer(b"".join(map(_ranking, self.ballots)), np.uint8).astype(np.int64)
+        # The set ranked before each entry on its ballot: a running sum of the
+        # entries' bits, less the sum where its ballot starts.
+        bits = np.left_shift(1, ranked)
+        before = np.cumsum(bits) - bits
+        before -= np.repeat(before[np.cumsum(lengths) - lengths], lengths)
+        # Flat index and weights, as in _array_tally.
+        table = np.zeros((1 << m) * m, np.int64)
+        np.add.at(table, before * m + ranked, np.repeat(weights, lengths))
+        table = table.reshape(1 << m, m)
+        for c in range(m):  # the zeta transform of methods._cc_table, column c kept at zero
+            with_c = table.reshape(-1, 2, 1 << c, m)[:, 1]
+            with_c += table.reshape(-1, 2, 1 << c, m)[:, 0]
+            with_c[..., c] = 0
+        table.flags.writeable = False
+        return table
+
+    @cached_property
     def tally(self) -> PositionTally:
         """The positional score counts, built once per profile (exact integers).
 
-        A profile of at least ``_ARRAY_TALLY_TYPES`` ballot types whose
-        ``n * m`` fits int64 is counted from :attr:`arrays`, building and
-        caching them; any other is counted by the loop below, the reference.
+        A profile that :func:`_array_sized` admits is counted from
+        :attr:`arrays`, building and caching them; any other is counted by
+        the loop below, the reference.
         """
         m = self.m
-        if len(self.ballots) >= _ARRAY_TALLY_TYPES and self.n * m <= _INT64_MAX:
+        if _array_sized(self):
             return _array_tally(m, *self.arrays)
         size = m * m
         # Rank-position rows first, each summed into the row below at the end.
@@ -313,6 +358,12 @@ class Profile:
         """Same ballots, different seat count."""
         _check_shape(self.m, self.names, self.ballots, k)
         return Profile._derived(self.m, self.names, self.ballots, k)
+
+
+def _array_sized(profile: Profile) -> bool:
+    """Whether counts of ``profile`` run on its array form: at least
+    ``_ARRAY_TALLY_TYPES`` ballot types, and ``n * m`` within int64."""
+    return len(profile.ballots) >= _ARRAY_TALLY_TYPES and profile.n * profile.m <= _INT64_MAX
 
 
 def _array_tally(m: int, positions: np.ndarray, weights: np.ndarray) -> PositionTally:

@@ -19,15 +19,21 @@ The ranked rules share one pile count: each ballot sits on the pile of
 its first-ranked candidate still in, and taking a candidate out hands only
 that pile on.  With every candidate still in, the piles are slices of the
 profile's sorted ballots, which come grouped by first choice, so a count
-starts without placing any ballot.  SRCV and top-k IRV only ever transfer
-at full value, so their piles hold the profile's own ballot types.  STV's
-piles hold parcels whose papers each carry a value, which a surplus
-transfer truncates, and STV records an official round table.  Top-k IRV
-eliminates until k candidates remain; SRCV runs one single-seat count per
-seat, with the past winners out from the start.  Their shared runoff ends
-at its last elimination: once one more candidate continues than there are
-seats, it picks the loser and the rest win, without handing the loser's
-pile on.
+starts without placing any ballot.  STV's piles hold parcels whose papers
+each carry a value, which a surplus transfer truncates, and STV records an
+official round table.  SRCV and top-k IRV only ever transfer at full value,
+so their totals depend only on the set of candidates out: a profile whose
+counts run on its array form (``core._array_sized``: a ward's, not a
+campaign sample's) and whose ``2**m * m`` table fits the search budget
+reads them off its cached
+:attr:`~mwspoilers.core.Profile.continuing_totals`, one row per set; any
+other is counted on piles of its own ballot types, the reference.  Top-k
+IRV eliminates until k candidates remain; SRCV runs one single-seat count
+per seat, with the past winners out from the start.  Their shared runoff
+makes every decision through :func:`_lowest` and :func:`_choose` on either
+form, and ends at its last elimination: once one more candidate continues
+than there are seats, it picks the loser and the rest win, without taking
+the loser out.
 
 Exact Chamberlin-Courant has two engines, which find the same committees:
 a table of ``2**m`` subset sums that scores every committee at once, and
@@ -71,6 +77,7 @@ from .core import (
     Profile,
     ProfileError,
     UnrankedModel,
+    _array_sized,
     _ranking,
     borda_scores,
     first_place_counts,
@@ -336,27 +343,72 @@ def stv(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> tuple[OutcomeSet,
     return OutcomeSet.single(winners, tie_flag=tie_used), trace
 
 
+class _Piles:
+    """A full-value count on piles of the profile's ballot types (see :func:`_hand_on`)."""
+
+    __slots__ = ("piles", "totals", "out")
+
+    def __init__(self, piles: list[list[tuple]], totals: list[int], out: list[bool]) -> None:
+        self.piles, self.totals, self.out = piles, totals, out
+
+    def copy(self) -> "_Piles":
+        return _Piles([pile.copy() for pile in self.piles], self.totals.copy(), self.out.copy())
+
+    def exclude(self, x: int) -> None:
+        _exclude(self.piles, self.totals, self.out, x)
+
+
+class _Lookups:
+    """The same count read off :attr:`~mwspoilers.core.Profile.continuing_totals`:
+    the totals are the table's row at the set of candidates out."""
+
+    __slots__ = ("table", "gone", "totals", "out")
+
+    def __init__(self, table: np.ndarray, gone: int, out: list[bool]) -> None:
+        self.table, self.gone, self.out = table, gone, out
+        self.totals = table[gone].tolist()
+
+    def copy(self) -> "_Lookups":
+        return _Lookups(self.table, self.gone, self.out.copy())
+
+    def exclude(self, x: int) -> None:
+        self.out[x] = True
+        self.gone |= 1 << x
+        self.totals = self.table[self.gone].tolist()
+
+
+def _full_value_count(profile: Profile) -> _Piles | _Lookups:
+    """A count of ``profile`` with every candidate in, for the rules that
+    transfer at full value.
+
+    A profile whose counts run on its array form (``core._array_sized``) and
+    whose ``2**m * m`` table fits the search budget reads the cached table;
+    any other is counted on piles, the reference.
+    """
+    m = profile.m
+    if _array_sized(profile) and (1 << m) * m <= _SEARCH_BUDGET:
+        return _Lookups(profile.continuing_totals, 0, [False] * m)
+    return _Piles(*_first_preferences(m, profile.ballots))
+
+
 def _runoff(
-    profile: Profile,
-    piles: list[list[tuple]],
-    totals: list[int],
-    out: list[bool],
-    seats: int,
-    quota: int | None,
-    tie: TiePolicy,
+    profile: Profile, count: _Piles | _Lookups, seats: int, quota: int | None, tie: TiePolicy
 ) -> tuple[list[int], bool]:
     """Eliminate plurality losers until the continuing candidates fill ``seats``.
 
     More than ``seats`` candidates must be continuing.  With a ``quota``
     (single-seat counts only), a candidate at or above it wins at once.
-    Each elimination but the last hands the loser's pile on; the last one
-    ends the count, since the other ``seats`` candidates win whatever their
-    piles hold, so the piles are left as they stood before it.  Returns the
-    winners in index order and whether an elimination tie had to be broken.
+    Each elimination but the last takes the loser out of the count; the
+    last one ends the count, since the other ``seats`` candidates win
+    whatever they hold, so the count is left as it stood before it.
+    Returns the winners in index order and whether an elimination tie had
+    to be broken.
     """
     tie_used = False
+    out = count.out
     while True:
         continuing = [c for c in range(profile.m) if not out[c]]
+        totals = count.totals
         if quota is not None:
             leader = max(continuing, key=totals.__getitem__)
             if totals[leader] >= quota:
@@ -366,7 +418,7 @@ def _runoff(
         if len(continuing) == seats + 1:
             continuing.remove(loser)
             return continuing, tie_used
-        _exclude(piles, totals, out, loser)
+        count.exclude(loser)
 
 
 def srcv(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> OutcomeSet:
@@ -378,37 +430,36 @@ def srcv(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> OutcomeSet:
     putting the past winners out counts exactly as removing them would.
     Should every remaining ballot rank only past winners, the leftover seats
     are a pure tie among unranked candidates and fall to the tie policy.
+    Every count transfers at full value, so a ward-size profile reads each
+    round's totals off its cached table (:func:`_full_value_count`).
     """
-    piles, totals, out = _first_preferences(profile.m, profile.ballots)  # the past winners out
+    count = _full_value_count(profile)  # the past winners out
     seats: list[int] = []
     tie_used = False
     while True:
-        live = sum(totals)
+        live = sum(count.totals)
         if not live:
             what = "all ballots exhausted; remaining seats tie"
-            leftovers = [c for c in range(profile.m) if not out[c]]
+            leftovers = [c for c in range(profile.m) if not count.out[c]]
             chosen, _ = _choose(profile, leftovers, profile.k - len(seats), tie, what)
             return OutcomeSet.single(seats + chosen, tie_flag=True)
-        (winner,), tied = _runoff(
-            profile,
-            [pile.copy() for pile in piles],
-            totals.copy(),
-            out.copy(),
-            1,
-            droop_quota(live, 1),
-            tie,
-        )
+        # The last seat's runoff may spend the count: nothing reads it after.
+        seat_count = count if len(seats) == profile.k - 1 else count.copy()
+        (winner,), tied = _runoff(profile, seat_count, 1, droop_quota(live, 1), tie)
         tie_used = tie_used or tied
         seats.append(winner)
         if len(seats) == profile.k:
             return OutcomeSet.single(seats, tie_flag=tie_used)
-        _exclude(piles, totals, out, winner)
+        count.exclude(winner)
 
 
 def top_k_irv(profile: Profile, tie: TiePolicy = TiePolicy.ALPHABETICAL) -> OutcomeSet:
-    """Eliminate plurality losers, transferring at full value, until k remain."""
-    piles, totals, out = _first_preferences(profile.m, profile.ballots)
-    winners, tie_used = _runoff(profile, piles, totals, out, profile.k, None, tie)
+    """Eliminate plurality losers, transferring at full value, until k remain.
+
+    A ward-size profile reads each round's totals off its cached table
+    (:func:`_full_value_count`).
+    """
+    winners, tie_used = _runoff(profile, _full_value_count(profile), profile.k, None, tie)
     return OutcomeSet.single(winners, tie_flag=tie_used)
 
 

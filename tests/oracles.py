@@ -801,6 +801,23 @@ def first_preferences_by_placing(m: int, entries) -> tuple[list[list], list[int]
     return piles, totals, out
 
 
+def continuing_totals_by_ballot(profile: Profile) -> list[list[int]]:
+    """:attr:`Profile.continuing_totals` as nested lists, ballot by ballot: for
+    every bitmask of candidates out, each ballot's weight goes to its first
+    ranked candidate not in the mask."""
+    m = profile.m
+    rows = []
+    for mask in range(1 << m):
+        gone = bytes(c for c in range(m) if mask >> c & 1)
+        row = [0] * m
+        for ranking, weight in profile.ballots:
+            rest = ranking.translate(None, gone)
+            if rest:
+                row[rest[0]] += weight
+        rows.append(row)
+    return rows
+
+
 def adjacent_pair_weight_by_scan(profile: Profile, x: int, y: int) -> int:
     """The clone statistics' former adjacency scan: both positions looked up per ballot."""
     total = 0

@@ -1,5 +1,5 @@
-"""The integer kernels (the array form and the position tally) against the
-scalar oracles, and their guards."""
+"""The integer kernels (the array form, the position tally and the
+continuing-preference table) against the scalar oracles, and their guards."""
 
 import itertools
 import math
@@ -35,6 +35,8 @@ from mwspoilers.methods import (
     greedy_cc,
     mcc,
     run_method,
+    srcv,
+    top_k_irv,
 )
 from mwspoilers.spoilers import weakness_flags
 
@@ -42,11 +44,14 @@ from conftest import outcome_or_tie, ranked_profiles
 from oracles import (
     borda_scores_reference,
     cc_enumeration,
+    continuing_totals_by_ballot,
     greedy_cc_reference,
     naive_borda,
     naive_margin,
     naive_satisfaction,
+    srcv_by_removal,
     top_k_counts_reference,
+    top_k_irv_reference,
 )
 
 
@@ -189,10 +194,94 @@ def test_a_large_profile_that_overflows_int64_keeps_the_exact_loop():
         assert run_method(mid, p, TiePolicy.LOWEST_INDEX) == _top_k_outcome(
             p, scores(p), TiePolicy.LOWEST_INDEX
         )
-    assert not took_arrays(p)
-    result = run_corpus_audit([("huge", p)], list(REFERENCE_SCORES), tie=TiePolicy.LOWEST_INDEX)
+    # Nor do SRCV and top-k IRV read the continuing-preference table, which
+    # takes its weights from the array form.
+    for tie in TiePolicy:
+        assert full_value_counts(p, tie) == full_value_references(p, tie)
+    assert not took_arrays(p) and not took_table(p)
+    audited = [*REFERENCE_SCORES, "srcv", "topk_irv"]
+    result = run_corpus_audit([("huge", p)], audited, tie=TiePolicy.LOWEST_INDEX)
     assert result.failures == []
-    assert all(result.methods[mid].used == 1 for mid in REFERENCE_SCORES)
+    assert all(result.methods[mid].used == 1 for mid in audited)
+
+
+# ---------------------------------------------------------------------------
+# The continuing-preference table
+
+
+def took_table(p: Profile) -> bool:
+    return "continuing_totals" in vars(p)
+
+
+def full_value_counts(p: Profile, tie: TiePolicy) -> tuple:
+    """SRCV's and top-k IRV's outcomes, or the texts of the ties they refused."""
+    return outcome_or_tie(srcv, p, tie), outcome_or_tie(top_k_irv, p, tie)
+
+
+def full_value_references(p: Profile, tie: TiePolicy) -> tuple:
+    return outcome_or_tie(srcv_by_removal, p, tie), outcome_or_tie(top_k_irv_reference, p, tie)
+
+
+def counted(p: Profile, threshold: float) -> tuple[list[tuple], bool]:
+    """:func:`full_value_counts` under every policy on a fresh copy of ``p``,
+    with the size switch at ``threshold`` ballot types (at 1 the counts read
+    the table wherever it fits the budget, at infinity they run on piles),
+    and whether they read the table."""
+    fresh = Profile.build(p.m, p.names, p.ballots, p.k)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_ARRAY_TALLY_TYPES", threshold)
+        got = [full_value_counts(fresh, tie) for tie in TiePolicy]
+    return got, took_table(fresh)
+
+
+def references(p: Profile) -> list[tuple]:
+    return [full_value_references(p, tie) for tie in TiePolicy]
+
+
+@given(ranked_profiles())
+@settings(max_examples=200, deadline=None)
+def test_table_counts_match_the_pile_count_and_the_oracles(p):
+    assert p.continuing_totals.tolist() == continuing_totals_by_ballot(p)
+    by_table, read_table = counted(p, 1)
+    by_piles, read_piles = counted(p, math.inf)
+    assert read_table and not read_piles
+    assert by_table == by_piles == references(p)
+
+
+def test_table_counts_match_on_a_ward_and_its_removals(ward):
+    # At the real size switch, as an audit runs them: every removal is
+    # ward-sized, so every count reads its table.  The table bench in
+    # test_microbench.py checks the ward's table against the oracle.
+    for p in [ward] + [remove_candidate(ward, c) for c in range(ward.m)]:
+        by_table, read_table = counted(p, core._ARRAY_TALLY_TYPES)
+        assert read_table
+        assert by_table == counted(p, math.inf)[0] == references(p)
+
+
+def test_srcv_on_the_table_ties_the_seats_left_once_every_ballot_is_exhausted():
+    # 325 ballot types rank only A-E; a heavy A>B>C>D>E ballot gives each of
+    # them a majority in turn, so five seats fall without an elimination, and
+    # the sixth is a pure tie between F and G.
+    m, k = 7, 6
+    rankings = [r for n in range(1, 6) for r in itertools.permutations(range(5), n)]
+    p = Profile.build(m, default_names(m), [(r, 1) for r in rankings] + [(range(5), 1000)], k)
+    assert len(p.ballots) >= core._ARRAY_TALLY_TYPES
+    by_table, read_table = counted(p, core._ARRAY_TALLY_TYPES)
+    assert read_table and by_table == counted(p, math.inf)[0] == references(p)
+    (srcv_error, _), (srcv_alphabetical, _), (srcv_lowest, _) = by_table  # in TiePolicy order
+    assert srcv_error == "TieError: all ballots exhausted; remaining seats tie between F, G"
+    assert srcv_alphabetical == srcv_lowest == OutcomeSet.single(range(6), tie_flag=True)
+
+
+def test_a_profile_whose_table_exceeds_the_budget_stays_on_piles():
+    m = 17
+    assert (1 << m) * m > methods._SEARCH_BUDGET
+    rng = np.random.default_rng(17)
+    rankings = list(itertools.permutations(range(m), 2))
+    p = Profile.build(m, default_names(m), [(r, int(rng.integers(1, 50))) for r in rankings], 3)
+    assert len(p.ballots) >= core._ARRAY_TALLY_TYPES and core._array_sized(p)
+    assert [full_value_counts(p, tie) for tie in TiePolicy] == references(p)
+    assert not took_table(p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Invariants and oracle equivalences over randomized small elections."""
 
+import math
 import time
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwspoilers import methods
+from mwspoilers import core, methods
 from mwspoilers.core import (
     Profile,
     pairwise_matrix,
@@ -302,7 +303,12 @@ def test_srcv_and_top_k_irv_match_their_former_implementations_on_a_ward(ward, t
 
 
 def spy_on_exclusions(monkeypatch) -> list[int]:
-    """Record, for every pile handed on, how many candidates were still in."""
+    """Record, for every pile handed on, how many candidates were still in.
+
+    The size switch is shut, so that the ward is counted on piles, not read
+    off its continuing-preference table.
+    """
+    monkeypatch.setattr(core, "_ARRAY_TALLY_TYPES", math.inf)
     still_in: list[int] = []
     exclude = methods._exclude
 

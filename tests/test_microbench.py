@@ -14,7 +14,11 @@ fresh profile every round, so each round also builds the position tally:
 on the ward, from its array form (built in the round too), and on a 24-type
 IC m=4 sample, the campaigns' profile size, by the loop over its ballots.
 These two timings are the basis for the tally's size switch,
-``core._ARRAY_TALLY_TYPES``.
+``core._ARRAY_TALLY_TYPES``.  The SRCV and top-k IRV benches also get a
+fresh ward every round, so that they time the build of its
+continuing-preference table (and of the array form it reads) as well as
+the lookups; the table's own bench times that build alone, from scratch,
+and checks it against the ballot-by-ballot oracle.
 The sampler benches draw one campaign trial (n=1001, as in the benchmark's
 campaigns) 100 times, since a draw takes a fraction of a millisecond; the
 first-preference bench places the ward and a 24-type IC m=4 sample, the
@@ -66,6 +70,7 @@ from oracles import (
     _profile_without,
     borda_scores_reference,
     cc_enumeration,
+    continuing_totals_by_ballot,
     first_preferences_by_placing,
     greedy_cc_reference,
     naive_margin,
@@ -175,14 +180,22 @@ def test_bench_stv(benchmark, ward):
 
 def test_bench_srcv(benchmark, ward):
     tie = TiePolicy.ALPHABETICAL
-    outcome = benchmark.pedantic(srcv, args=(ward, tie), rounds=5, iterations=1)
+    setup = lambda: ((fresh(ward), tie), {})
+    outcome = benchmark.pedantic(srcv, setup=setup, rounds=5, iterations=1)
     assert outcome == srcv_by_removal(ward, tie)
 
 
 def test_bench_top_k_irv(benchmark, ward):
     tie = TiePolicy.ALPHABETICAL
-    outcome = benchmark.pedantic(top_k_irv, args=(ward, tie), rounds=5, iterations=1)
+    setup = lambda: ((fresh(ward), tie), {})
+    outcome = benchmark.pedantic(top_k_irv, setup=setup, rounds=5, iterations=1)
     assert outcome == top_k_irv_reference(ward, tie)
+
+
+def test_bench_continuing_totals(benchmark, ward):
+    setup = lambda: ((fresh(ward),), {})
+    table = benchmark.pedantic(lambda p: p.continuing_totals, setup=setup, rounds=5, iterations=1)
+    assert table.tolist() == continuing_totals_by_ballot(ward)
 
 
 @pytest.mark.parametrize("size", ["ward", "ic"])
