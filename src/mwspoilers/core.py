@@ -38,15 +38,15 @@ ward, twice as fast as the loop when it builds the arrays too and nine
 times once they are built, and the arrays it builds serve the array-based
 rules that follow.  A large profile whose ``n * m`` overflows int64 keeps
 the loop.  :func:`_array_sized` is that size switch, and the one place it
-is decided: SRCV and top-k IRV take it too, to read a profile's
+is decided: SRCV takes it too, to build a profile's
 :attr:`Profile.continuing_totals`.
 
-That table, built in int64 from the array form on first use and cached,
-holds the totals of every count that transfers at full value: its row at
-a set of candidates out holds, for each candidate, the weight of the
-ballots whose first candidate outside the set it is.  It takes
-``2**m * m`` entries, so its readers check that it fits their budget
-first.
+That table, built in int64 from the ballot types on first use and
+cached, holds the totals of every count that transfers at full value: its
+row at a set of candidates out holds, for each candidate, the weight of
+the ballots whose first candidate outside the set it is.  It takes
+``2**m * m`` entries, so its readers build it only for the candidate
+counts where it was measured to beat their own loop.
 
 Ballots are validated once, where they enter the program: the plain
 constructor and :meth:`Profile.build` (used by the ballot-file parser, ballot
@@ -266,23 +266,36 @@ class Profile:
         array kernels compute.
         """
         m = self.m
-        if self.n * m > _INT64_MAX:
-            raise ProfileError(
-                f"n={self.n} voters x m={m} candidates overflows 64-bit integer scores"
-            )
-        rankings = tuple(map(_ranking, self.ballots))
-        types = len(rankings)
-        lengths = np.fromiter(map(len, rankings), np.int64, types)
-        ranked = np.frombuffer(b"".join(rankings), np.uint8).astype(np.int64)
+        lengths, ranked, weights = self._flat
+        types = len(lengths)
         # One scatter for every (ballot type, ranked candidate) pair.
         starts = np.cumsum(lengths) - lengths
         rows = np.repeat(np.arange(types), lengths)
         positions = np.full((types, m), m, dtype=np.int64, order="F")
         positions[rows, ranked] = np.arange(len(ranked)) - np.repeat(starts, lengths)
-        weight_array = np.fromiter(map(_weight, self.ballots), np.int64, types)
         positions.flags.writeable = False
-        weight_array.flags.writeable = False
-        return BallotArrays(positions, weight_array)
+        return BallotArrays(positions, weights)
+
+    @cached_property
+    def _flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """What :attr:`arrays` and :attr:`continuing_totals` are built from,
+        read-only and built once per profile: each ballot type's length and
+        weight in int64, and the rankings joined end to end, one uint8 per
+        entry.
+
+        Raises :class:`ProfileError` when ``n * m`` exceeds the int64 range.
+        """
+        if self.n * self.m > _INT64_MAX:
+            raise ProfileError(
+                f"n={self.n} voters x m={self.m} candidates overflows 64-bit integer scores"
+            )
+        rankings = tuple(map(_ranking, self.ballots))
+        types = len(rankings)
+        lengths = np.fromiter(map(len, rankings), np.int64, types)
+        ranked = np.frombuffer(b"".join(rankings), np.uint8)  # read-only: a view of bytes
+        weights = np.fromiter(map(_weight, self.ballots), np.int64, types)
+        lengths.flags.writeable = weights.flags.writeable = False
+        return lengths, ranked, weights
 
     @cached_property
     def continuing_totals(self) -> np.ndarray:
@@ -295,15 +308,13 @@ class Profile:
         in ``X`` are out.  Each ranked entry puts its ballot's weight at the
         set ranked before it and its candidate; one subset-sum (zeta) pass per
         candidate then adds each set's row into the set with that candidate
-        out too, except the candidate's own column.  No entry exceeds ``n``;
-        the weights come from :attr:`arrays`, whose int64 check this shares.
-        The table takes ``2**m * m`` int64 entries, so its callers check that
-        it fits.
+        out too, except the candidate's own column.  No entry exceeds ``n``,
+        and the build shares the int64 check of :attr:`arrays`.  The table
+        takes ``2**m * m`` int64 entries, so its callers check that it pays.
         """
         m = self.m
-        positions, weights = self.arrays
-        lengths = (positions < m).sum(axis=1)
-        ranked = np.frombuffer(b"".join(map(_ranking, self.ballots)), np.uint8).astype(np.int64)
+        lengths, entries, weights = self._flat
+        ranked = entries.astype(np.int64)
         # The set ranked before each entry on its ballot: a running sum of the
         # entries' bits, less the sum where its ballot starts.
         bits = np.left_shift(1, ranked)

@@ -22,13 +22,15 @@ profile's sorted ballots, which come grouped by first choice, so a count
 starts without placing any ballot.  STV's piles hold parcels whose papers
 each carry a value, which a surplus transfer truncates, and STV records an
 official round table.  SRCV and top-k IRV only ever transfer at full value,
-so their totals depend only on the set of candidates out: a profile whose
-counts run on its array form (``core._array_sized``: a ward's, not a
-campaign sample's) and whose ``2**m * m`` table fits the search budget
-reads them off its cached
-:attr:`~mwspoilers.core.Profile.continuing_totals`, one row per set; any
-other is counted on piles of its own ballot types, the reference.  Top-k
-IRV eliminates until k candidates remain; SRCV runs one single-seat count
+so their totals depend only on the set of candidates out.  SRCV builds a
+profile's :attr:`~mwspoilers.core.Profile.continuing_totals`, one row per
+set, when the profile's counts run on its array form
+(``core._array_sized``: a ward's, not a campaign sample's) and it has at
+most ``_TABLE_CANDIDATES`` candidates, where the table was measured to
+beat the piles; top-k IRV reads the table only when the profile already
+holds it, as an audit's SRCV run leaves it.  Every other count runs on
+piles of the profile's own ballot types, the reference.  Top-k IRV
+eliminates until k candidates remain; SRCV runs one single-seat count
 per seat, with the past winners out from the start.  Their shared runoff
 makes every decision through :func:`_lowest` and :func:`_choose` on either
 form, and ends at its last elimination: once one more candidate continues
@@ -377,16 +379,30 @@ class _Lookups:
         self.totals = self.table[self.gone].tolist()
 
 
-def _full_value_count(profile: Profile) -> _Piles | _Lookups:
+# The most candidates for which SRCV builds a profile's continuing-preference
+# table.  Timed against the pile count, table build included, on fresh
+# synthetic wards (perfbench.corpus.synthetic_profile) of 270 to 3,400 ballot
+# types, m = 8 to 15 (BENCH_24.json, table_bound): up to m = 10 the table is
+# at most a tenth slower near the 256-type size switch and about twice as
+# fast from 1,000 types up; at m = 11 to 13 it is up to 2.9 times slower
+# below 600 types; from m = 14 it is slower at every size timed.
+_TABLE_CANDIDATES = 10
+
+
+def _full_value_count(profile: Profile, build: bool) -> _Piles | _Lookups:
     """A count of ``profile`` with every candidate in, for the rules that
     transfer at full value.
 
-    A profile whose counts run on its array form (``core._array_sized``) and
-    whose ``2**m * m`` table fits the search budget reads the cached table;
-    any other is counted on piles, the reference.
+    A profile that already holds its continuing-preference table reads it.
+    With ``build``, so does one whose counts run on its array form
+    (``core._array_sized``) and that has at most ``_TABLE_CANDIDATES``
+    candidates, building the table.  Any other is counted on piles, the
+    reference.
     """
     m = profile.m
-    if _array_sized(profile) and (1 << m) * m <= _SEARCH_BUDGET:
+    if "continuing_totals" in vars(profile) or (
+        build and m <= _TABLE_CANDIDATES and _array_sized(profile)
+    ):
         return _Lookups(profile.continuing_totals, 0, [False] * m)
     return _Piles(*_first_preferences(m, profile.ballots))
 
@@ -430,10 +446,11 @@ def srcv(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> OutcomeSet:
     putting the past winners out counts exactly as removing them would.
     Should every remaining ballot rank only past winners, the leftover seats
     are a pure tie among unranked candidates and fall to the tie policy.
-    Every count transfers at full value, so a ward-size profile reads each
-    round's totals off its cached table (:func:`_full_value_count`).
+    Every count transfers at full value, so a ward-size profile of at most
+    ``_TABLE_CANDIDATES`` candidates reads each round's totals off its
+    cached table, which it builds (:func:`_full_value_count`).
     """
-    count = _full_value_count(profile)  # the past winners out
+    count = _full_value_count(profile, build=True)  # the past winners out
     seats: list[int] = []
     tie_used = False
     while True:
@@ -456,10 +473,13 @@ def srcv(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> OutcomeSet:
 def top_k_irv(profile: Profile, tie: TiePolicy = TiePolicy.ALPHABETICAL) -> OutcomeSet:
     """Eliminate plurality losers, transferring at full value, until k remain.
 
-    A ward-size profile reads each round's totals off its cached table
-    (:func:`_full_value_count`).
+    A profile that holds its continuing-preference table, as SRCV leaves
+    one, reads each round's totals off it (:func:`_full_value_count`).
+    Top-k IRV does not build the table: it reads only ``m - k`` rows, too
+    few to pay for the build, so alone it counts on piles.
     """
-    winners, tie_used = _runoff(profile, _full_value_count(profile), profile.k, None, tie)
+    count = _full_value_count(profile, build=False)
+    winners, tie_used = _runoff(profile, count, profile.k, None, tie)
     return OutcomeSet.single(winners, tie_flag=tie_used)
 
 

@@ -225,7 +225,7 @@ def full_value_references(p: Profile, tie: TiePolicy) -> tuple:
 def counted(p: Profile, threshold: float) -> tuple[list[tuple], bool]:
     """:func:`full_value_counts` under every policy on a fresh copy of ``p``,
     with the size switch at ``threshold`` ballot types (at 1 the counts read
-    the table wherever it fits the budget, at infinity they run on piles),
+    the table up to ``_TABLE_CANDIDATES`` candidates, at infinity they run on piles),
     and whether they read the table."""
     fresh = Profile.build(p.m, p.names, p.ballots, p.k)
     with pytest.MonkeyPatch.context() as patch:
@@ -273,15 +273,25 @@ def test_srcv_on_the_table_ties_the_seats_left_once_every_ballot_is_exhausted():
     assert srcv_alphabetical == srcv_lowest == OutcomeSet.single(range(6), tie_flag=True)
 
 
-def test_a_profile_whose_table_exceeds_the_budget_stays_on_piles():
-    m = 17
-    assert (1 << m) * m > methods._SEARCH_BUDGET
+def test_a_profile_of_more_candidates_than_the_table_bound_stays_on_piles():
+    m = methods._TABLE_CANDIDATES + 1
     rng = np.random.default_rng(17)
-    rankings = list(itertools.permutations(range(m), 2))
+    rankings = list(itertools.permutations(range(m), 3))
     p = Profile.build(m, default_names(m), [(r, int(rng.integers(1, 50))) for r in rankings], 3)
     assert len(p.ballots) >= core._ARRAY_TALLY_TYPES and core._array_sized(p)
     assert [full_value_counts(p, tie) for tie in TiePolicy] == references(p)
     assert not took_table(p)
+
+
+def test_top_k_irv_reads_the_table_only_once_srcv_has_built_it(ward, monkeypatch):
+    p = Profile.build(ward.m, ward.names, ward.ballots, ward.k)
+    expected = top_k_irv_reference(ward, TiePolicy.ALPHABETICAL)
+    assert top_k_irv(p, TiePolicy.ALPHABETICAL) == expected
+    assert not took_table(p)
+    srcv(p, TiePolicy.ALPHABETICAL)
+    assert took_table(p)
+    monkeypatch.setattr(methods, "_first_preferences", None)  # no pile count from here on
+    assert top_k_irv(p, TiePolicy.ALPHABETICAL) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -305,8 +305,9 @@ def test_srcv_and_top_k_irv_match_their_former_implementations_on_a_ward(ward, t
 def spy_on_exclusions(monkeypatch) -> list[int]:
     """Record, for every pile handed on, how many candidates were still in.
 
-    The size switch is shut, so that the ward is counted on piles, not read
-    off its continuing-preference table.
+    The size switch is shut, so that SRCV counts the ward on piles and
+    builds no continuing-preference table; the tests count a fresh copy of
+    the ward, which holds no table that another test's SRCV run left.
     """
     monkeypatch.setattr(core, "_ARRAY_TALLY_TYPES", math.inf)
     still_in: list[int] = []
@@ -323,6 +324,7 @@ def spy_on_exclusions(monkeypatch) -> list[int]:
 @pytest.mark.parametrize("tie", [TiePolicy.ALPHABETICAL, TiePolicy.LOWEST_INDEX])
 def test_top_k_irv_hands_on_no_pile_at_its_last_elimination(ward, tie, monkeypatch):
     still_in = spy_on_exclusions(monkeypatch)
+    ward = Profile.build(ward.m, ward.names, ward.ballots, ward.k)
     for p in [ward] + [remove_candidate(ward, c) for c in range(ward.m)]:
         still_in.clear()
         top_k_irv(p, tie)
@@ -332,6 +334,7 @@ def test_top_k_irv_hands_on_no_pile_at_its_last_elimination(ward, tie, monkeypat
 @pytest.mark.parametrize("tie", [TiePolicy.ALPHABETICAL, TiePolicy.LOWEST_INDEX])
 def test_srcv_seat_counts_hand_on_no_pile_between_the_last_two(ward, tie, monkeypatch):
     still_in = spy_on_exclusions(monkeypatch)
+    ward = Profile.build(ward.m, ward.names, ward.ballots, ward.k)
     for p in [ward] + [remove_candidate(ward, c) for c in range(ward.m)]:
         still_in.clear()
         srcv(p, tie)

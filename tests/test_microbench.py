@@ -15,10 +15,11 @@ on the ward, from its array form (built in the round too), and on a 24-type
 IC m=4 sample, the campaigns' profile size, by the loop over its ballots.
 These two timings are the basis for the tally's size switch,
 ``core._ARRAY_TALLY_TYPES``.  The SRCV and top-k IRV benches also get a
-fresh ward every round, so that they time the build of its
-continuing-preference table (and of the array form it reads) as well as
-the lookups; the table's own bench times that build alone, from scratch,
-and checks it against the ballot-by-ballot oracle.
+fresh ward every round: SRCV's then times the build of the ward's
+continuing-preference table as well as the lookups, and top-k IRV's times
+the pile count it runs on a profile that holds no table.  The table's own
+bench times that build alone, from scratch, and checks it against the
+ballot-by-ballot oracle.
 The sampler benches draw one campaign trial (n=1001, as in the benchmark's
 campaigns) 100 times, since a draw takes a fraction of a millisecond; the
 first-preference bench places the ward and a 24-type IC m=4 sample, the
