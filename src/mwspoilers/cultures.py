@@ -77,8 +77,27 @@ class CultureSpec:
 
 
 def trial_rng(spec: CultureSpec, trial: int) -> np.random.Generator:
-    """Independent per-trial stream: seeded with the pair (seed, trial)."""
-    return np.random.default_rng([spec.seed, trial])
+    """Independent per-trial stream: seeded with the pair (seed, trial).
+
+    The stream of ``default_rng([spec.seed, trial])``, whose seed sequence
+    reads each number as its 32-bit words, least significant first: given
+    those words as one uint32 array, it skips converting the list.
+    """
+    words = [*_uint32_words(spec.seed), *_uint32_words(trial)]
+    return np.random.default_rng(np.array(words, dtype=np.uint32))
+
+
+def _uint32_words(n: int) -> list[int]:
+    """A non-negative int as numpy's seed sequence reads it: 32-bit words,
+    least significant first, and one zero word for 0."""
+    if n < 0:
+        raise ValueError(f"expected a non-negative integer, got {n}")
+    words = [n & 0xFFFFFFFF]
+    n >>= 32
+    while n:
+        words.append(n & 0xFFFFFFFF)
+        n >>= 32
+    return words
 
 
 @lru_cache(maxsize=None)

@@ -1,13 +1,17 @@
 """Experiment orchestration: Monte Carlo campaigns and corpus audits.
 
 Both entry points audit each profile (a sampled trial or a real election)
-with one step: weakness flags once, removals shared across rules, one
-spoiler analysis per rule, and each report folded into the same per-method
-counters: how often any spoiler appeared, multiple spoilers, and spoilers
-who were plurality or top-k losers.  Only corpus audits keep more: the
-``m > k + 1``, ``k > 1`` filter, winning-set stability aggregates,
-clone-similarity statistics, a per-election detail table and the failed
-audits' messages.
+with one step: weakness flags once, one dict of removed-candidate profiles
+shared across rules, one spoiler analysis per rule, and each report folded
+into the same per-method counters: how often any spoiler appeared, multiple
+spoilers, and spoilers who were plurality or top-k losers.  On a campaign
+sample every rule re-runs on the shared removals, so each candidate is
+removed once per trial; on a ward-size election only STV does, and the
+other rules count the election itself with the candidate out (see
+:func:`~mwspoilers.spoilers.analyze_spoilers`).  Only corpus audits keep
+more: the ``m > k + 1``, ``k > 1`` filter, winning-set stability
+aggregates, clone-similarity statistics, a per-election detail table and
+the failed audits' messages.
 
 A result maps each rule id straight to its :class:`MethodTally`, which
 gives every estimated fraction (:meth:`MethodTally.fraction`) and its 95%

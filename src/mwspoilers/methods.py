@@ -54,6 +54,29 @@ ballots; one of ward size is counted in int64 from its cached array form,
 which is faster there and which the array-based rules then reuse (see
 :mod:`mwspoilers.core`).
 
+A spoiler audit re-runs each rule with a candidate removed.  Every rule
+but STV can also count the parent election with that candidate out
+(:func:`run_method`'s ``out``), from the counts the parent holds, in the
+parent's indices, and equal to the run on
+:func:`~mwspoilers.core.remove_candidate` mapped back:
+
+- SRCV and top-k IRV start their count with ``out`` out: its pile handed
+  on, or the table's row for it.  The ballots that rank only ``out`` then
+  leave the live weight, and so SRCV's quota, as the removal drops them.
+- SNTV and Bloc: a candidate's top-``j`` count gains the ballots that rank
+  ``out`` among their first ``j`` entries and it at place ``j + 1``.
+- Both Bordas: a candidate loses the ballots that rank it and not ``out``
+  before it, and under the optimistic model also those that rank neither
+  and, once per other candidate, those that rank ``out`` alone
+  (:attr:`~mwspoilers.core.Profile.pair_counts`).  MCC reads the margins
+  without ``out``'s row and column.
+- The Chamberlin-Courant rules read the removal's point matrix, taken from
+  the parent's rank positions, with the ballots that rank ``out`` alone at
+  weight 0 (:func:`_cc_input`).
+
+Exclusion keeps every other candidate's index order and name, so each tie
+policy picks, and each ``TieError`` names, as on the removal.
+
 Every choice among exactly tied candidates goes through :func:`_choose`
 under a :class:`TiePolicy`.  The one exception is the score-based rules'
 committee boundary under ``alphabetical``: they enumerate every tied
@@ -80,6 +103,8 @@ from .core import (
     ProfileError,
     UnrankedModel,
     _array_sized,
+    _check_out,
+    _points,
     _ranking,
     borda_scores,
     first_place_counts,
@@ -437,7 +462,9 @@ def _runoff(
         count.exclude(loser)
 
 
-def srcv(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> OutcomeSet:
+def srcv(
+    profile: Profile, tie: TiePolicy = TiePolicy.ERROR, out: int | None = None
+) -> OutcomeSet:
     """Sequential ranked-choice voting: k single-winner runoffs.
 
     Each seat goes to the instant-runoff winner of the ballots with the past
@@ -448,9 +475,14 @@ def srcv(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> OutcomeSet:
     are a pure tie among unranked candidates and fall to the tie policy.
     Every count transfers at full value, so a ward-size profile of at most
     ``_TABLE_CANDIDATES`` candidates reads each round's totals off its
-    cached table, which it builds (:func:`_full_value_count`).
+    cached table, which it builds (:func:`_full_value_count`).  With
+    ``out``, candidate ``out`` is out from the start, which counts as its
+    removal would: its pile is handed on, or the count starts at the
+    table's row for it, before the first round.
     """
     count = _full_value_count(profile, build=True)  # the past winners out
+    if out is not None:
+        count.exclude(out)
     seats: list[int] = []
     tie_used = False
     while True:
@@ -470,15 +502,20 @@ def srcv(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> OutcomeSet:
         count.exclude(winner)
 
 
-def top_k_irv(profile: Profile, tie: TiePolicy = TiePolicy.ALPHABETICAL) -> OutcomeSet:
+def top_k_irv(
+    profile: Profile, tie: TiePolicy = TiePolicy.ALPHABETICAL, out: int | None = None
+) -> OutcomeSet:
     """Eliminate plurality losers, transferring at full value, until k remain.
 
     A profile that holds its continuing-preference table, as SRCV leaves
     one, reads each round's totals off it (:func:`_full_value_count`).
     Top-k IRV does not build the table: it reads only ``m - k`` rows, too
-    few to pay for the build, so alone it counts on piles.
+    few to pay for the build, so alone it counts on piles.  With ``out``,
+    candidate ``out`` is out from the start, as in :func:`srcv`.
     """
     count = _full_value_count(profile, build=False)
+    if out is not None:
+        count.exclude(out)
     winners, tie_used = _runoff(profile, count, profile.k, None, tie)
     return OutcomeSet.single(winners, tie_flag=tie_used)
 
@@ -495,8 +532,10 @@ def _cut(scores: dict[int, int], k: int) -> tuple[list[int], list[int]]:
     return certain, tied
 
 
-def _top_k_outcome(profile: Profile, scores: tuple[int, ...], tie: TiePolicy) -> OutcomeSet:
-    """Committees formed by the k best scores.
+def _top_k_outcome(
+    profile: Profile, scores: tuple[int, ...], tie: TiePolicy, out: int | None = None
+) -> OutcomeSet:
+    """Committees formed by the k best scores of the candidates other than ``out``.
 
     A tie crossing the k-th place either raises (``error``), yields every
     completion of the certain winners from the tied group (``alphabetical``,
@@ -506,7 +545,10 @@ def _top_k_outcome(profile: Profile, scores: tuple[int, ...], tie: TiePolicy) ->
     trials neither drop out nor multiply).  Listing more completions than
     the search budget raises :class:`SearchBudgetError`.
     """
-    certain, tied = _cut(dict(enumerate(scores)), profile.k)
+    scored = dict(enumerate(scores))
+    if out is not None:
+        del scored[out]
+    certain, tied = _cut(scored, profile.k)
     seats_left = profile.k - len(certain)
     if seats_left < len(tied) and TiePolicy(tie) is TiePolicy.ALPHABETICAL:
         count = comb(len(tied), seats_left)
@@ -524,21 +566,28 @@ def _top_k_outcome(profile: Profile, scores: tuple[int, ...], tie: TiePolicy) ->
     return OutcomeSet.single(certain + chosen, tie_flag=tie_used)
 
 
-def sntv(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> OutcomeSet:
+def sntv(
+    profile: Profile, tie: TiePolicy = TiePolicy.ERROR, out: int | None = None
+) -> OutcomeSet:
     """Single non-transferable vote: top k by first-place votes."""
-    return _top_k_outcome(profile, first_place_counts(profile), tie)
+    return _top_k_outcome(profile, first_place_counts(profile, out), tie, out)
 
 
-def bloc(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> OutcomeSet:
+def bloc(
+    profile: Profile, tie: TiePolicy = TiePolicy.ERROR, out: int | None = None
+) -> OutcomeSet:
     """Bloc voting: top k by k-approval score (top-k mentions)."""
-    return _top_k_outcome(profile, top_k_counts(profile, profile.k), tie)
+    return _top_k_outcome(profile, top_k_counts(profile, profile.k, out), tie, out)
 
 
 def k_borda(
-    profile: Profile, model: UnrankedModel, tie: TiePolicy = TiePolicy.ERROR
+    profile: Profile,
+    model: UnrankedModel,
+    tie: TiePolicy = TiePolicy.ERROR,
+    out: int | None = None,
 ) -> OutcomeSet:
     """Top k by total Borda score under the given unranked-candidate model."""
-    return _top_k_outcome(profile, borda_scores(profile, model), tie)
+    return _top_k_outcome(profile, borda_scores(profile, model, out), tie, out)
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +611,43 @@ def committee_satisfaction(
     return int(by_candidate[list(committee)].max(axis=0) @ weights)
 
 
-def chamberlin_courant(profile: Profile, model: UnrankedModel) -> OutcomeSet:
+def _cc_input(
+    profile: Profile, model: UnrankedModel, out: int | None
+) -> tuple[np.ndarray, np.ndarray, Sequence[int]]:
+    """What the satisfaction rules read: the point matrix under ``model``,
+    the weights, and the candidate of each column.
+
+    With ``out``, those of the election with candidate ``out`` removed,
+    taken from this profile's arrays: ``out``'s column goes, the candidates
+    that came after it on a ballot, or were left off it, move up one rank,
+    and the ballots that ranked ``out`` alone weigh nothing.  Satisfaction
+    sums over the ballots, so equal ballots need no merging.
+    """
+    positions, weights = profile.arrays
+    if out is None:
+        m = profile.m
+        return _points(positions, m, model), weights, range(m)
+    m = profile.m - 1
+    candidates = [c for c in range(profile.m) if c != out]
+    by_candidate = positions.T[candidates]
+    by_candidate -= by_candidate >= positions.T[out]
+    positions = by_candidate.T  # column-major, as the profile's own
+    weights = np.where((positions == m).all(axis=1), 0, weights)
+    return _points(positions, m, model), weights, candidates
+
+
+def _committees(
+    sets: list[int], candidates: Sequence[int], tie_flag: bool
+) -> OutcomeSet:
+    """The outcome whose committees are the bitmasks ``sets`` over the columns ``candidates``."""
+    members = list(enumerate(candidates))
+    committees = frozenset(frozenset(c for j, c in members if s >> j & 1) for s in sets)
+    return OutcomeSet(committees=committees, tie_flag=tie_flag)
+
+
+def chamberlin_courant(
+    profile: Profile, model: UnrankedModel, out: int | None = None
+) -> OutcomeSet:
     """Exact Chamberlin-Courant: every committee of greatest total satisfaction.
 
     Every maximizing committee is returned, so an exact tie shows up as a
@@ -572,27 +657,30 @@ def chamberlin_courant(profile: Profile, model: UnrankedModel) -> OutcomeSet:
     subset-sum table (:func:`_cc_table`) when its ``2**m`` entries fit the
     budget, which bounds its time and memory whatever k and the number of
     ballot types; the committee scan (:func:`_cc_scan`) otherwise, so any
-    ``m`` whose C(m, k) fits the budget is still served.
+    ``m`` whose C(m, k) fits the budget is still served.  With ``out``, the
+    election with candidate ``out`` removed, from this profile's arrays
+    (:func:`_cc_input`); its ``m - 1`` candidates set the budget and pick
+    the engine, as they would on the removal.
     """
-    m, k = profile.m, profile.k
+    m, k = profile.m - (out is not None), profile.k
     if comb(m, k) > _SEARCH_BUDGET:
         raise SearchBudgetError(
             f"C({m}, {k}) = {comb(m, k)} committees exceeds budget {_SEARCH_BUDGET}; "
             "use greedy_cc"
         )
     if 2**m <= _SEARCH_BUDGET:
-        return _cc_table(profile, model)
-    return _cc_scan(profile, model)
+        return _cc_table(profile, model, out)
+    return _cc_scan(profile, model, out)
 
 
-def _cc_table(profile: Profile, model: UnrankedModel) -> OutcomeSet:
+def _cc_table(profile: Profile, model: UnrankedModel, out: int | None = None) -> OutcomeSet:
     """Exact Chamberlin-Courant from one table of ``2**m`` subset sums.
 
     A voter's satisfaction with a committee, its best member's points, is
     the number of thresholds ``t = 1..m-1`` that some member's points reach.
     Candidate sets are bitmasks.  The table first holds, at each set, the
     weight of the (ballot type, threshold) pairs whose candidates with at
-    least ``t`` points (:func:`point_matrix`, so under ``model``) form that
+    least ``t`` points (:func:`_cc_input`, so under ``model``) form that
     set; one subset-sum (zeta) transform, as in Björklund, Husfeldt, Kaski
     and Koivisto, "Fourier meets Möbius: fast subset convolution" (STOC
     2007), turns that into the weight of the pairs whose set lies inside it.
@@ -602,10 +690,10 @@ def _cc_table(profile: Profile, model: UnrankedModel) -> OutcomeSet:
     those whose complement's entry is least.  Every entry is at most
     ``W * (m - 1)``, which the int64 check of :attr:`Profile.arrays` bounds.
     """
-    m, k = profile.m, profile.k
-    _, weights = profile.arrays
-    types = len(weights)
-    flat = point_matrix(profile, model).T  # a fresh array, one row per candidate
+    points, weights, candidates = _cc_input(profile, model, out)
+    types, m = points.shape
+    k = profile.k
+    flat = points.T  # a fresh array, one row per candidate
     flat *= types
     flat += np.arange(types)  # [c, i]: where c's points on ballot type i go
     # with_points[v * types + i]: the set of candidates with v points on
@@ -627,24 +715,21 @@ def _cc_table(profile: Profile, model: UnrankedModel) -> OutcomeSet:
     committees = np.flatnonzero(sizes == k)
     missed = inside[((1 << m) - 1) ^ committees]
     best = committees[missed == missed.min()].tolist()
-    return OutcomeSet(
-        committees=frozenset(frozenset(c for c in range(m) if s >> c & 1) for s in best),
-        tie_flag=len(best) > 1,
-    )
+    return _committees(best, candidates, len(best) > 1)
 
 
-def _cc_scan(profile: Profile, model: UnrankedModel) -> OutcomeSet:
+def _cc_scan(profile: Profile, model: UnrankedModel, out: int | None = None) -> OutcomeSet:
     """Exact Chamberlin-Courant by scanning every committee over every ballot type.
 
     Scans all C(m, k) committees in lexicographic order, streaming the
     maximum, with no table of ``2**m`` entries, so it serves any ``m``
     whose C(m, k) fits the budget.
     """
-    m, k = profile.m, profile.k
-    _, weights = profile.arrays
-    by_candidate = point_matrix(profile, model).T
+    points, weights, candidates = _cc_input(profile, model, out)
+    m, k = points.shape[1], profile.k
+    by_candidate = points.T
     best_value = -1
-    best: list[frozenset[int]] = []
+    best: list[int] = []
     # A committee is a (k-1)-prefix plus a larger last member: one array op
     # scores every last member of a prefix.  Points are non-negative, so the
     # empty prefix (k = 1) has a best-member score of zero on every ballot.
@@ -657,13 +742,17 @@ def _cc_scan(profile: Profile, model: UnrankedModel) -> OutcomeSet:
             continue
         if top > best_value:
             best_value, best = top, []
+        prefix_set = sum(1 << j for j in prefix)
         last = np.flatnonzero(values == top) + start
-        best.extend(frozenset((*prefix, j)) for j in last.tolist())
-    return OutcomeSet(committees=frozenset(best), tie_flag=len(best) > 1)
+        best.extend(prefix_set | 1 << j for j in last.tolist())
+    return _committees(best, candidates, len(best) > 1)
 
 
 def greedy_cc(
-    profile: Profile, model: UnrankedModel, tie: TiePolicy = TiePolicy.ERROR
+    profile: Profile,
+    model: UnrankedModel,
+    tie: TiePolicy = TiePolicy.ERROR,
+    out: int | None = None,
 ) -> OutcomeSet:
     """Greedy Chamberlin-Courant approximation.
 
@@ -673,22 +762,28 @@ def greedy_cc(
     Personalized Decision Making" (IJCAI 2011); satisfaction is monotone and
     submodular in the committee, so it reaches at least (1 - 1/e) of the
     optimum.  The Borda winner is the greedy first pick, since a singleton
-    committee's satisfaction is its member's Borda score.
+    committee's satisfaction is its member's Borda score.  With ``out``, the
+    election with candidate ``out`` removed (:func:`_cc_input`).
     """
-    _, weights = profile.arrays
-    by_candidate = point_matrix(profile, model).T
-    seed_scores = by_candidate @ weights  # the Borda scores under ``model``
-    seed_set = np.flatnonzero(seed_scores == seed_scores.max()).tolist()
-    committee, tie_used = _choose(profile, seed_set, 1, tie, "tie for greedy seed")
-    best = by_candidate[committee[0]].copy()  # each ballot type's best member's points
+    points, weights, candidates = _cc_input(profile, model, out)
+    by_candidate = points.T
+    column = {c: j for j, c in enumerate(candidates)}.__getitem__
+
+    def pick(scores: np.ndarray, what: str) -> tuple[int, bool]:
+        tied = [candidates[j] for j in np.flatnonzero(scores == scores.max()).tolist()]
+        (chosen,), broken = _choose(profile, tied, 1, tie, what)
+        return chosen, broken
+
+    seed, tie_used = pick(by_candidate @ weights, "tie for greedy seed")  # the Borda scores
+    committee = [seed]
+    best = by_candidate[column(seed)].copy()  # each ballot type's best member's points
     for _ in range(profile.k - 1):
         gains = np.maximum(by_candidate - best, 0) @ weights
-        gains[committee] = -1  # members gain nothing; keep them out of the max
-        tied = np.flatnonzero(gains == gains.max()).tolist()
-        (chosen,), broken = _choose(profile, tied, 1, tie, "tie for greedy committee extension")
+        gains[list(map(column, committee))] = -1  # members gain nothing; keep them out of the max
+        chosen, broken = pick(gains, "tie for greedy committee extension")
         tie_used = tie_used or broken
         committee.append(chosen)
-        np.maximum(best, by_candidate[chosen], out=best)
+        np.maximum(best, by_candidate[column(chosen)], out=best)
     return OutcomeSet.single(committee, tie_flag=tie_used)
 
 
@@ -696,8 +791,11 @@ def greedy_cc(
 # Minimax Condorcet committee
 
 
-def _condorcet_committees(margins: tuple[tuple[int, ...], ...], m: int) -> list[frozenset[int]]:
-    """The Condorcet committees: each candidate's closure under ``need``, in candidate order.
+def _condorcet_committees(
+    margins: tuple[tuple[int, ...], ...], candidates: Sequence[int]
+) -> list[frozenset[int]]:
+    """The Condorcet committees among ``candidates``: each candidate's closure
+    under ``need``, in candidate order.
 
     ``need[a]`` holds the candidates ``a`` fails to beat; a set is a
     Condorcet committee exactly when it is closed under ``need``.  Of any two
@@ -705,9 +803,9 @@ def _condorcet_committees(margins: tuple[tuple[int, ...], ...], m: int) -> list[
     chain, and each is the largest closure of its members.  The full
     candidate set is the largest closure.
     """
-    need = [[b for b in range(m) if b != a and margins[a][b] <= 0] for a in range(m)]
+    need = {a: [b for b in candidates if b != a and margins[a][b] <= 0] for a in candidates}
     closures = []
-    for a in range(m):
+    for a in candidates:
         members, stack = {a}, [a]
         while stack:
             for b in need[stack.pop()]:
@@ -725,11 +823,13 @@ def condorcet_committee(profile: Profile, size: int) -> frozenset[int] | None:
     non-member.  Two distinct committees of one size would need candidates
     beating each other both ways, so the committee is unique per size.
     """
-    committees = _condorcet_committees(pairwise_matrix(profile), profile.m)
+    committees = _condorcet_committees(pairwise_matrix(profile), range(profile.m))
     return next((c for c in committees if len(c) == size), None)
 
 
-def mcc(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> OutcomeSet:
+def mcc(
+    profile: Profile, tie: TiePolicy = TiePolicy.ERROR, out: int | None = None
+) -> OutcomeSet:
     """Minimax Condorcet committee rule.
 
     Finds the smallest Condorcet committee of size at least k (the full
@@ -737,11 +837,16 @@ def mcc(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> OutcomeSet:
     members with the lowest minimum pairwise margin against the rest of the
     committee until k remain.  The Condorcet committees are the closures of
     single candidates under "every candidate a member fails to beat is a
-    member", so the search takes polynomial time in m.
+    member", so the search takes polynomial time in m.  With ``out``, the
+    election with candidate ``out`` removed: a removal changes no other
+    pair's margin, so the search runs on this profile's margins without
+    ``out``'s row and column.
     """
-    m, k = profile.m, profile.k
     margins = pairwise_matrix(profile)
-    committee = min((c for c in _condorcet_committees(margins, m) if len(c) >= k), key=len)
+    candidates = [c for c in range(profile.m) if c != out]
+    k = profile.k
+    committees = _condorcet_committees(margins, candidates)
+    committee = min((c for c in committees if len(c) >= k), key=len)
     if len(committee) == k:
         return OutcomeSet.single(committee, tie_flag=False)
     members = sorted(committee)
@@ -759,12 +864,18 @@ def mcc(profile: Profile, tie: TiePolicy = TiePolicy.ERROR) -> OutcomeSet:
 
 @dataclass(frozen=True)
 class Method:
+    """A registered rule: ``run(profile, tie, out)`` counts ``profile``, or,
+    with a candidate index ``out``, the election with that candidate removed
+    (see :func:`run_method`)."""
+
     id: str
     label: str
-    run: Callable[[Profile, TiePolicy], OutcomeSet]
+    run: Callable[[Profile, TiePolicy, int | None], OutcomeSet]
 
 
-def _stv_outcome(profile: Profile, tie: TiePolicy) -> OutcomeSet:
+def _stv_outcome(profile: Profile, tie: TiePolicy, out: int | None) -> OutcomeSet:
+    if out is not None:
+        raise ValueError("stv counts whole profiles only; remove the candidate first")
     return stv(profile, tie)[0]
 
 
@@ -778,32 +889,32 @@ METHODS: dict[str, Method] = {
         Method(
             "borda_om",
             "Borda (OM)",
-            lambda p, tie: k_borda(p, UnrankedModel.OPTIMISTIC, tie),
+            lambda p, tie, out: k_borda(p, UnrankedModel.OPTIMISTIC, tie, out),
         ),
         Method(
             "borda_pm",
             "Borda (PM)",
-            lambda p, tie: k_borda(p, UnrankedModel.PESSIMISTIC, tie),
+            lambda p, tie, out: k_borda(p, UnrankedModel.PESSIMISTIC, tie, out),
         ),
         Method(
             "cc_om",
             "Cham-Cour (OM)",
-            lambda p, tie: chamberlin_courant(p, UnrankedModel.OPTIMISTIC),
+            lambda p, tie, out: chamberlin_courant(p, UnrankedModel.OPTIMISTIC, out),
         ),
         Method(
             "cc_pm",
             "Cham-Cour (PM)",
-            lambda p, tie: chamberlin_courant(p, UnrankedModel.PESSIMISTIC),
+            lambda p, tie, out: chamberlin_courant(p, UnrankedModel.PESSIMISTIC, out),
         ),
         Method(
             "greedy_om",
             "Greedy-CC (OM)",
-            lambda p, tie: greedy_cc(p, UnrankedModel.OPTIMISTIC, tie),
+            lambda p, tie, out: greedy_cc(p, UnrankedModel.OPTIMISTIC, tie, out),
         ),
         Method(
             "greedy_pm",
             "Greedy-CC (PM)",
-            lambda p, tie: greedy_cc(p, UnrankedModel.PESSIMISTIC, tie),
+            lambda p, tie, out: greedy_cc(p, UnrankedModel.PESSIMISTIC, tie, out),
         ),
         Method("mcc", "MCC", mcc),
         Method("topk_irv", "Top-k IRV", top_k_irv),
@@ -815,9 +926,27 @@ METHODS: dict[str, Method] = {
 _TIE_VALUES = frozenset(policy.value for policy in TiePolicy)
 
 
-def run_method(method_id: str, profile: Profile, tie: TiePolicy) -> OutcomeSet:
+def run_method(
+    method_id: str, profile: Profile, tie: TiePolicy, out: int | None = None
+) -> OutcomeSet:
     """Run a registered rule.  ``tie`` is checked on every call, so a value
-    that is no policy fails even where the rule meets no tie."""
+    that is no policy fails even where the rule meets no tie.
+
+    With ``out``, the rule counts the election with candidate ``out``
+    removed, and its committees are in ``profile``'s own indices: it equals
+    ``remove_candidate(profile, out)`` followed by a run, with each
+    committee mapped back to ``profile``'s indices, and raises the same
+    :class:`~mwspoilers.core.ProfileError` where that removal would.
+    Exclusion keeps every other candidate's index order and name, so every
+    tie policy picks as it would on the removal, and its texts name the same
+    candidates.  SRCV and top-k IRV start with ``out`` out; the scoring
+    rules, MCC and the Chamberlin-Courant rules take the removal's counts
+    from the cached tally, pairwise counts and array form (see
+    :func:`~mwspoilers.core.top_k_counts`,
+    :func:`~mwspoilers.core.borda_scores` and :func:`_cc_input`), so all
+    but SRCV and top-k IRV need ``n * m`` within int64.  STV counts whole
+    profiles only and raises ``ValueError`` with ``out``.
+    """
     if tie not in _TIE_VALUES:
         TiePolicy(tie)  # raises the enum's own ValueError, which names the value
     try:
@@ -826,4 +955,6 @@ def run_method(method_id: str, profile: Profile, tie: TiePolicy) -> OutcomeSet:
         raise KeyError(
             f"unknown method {method_id!r}; known: {', '.join(sorted(METHODS))}"
         ) from None
-    return method.run(profile, tie)
+    if out is not None:
+        _check_out(profile, out)
+    return method.run(profile, tie, out)

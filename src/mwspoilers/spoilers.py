@@ -2,17 +2,25 @@
 
 A non-winning candidate is a spoiler when deleting them from the ballots
 changes the set of winning committees.  :func:`analyze_spoilers` runs a rule
-once on the full election and once per non-winner on the reduced election,
-recording a verdict for each.  Ties never raise from here: a tie in the base
-run or a re-run is recorded on the report, and callers decide whether such
-elections are dropped from aggregate statistics (the convention for
-simulation campaigns) or merely flagged.
+once on the full election and once per non-winner on the election with that
+candidate deleted, recording a verdict for each.  Ties never raise from
+here: a tie in the base run or a re-run is recorded on the report, and
+callers decide whether such elections are dropped from aggregate statistics
+(the convention for simulation campaigns) or merely flagged.
+
+A re-run either excludes or removes (see :func:`analyze_spoilers` for
+why).  On a ward-size profile every rule but STV counts the full profile
+with the candidate out, from the counts it already holds; STV, and every
+rule on a campaign-size profile, re-run on the reduced profile of
+:func:`~mwspoilers.core.remove_candidate`.
 
 Alternate outcomes are expressed in the original election's candidate
-indices, so committees before and after a removal compare directly.  The
-re-indexing maps each reduced index through a cached tuple per removed
-candidate and makes the outcome without :class:`~mwspoilers.core.OutcomeSet`'s
-check, which a one-to-one mapping of a valid outcome cannot break.
+indices, so committees before and after a removal compare directly.  An
+exclusion counts in those indices from the start.  A removal's outcome is
+re-indexed: each reduced index maps through a cached tuple per removed
+candidate, and the outcome is made without
+:class:`~mwspoilers.core.OutcomeSet`'s check, which a one-to-one mapping of
+a valid outcome cannot break.
 
 The records an audit returns, :class:`WeaknessFlags`, :class:`SpoilerVerdict`
 and :class:`SpoilerReport`, are ``NamedTuple``s that store what the audit
@@ -31,6 +39,7 @@ from .core import (
     _MAX_CANDIDATES,
     OutcomeSet,
     Profile,
+    _array_sized,
     _new_outcome,
     _ranking,
     _weight,
@@ -160,6 +169,25 @@ def analyze_spoilers(
     spoiler (the remaining candidates form the only possible committee), so
     the verdict is computed without a re-run.
 
+    A re-run counts the election with the non-winner removed in one of two
+    ways, which give equal verdicts:
+
+    - On a profile whose counts run on its array form
+      (``core._array_sized``: a ward's, not a campaign sample's), every rule
+      but STV counts ``profile`` itself with the candidate out
+      (``run_method(..., out=c)``), from the tally, pairwise counts, array
+      form and continuing-preference table it already holds, and in its own
+      indices.  A reduced profile would build all of those again.
+    - STV, and every rule on a smaller profile, re-runs on
+      ``remove_candidate(profile, c)``, whose committees are mapped back to
+      ``profile``'s indices.  STV counts whole profiles only and reads only
+      the reduced profile's ballots, so on a ward that profile builds no
+      count.  On a small profile the scoring rules share the reduced
+      profile's one Python tally, which is cheaper there than the array
+      form an exclusion reads; and a campaign that runs Bloc alone, such as
+      the spatial Bloc benchmark, keeps its removals, which its traced
+      passes count.
+
     ``removals`` maps a candidate to ``profile`` with that candidate removed.
     Missing entries are filled in, so audits of several rules on the same
     profile that pass the same dict remove each candidate only once.  The
@@ -172,6 +200,7 @@ def analyze_spoilers(
     except TieError:
         return SpoilerReport(method=method_id, outcome=None, verdicts=())
 
+    exclude = method_id != "stv" and _array_sized(profile)
     winners = outcome.winners
     verdicts: list[SpoilerVerdict] = []
     for c in range(profile.m):
@@ -180,11 +209,14 @@ def analyze_spoilers(
         if profile.m == profile.k + 1:
             alternate = OutcomeSet.single(frozenset(range(profile.m)) - {c})
         else:
-            reduced = removals.get(c)
-            if reduced is None:
-                reduced = removals[c] = remove_candidate(profile, c)
             try:
-                alternate = _to_original_ids(run_method(method_id, reduced, tie), c)
+                if exclude:
+                    alternate = run_method(method_id, profile, tie, out=c)
+                else:
+                    reduced = removals.get(c)
+                    if reduced is None:
+                        reduced = removals[c] = remove_candidate(profile, c)
+                    alternate = _to_original_ids(run_method(method_id, reduced, tie), c)
             except TieError:
                 alternate = None
         is_spoiler = alternate is not None and alternate.committees != outcome.committees

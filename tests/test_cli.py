@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mwspoilers.blt_io import emit_blt
-from mwspoilers.cli import main
+from mwspoilers.cli import build_parser, main
 from mwspoilers.core import Profile, default_names
 from mwspoilers.harness import run_corpus_audit
 from mwspoilers.methods import METHODS
@@ -332,6 +332,29 @@ def test_invalid_arguments_are_usage_errors(argv, corpus_dir, tmp_path, capsys):
     assert exit_info.value.code == 2
     assert f"mwspoilers {argv[0]}: error:" in capsys.readouterr().err
     assert not out_csv.exists()
+
+
+def test_a_usage_error_leaves_the_shared_parser_as_it_was(corpus_dir, tmp_path, capsys):
+    def spoilers(name):
+        outs = [tmp_path / f"{name}-{stem}.csv" for stem in ("rates", "stability", "detail")]
+        code, out, err = run_cli(
+            capsys, "spoilers", str(corpus_dir), "--methods", "sntv", "stv", "--k", "2",
+            "--out", str(outs[0]), "--stability-out", str(outs[1]), "--detail-out", str(outs[2]),
+        )  # fmt: skip
+        return code, out, err, [path.read_bytes() for path in outs]
+
+    build_parser.cache_clear()
+    alone = spoilers("alone")
+    for argv in (
+        ["spoilers", str(corpus_dir), "--methods", "nope"],  # refused by the parser
+        ["spoilers", str(tmp_path / "nowhere"), "--tie", "error"],  # refused after parsing
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+    assert spoilers("after") == alone
+    assert build_parser() is build_parser()
 
 
 def test_extend_checks_the_stop_ratio_before_reading_the_file(tmp_path, capsys):

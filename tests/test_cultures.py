@@ -224,6 +224,19 @@ def test_sampled_profiles_match_their_recorded_fingerprints(model, regime):
     assert digest.hexdigest() == FINGERPRINTS[model, regime]
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**40 + 3, 2**70 + 5])
+def test_trial_streams_are_those_of_the_seed_pair(seed):
+    s = spec("ic", "complete", m=4, k=2, n=11, seed=seed)
+    for trial in (0, 1, 2**33 + 9):
+        expected = np.random.default_rng([seed, trial]).integers(0, 2**63, 8)
+        assert trial_rng(s, trial).integers(0, 2**63, 8).tolist() == expected.tolist()
+
+
+def test_a_negative_trial_has_no_stream():
+    with pytest.raises(ValueError, match="non-negative"):
+        trial_rng(spec("ic", "complete", m=4, k=2, n=11, seed=3), -1)
+
+
 class ScriptedNormals:
     """Stands in for a trial's generator: hands out fixed normal draws in order."""
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwspoilers import harness
+from mwspoilers import harness, spoilers
 from mwspoilers.blt_io import emit_blt, emit_results_csv, parse_blt
 from mwspoilers.core import Profile, default_names
 from mwspoilers.cultures import MODELS, REGIMES, CultureSpec, sample_profile
@@ -281,7 +281,7 @@ def test_no_profile_outlives_its_corpus_audit():
 
 
 def test_programming_errors_propagate(monkeypatch):
-    def broken(profile, tie):
+    def broken(profile, tie, out):
         raise KeyError("bug")
 
     monkeypatch.setitem(METHODS, "sntv", Method("sntv", "SNTV", broken))
@@ -332,6 +332,59 @@ def test_shared_removals_leave_corpus_audit_unchanged(monkeypatch):
     unshared = run_corpus_audit(elections, list(METHODS))
     assert unshared == shared
     assert len(shared.details) == 2 * len(METHODS)
+
+
+def spy_on_removals(monkeypatch) -> list[tuple[int, Profile]]:
+    """Record every candidate the audit removes, with the reduced profile."""
+    removed: list[tuple[int, Profile]] = []
+    remove = spoilers.remove_candidate
+
+    def spy(profile, c):
+        removed.append((c, remove(profile, c)))
+        return removed[-1][1]
+
+    monkeypatch.setattr(spoilers, "remove_candidate", spy)
+    return removed
+
+
+# What a profile caches for the counts; a reduced profile that only STV reads builds none.
+COUNT_CACHES = {"arrays", "_flat", "tally", "continuing_totals", "pair_counts"}
+
+
+@pytest.mark.parametrize("tie", list(TiePolicy))
+def test_a_ward_audit_removes_only_stv_s_non_winners(ward, monkeypatch, tie):
+    removed = spy_on_removals(monkeypatch)
+    p = Profile.build(ward.m, ward.names, ward.ballots, ward.k)
+    audits = harness._audit(p, harness._new_tallies(list(METHODS)), tie)
+    report, _ = audits["stv"]
+    assert sorted(c for c, _ in removed) == [v.candidate for v in report.verdicts]
+    assert len(report.verdicts) == p.m - p.k
+    for _, reduced in removed:
+        assert not COUNT_CACHES & set(vars(reduced))
+    assert all(len(r.verdicts) == p.m - p.k for r, _ in audits.values() if not r.base_tie)
+
+
+@pytest.mark.parametrize("tie", list(TiePolicy))
+def test_a_ward_audit_by_exclusion_equals_the_audit_by_removal(ward, monkeypatch, tie):
+    def audit():
+        p = Profile.build(ward.m, ward.names, ward.ballots, ward.k)
+        return harness._audit(p, harness._new_tallies(list(METHODS)), tie)
+
+    excluded = audit()
+    monkeypatch.setattr(spoilers, "_array_sized", lambda profile: False)  # every rule removes
+    assert audit() == excluded
+
+
+@pytest.mark.parametrize("tie", list(TiePolicy))
+def test_a_campaign_audit_removes_each_non_winner_of_any_rule_once(monkeypatch, tie):
+    removed = spy_on_removals(monkeypatch)
+    spec = CultureSpec("ic", "partial", 5, 2, 61, seed=8)
+    for trial in range(10):
+        removed.clear()
+        p = sample_profile(spec, trial)
+        audits = harness._audit(p, harness._new_tallies(list(METHODS)), tie)
+        judged = {v.candidate for report, _ in audits.values() for v in report.verdicts}
+        assert sorted(c for c, _ in removed) == sorted(judged)
 
 
 # ---------------------------------------------------------------------------

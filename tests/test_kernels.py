@@ -412,9 +412,9 @@ def spy_on_cc_engines(monkeypatch) -> list[str]:
     for name in ("_cc_table", "_cc_scan"):
         engine = getattr(methods, name)
 
-        def spy(p, model, engine=engine, name=name):
+        def spy(p, model, out=None, engine=engine, name=name):
             chosen.append(name)
-            return engine(p, model)
+            return engine(p, model, out)
 
         monkeypatch.setattr(methods, name, spy)
     return chosen

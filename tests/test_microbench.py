@@ -9,7 +9,7 @@ would exceed the search budget, so it runs the committee scan.  The build
 bench gets the ward's ballot types in shuffled order, so it merges and
 sorts them as it does a parsed ballot file's.  The first call on a fresh
 profile pays for building its cached array form, as the first rule run on
-a reduced profile does in an audit.  The positional-score bench gets a
+a ward does in an audit, whose re-runs then read the same arrays.  The positional-score bench gets a
 fresh profile every round, so each round also builds the position tally:
 on the ward, from its array form (built in the round too), and on a 24-type
 IC m=4 sample, the campaigns' profile size, by the loop over its ballots.
